@@ -7,25 +7,17 @@
 //! hot paths: the 1-thread inline path executes no telemetry
 //! instruction at all, and the pooled path pays a handful of relaxed
 //! increments *per job* (not per chunk, not per item). This bench
-//! prices exactly that claim:
+//! prices the two sides of that claim:
 //!
-//! * `dispatch_on` / `dispatch_off` — the same small-work parallel
-//!   collect (8 192 elements, tiny per-element work, so dispatch
-//!   overhead dominates) with counters live vs suspended
-//!   (`rayon::set_telemetry_suspended`, a bench-only switch). The
-//!   acceptance criterion is the pair staying within noise of each
-//!   other (≤ 2%); at 1 thread both are the inline path and identical
-//!   by construction.
+//! * `dispatch_on` — a small-work parallel collect (8 192 elements,
+//!   tiny per-element work, so dispatch overhead dominates) with the
+//!   counters live. At 1 thread it is the inline path.
 //! * `stats_read` — `rayon::pool_stats()` snapshots per second: the
 //!   ledger/server read path (each snapshot is ~10 relaxed loads plus
 //!   the pool-size lock).
-//! * `occupancy_read` — `rayon::busy_workers()` reads per second: the
-//!   adaptive scheduler's per-batch probe (one atomic load when no
-//!   override forces it).
 //!
 //! The snapshot section `pool_telemetry` lands in
-//! `BENCH_detection.json` next to `streaming_ingest`, so the overhead
-//! pair is tracked per-PR.
+//! `BENCH_detection.json` next to `streaming_ingest`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rayon::prelude::*;
@@ -58,59 +50,27 @@ fn bench_pool_telemetry(c: &mut Criterion) {
     group.bench_function("dispatch_on", |b| {
         b.iter(|| std::hint::black_box(dispatch_pass(&base)))
     });
-    group.bench_function("dispatch_off", |b| {
-        rayon::set_telemetry_suspended(true);
-        b.iter(|| std::hint::black_box(dispatch_pass(&base)));
-        rayon::set_telemetry_suspended(false);
-    });
     group.bench_function("stats_read", |b| {
         b.iter(|| std::hint::black_box(rayon::pool_stats()))
     });
-    group.bench_function("occupancy_read", |b| {
-        b.iter(|| std::hint::black_box(rayon::busy_workers()))
-    });
     group.finish();
 
-    snapshot_thread_sweep(
-        "pool_telemetry",
-        &["dispatch_on", "dispatch_off", "stats_read", "occupancy_read"],
-        |name| {
-            // Suspend the counters for the whole off-measurement
-            // (warm-up included); the pool is quiescent at the toggle
-            // points, so the submitted/dequeued identities stay exact.
-            let suspended = name == "dispatch_off";
-            if suspended {
-                rayon::set_telemetry_suspended(true);
-            }
-            let ops = match name {
-                "dispatch_on" | "dispatch_off" => measure_ops_per_sec(
-                    DISPATCH_ELEMENTS * PASSES_PER_SAMPLE,
-                    snapshot_samples(),
-                    || {
-                        for _ in 0..PASSES_PER_SAMPLE {
-                            std::hint::black_box(dispatch_pass(&base));
-                        }
-                    },
-                ),
-                "stats_read" => {
-                    measure_ops_per_sec(READS_PER_PASS, snapshot_samples(), || {
-                        for _ in 0..READS_PER_PASS {
-                            std::hint::black_box(rayon::pool_stats());
-                        }
-                    })
+    snapshot_thread_sweep("pool_telemetry", &["dispatch_on", "stats_read"], |name| {
+        if name == "dispatch_on" {
+            let elements = DISPATCH_ELEMENTS * PASSES_PER_SAMPLE;
+            measure_ops_per_sec(elements, snapshot_samples(), || {
+                for _ in 0..PASSES_PER_SAMPLE {
+                    std::hint::black_box(dispatch_pass(&base));
                 }
-                _ => measure_ops_per_sec(READS_PER_PASS, snapshot_samples(), || {
-                    for _ in 0..READS_PER_PASS {
-                        std::hint::black_box(rayon::busy_workers());
-                    }
-                }),
-            };
-            if suspended {
-                rayon::set_telemetry_suspended(false);
-            }
-            ops
-        },
-    );
+            })
+        } else {
+            measure_ops_per_sec(READS_PER_PASS, snapshot_samples(), || {
+                for _ in 0..READS_PER_PASS {
+                    std::hint::black_box(rayon::pool_stats());
+                }
+            })
+        }
+    });
 }
 
 criterion_group!(benches, bench_pool_telemetry);

@@ -214,10 +214,9 @@ fn matches_into(
 /// `Framework::run` and the streaming session all funnel through here,
 /// so the two ingestion modes cannot diverge. A corpus larger than one
 /// shard fans out across the worker pool; smaller batches run inline
-/// with the caller's scratch. The shard size adapts to the observed
-/// pool occupancy (see [`crate::sched`]) — partitioning only, the
-/// output is bit-identical at every occupancy and thread count — and
-/// the decision taken is recorded into `exec`.
+/// with the caller's scratch. The shard size follows the fixed rule in
+/// [`crate::sched`] — partitioning only, the output is bit-identical at
+/// every thread count — and the decision taken is recorded into `exec`.
 #[allow(clippy::too_many_arguments)] // internal funnel: every caller threads the same context
 pub(crate) fn detect_append(
     db: &HomoglyphDb,

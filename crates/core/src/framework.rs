@@ -37,16 +37,15 @@ pub struct FrameworkReport {
     /// How the detection calls behind this report were scheduled
     /// (batches, shards, workers engaged) — observational only, and
     /// deliberately **ignored by equality**: partitioning varies with
-    /// pool occupancy and thread count while results must not, so two
-    /// reports of the same corpus compare equal whatever the scheduler
-    /// chose.
+    /// thread count and batching while results must not, so two reports
+    /// of the same corpus compare equal however it was partitioned.
     pub exec: ExecStats,
 }
 
 /// Equality covers the *results* (counts and detections), never the
 /// `exec` scheduling trace — see the field's documentation. Keeping
 /// this manual is what lets every equivalence suite `assert_eq!` whole
-/// reports across thread counts and forced occupancy histories.
+/// reports across thread counts and batch partitions.
 impl PartialEq for FrameworkReport {
     fn eq(&self, other: &Self) -> bool {
         self.total_domains == other.total_domains

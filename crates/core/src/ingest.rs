@@ -51,7 +51,6 @@ use serde::{Deserialize, Serialize};
 use sham_punycode::DomainName;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -338,18 +337,22 @@ struct LaneQueue {
 }
 
 /// A pending reference diff: applies once every name enqueued before
-/// `barrier` has been flushed. `applied` releases the submitting
-/// connector.
+/// `barrier` has been flushed.
 struct ChurnRequest {
     barrier: u64,
     added: Vec<String>,
     removed: Vec<String>,
-    applied: Arc<AtomicBool>,
 }
 
 struct Inner {
     lanes: BTreeMap<String, LaneQueue>,
     churns: VecDeque<ChurnRequest>,
+    /// Churns ever submitted. A connector's ticket is this count just
+    /// before its own submission.
+    churns_submitted: u64,
+    /// Churns the drainer has applied. Churns apply in submission
+    /// order, so ticket `t` has been applied once this exceeds `t`.
+    churns_applied: u64,
     seq: u64,
     live_connectors: usize,
     quarantine: VecDeque<QuarantineSample>,
@@ -397,7 +400,7 @@ impl Drop for ConnectorGuard<'_> {
 /// executed outside it).
 enum Action {
     Flush { tld: String, batch: Vec<DomainName> },
-    Churn { added: Vec<String>, removed: Vec<String>, applied: Arc<AtomicBool> },
+    Churn { added: Vec<String>, removed: Vec<String> },
     Done,
 }
 
@@ -439,6 +442,8 @@ impl IngestService {
             inner: Mutex::new(Inner {
                 lanes: BTreeMap::new(),
                 churns: VecDeque::new(),
+                churns_submitted: 0,
+                churns_applied: 0,
                 seq: 0,
                 live_connectors: feeds.len(),
                 quarantine: VecDeque::new(),
@@ -525,9 +530,12 @@ impl IngestService {
         loop {
             match self.next_action(shared) {
                 Action::Done => break,
-                Action::Churn { added, removed, applied } => {
+                Action::Churn { added, removed } => {
                     router.apply_reference_diff(&added, &removed);
-                    applied.store(true, Ordering::Release);
+                    // Counted under the lock: a connector between its
+                    // check and its wait holds the lock, so the count
+                    // cannot change, nor the notify fire, in that gap.
+                    shared.lock().churns_applied += 1;
                     shared.space.notify_all();
                 }
                 Action::Flush { tld, batch } => {
@@ -641,12 +649,7 @@ impl IngestService {
                     .map(|(tld, _)| tld.clone());
                 match lagging {
                     Some(tld) => {
-                        // Adaptive drain batch: the full configured
-                        // capacity while the pool is busy, an earlier
-                        // (smaller) flush when it is idle — see
-                        // `crate::sched`. Batch size never affects the
-                        // report, only dispatch granularity.
-                        let cap = crate::sched::flush_capacity(self.config.batch_capacity);
+                        let cap = self.config.batch_capacity.max(1);
                         let lane = inner.lanes.get_mut(&tld).expect("lane just found");
                         let mut batch = Vec::new();
                         while batch.len() < cap
@@ -659,11 +662,7 @@ impl IngestService {
                     }
                     None => {
                         let churn = inner.churns.pop_front().expect("front checked");
-                        return Action::Churn {
-                            added: churn.added,
-                            removed: churn.removed,
-                            applied: churn.applied,
-                        };
+                        return Action::Churn { added: churn.added, removed: churn.removed };
                     }
                 }
             }
@@ -675,7 +674,7 @@ impl IngestService {
                 .min_by_key(|(_, lane)| lane.queue.front().expect("nonempty").0)
                 .map(|(tld, _)| tld.clone());
             if let Some(tld) = oldest {
-                let cap = crate::sched::flush_capacity(self.config.batch_capacity);
+                let cap = self.config.batch_capacity.max(1);
                 let lane = inner.lanes.get_mut(&tld).expect("lane just found");
                 let take = lane.queue.len().min(cap);
                 let batch: Vec<DomainName> =
@@ -834,21 +833,13 @@ fn enqueue(shared: &Shared, config: &IngestConfig, domain: DomainName) {
 /// the drainer applies it, so later events of this feed are observed
 /// post-diff — the same order a batch replay gives.
 fn submit_churn(shared: &Shared, added: Vec<String>, removed: Vec<String>) {
-    let applied = Arc::new(AtomicBool::new(false));
-    {
-        let mut inner = shared.lock();
-        let barrier = inner.seq;
-        inner.churns.push_back(ChurnRequest {
-            barrier,
-            added,
-            removed,
-            applied: Arc::clone(&applied),
-        });
-        drop(inner);
-        shared.work.notify_all();
-    }
     let mut inner = shared.lock();
-    while !applied.load(Ordering::Acquire) {
+    let ticket = inner.churns_submitted;
+    inner.churns_submitted += 1;
+    let barrier = inner.seq;
+    inner.churns.push_back(ChurnRequest { barrier, added, removed });
+    shared.work.notify_all();
+    while inner.churns_applied <= ticket {
         inner = shared.wait(inner, &shared.space);
     }
 }

@@ -28,10 +28,10 @@
 //! * [`feeds`] — byte-stream feed sources: master-file text
 //!   ([`ZoneTextFeed`]) and length-prefixed DNS wire frames
 //!   ([`WireMessageFeed`]) off any `Read` transport.
-//! * [`sched`] — the occupancy-driven execution policy: shard sizing
-//!   and flush batching adapt to the worker pool's observed occupancy
-//!   (partitioning only — outputs stay bit-identical), with
-//!   [`ExecStats`] recording the decisions into every report.
+//! * [`sched`] — the fixed execution policy: how a detection batch is
+//!   sharded across the worker pool (partitioning only — outputs stay
+//!   bit-identical), with [`ExecStats`] recording the decisions into
+//!   every report.
 //! * [`framework`] — the Steps 1–3 pipeline of Fig. 1 (a one-shot
 //!   wrapper over a session).
 //! * [`revert`] — §6.4's homograph-to-original reverting.
@@ -107,6 +107,6 @@ pub use revert::{revert_char, revert_stem, Reverted};
 pub use sham_simchar::DbSelection;
 
 // Re-export the executor's telemetry surface so CLI/servers can read
-// pool occupancy and counters without depending on the vendored
-// executor crate directly.
-pub use rayon::{busy_workers, pool_stats, PoolStats};
+// the pool counters without depending on the vendored executor crate
+// directly.
+pub use rayon::{pool_stats, PoolStats};

@@ -271,11 +271,9 @@ impl SessionRouter {
     }
 
     /// Sets how many registrations a lane buffers before flushing them
-    /// as one batch (1 disables buffering). This is the *upper* bound:
-    /// when the worker pool is idle the router flushes earlier (see
-    /// [`crate::sched`]) to trade batch amortisation for latency.
-    /// Batching is unobservable in the report either way — it only
-    /// controls how much work each detection call hands the pool.
+    /// as one batch (1 disables buffering). Batching is unobservable in
+    /// the report — it only controls how much work each detection call
+    /// hands the pool.
     pub fn with_batch_capacity(mut self, capacity: usize) -> Self {
         self.batch_capacity = capacity.max(1);
         self
@@ -347,12 +345,7 @@ impl SessionRouter {
     /// TLD's lane (opened on first sight unless the lane set is fixed),
     /// and any lane whose buffer reaches capacity flushes as one batch.
     pub fn push_domains<'a>(&mut self, domains: impl IntoIterator<Item = &'a DomainName>) {
-        // Adapt the flush trigger to the pool occupancy once per call
-        // (never per domain — this is the 1M+ events/s hot path): an
-        // idle pool flushes earlier for latency, a busy one amortises
-        // full batches. Partitioning only — the report is identical at
-        // any capacity (see `batching_is_unobservable`).
-        let capacity = crate::sched::flush_capacity(self.batch_capacity);
+        let capacity = self.batch_capacity;
         for domain in domains {
             let at = match self.lane_position(domain.tld()) {
                 Ok(at) => at,

@@ -28,22 +28,22 @@
 //! * **Pre-detection dedup** — zone dumps repeat each owner once per
 //!   record (NS runs, glue); the scanner drops consecutive repeats for
 //!   free (the parser's owner cache flags them) and catches
-//!   out-of-order repeats with a bounded hash window.
+//!   out-of-order repeats with a bounded window of recent owners. A
+//!   window hit is confirmed on the owner bytes, never on a hash alone.
 //! * **Accounting invariant** — every parsed line is accounted for:
 //!   `records + quarantined == routed + deduped + blacklisted +
 //!   quarantined` per TLD ([`TldScanStats::is_accounted`]); the CLI and
 //!   tests close the books on it.
 //!
-//! Batches flush into the [`SessionRouter`] at the occupancy-adaptive
-//! [`flush_capacity`](crate::sched) mark — the same PR 9 policy the
-//! ingest front-end uses, read once per flush, never per domain.
+//! Batches flush into the [`SessionRouter`] whenever the pre-stage
+//! buffer reaches [`ScanConfig::batch_capacity`].
 
 use crate::router::{RouterReport, SessionRouter};
 use sham_dns::zone::{ZoneScan, ZoneStreamParser};
 use sham_punycode::DomainName;
 use sham_web::Blacklist;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::mpsc;
@@ -58,12 +58,12 @@ pub struct ScanConfig {
     /// Bounded-channel depth between reader and parser (default 4;
     /// floored at 2 so the pipeline is at least double-buffered).
     pub channel_depth: usize,
-    /// Out-of-order dedup window: how many recent owner hashes are
+    /// Out-of-order dedup window: how many recent owners are
     /// remembered (default 8192; 0 disables the window — consecutive
     /// dedup still applies).
     pub dedup_window: usize,
-    /// Router batch size the pre-stage buffers toward; the effective
-    /// flush mark adapts to pool occupancy (see [`crate::sched`]).
+    /// Owners the pre-stage buffers before pushing them to the router
+    /// as one batch.
     pub batch_capacity: usize,
     /// Cap on quarantined-line samples kept for the report.
     pub quarantine_samples: usize,
@@ -196,16 +196,128 @@ impl ScanReport {
     }
 }
 
-/// FNV-1a 64 over the owner's ACE bytes (already lowercase) — keys the
-/// bounded dedup window.
+/// FNV-1a 64 over the owner's ACE bytes (already lowercase) — buckets
+/// the dedup window.
 #[inline]
-fn owner_hash(owner: &DomainName) -> u64 {
+fn owner_hash(owner: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in owner.as_ascii().bytes() {
+    for &b in owner {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Ends a bucket chain of [`OwnerWindow`] slots.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The bounded out-of-order dedup window: the last `capacity` distinct
+/// owners, first in, first out. The hash only picks a bucket; a repeat
+/// is counted only when the owner bytes match, so a crafted hash
+/// collision cannot hide a new owner from detection.
+///
+/// Owners live in a ring of slots whose byte buffers are reused once
+/// the ring is full: a buffer grows only when its slot receives an
+/// owner longer than any it held before, so a full ring allocates
+/// nothing per owner. Each bucket chains its slots newest first. The
+/// ring evicts oldest first, so an evicted slot is always the tail of
+/// its chain, and a link into it is stale exactly when the slot's reuse
+/// gave it a newer `seq` than the slot linking to it.
+struct OwnerWindow {
+    hash: fn(&[u8]) -> u64,
+    capacity: usize,
+    slots: Vec<WindowSlot>,
+    /// Newest slot per bucket; a power of two, at least two per slot.
+    heads: Vec<u32>,
+    /// The slot the next insert overwrites once the ring is full.
+    oldest: usize,
+    inserted: u64,
+}
+
+struct WindowSlot {
+    hash: u64,
+    /// Insertion number; strictly decreasing along a live chain.
+    seq: u64,
+    /// Next older slot in the same bucket, or [`NO_SLOT`].
+    next: u32,
+    owner: Vec<u8>,
+}
+
+impl OwnerWindow {
+    fn new(capacity: usize, hash: fn(&[u8]) -> u64) -> Self {
+        OwnerWindow {
+            hash,
+            // Slot indices are `u32`, with `NO_SLOT` reserved.
+            capacity: capacity.min(NO_SLOT as usize),
+            slots: Vec::new(),
+            heads: Vec::new(),
+            oldest: 0,
+            inserted: 0,
+        }
+    }
+
+    /// Fibonacci hashing: the top bits of the product pick the bucket.
+    fn bucket(&self, hash: u64) -> usize {
+        let shift = 64 - self.heads.len().trailing_zeros();
+        (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// Doubles the buckets and relinks every slot oldest first, so each
+    /// chain stays newest first. Runs only while the ring fills, before
+    /// any slot has been evicted.
+    fn rebucket(&mut self) {
+        self.heads = vec![NO_SLOT; (self.heads.len() * 2).max(16)];
+        for at in 0..self.slots.len() {
+            let b = self.bucket(self.slots[at].hash);
+            self.slots[at].next = self.heads[b];
+            self.heads[b] = at as u32;
+        }
+    }
+
+    /// True if `owner` is in the window; otherwise remembers it,
+    /// evicting the oldest owner when the window is full.
+    fn seen_or_insert(&mut self, owner: &[u8]) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        let hash = (self.hash)(owner);
+        if !self.heads.is_empty() {
+            let (mut at, mut newer) = (self.heads[self.bucket(hash)], u64::MAX);
+            while at != NO_SLOT && self.slots[at as usize].seq < newer {
+                let slot = &self.slots[at as usize];
+                if slot.hash == hash && slot.owner.as_slice() == owner {
+                    return true;
+                }
+                newer = slot.seq;
+                at = slot.next;
+            }
+        }
+        let at = if self.slots.len() < self.capacity {
+            if (self.slots.len() + 1) * 2 > self.heads.len() {
+                self.rebucket();
+            }
+            self.slots.push(WindowSlot { hash, seq: 0, next: NO_SLOT, owner: Vec::new() });
+            self.slots.len() - 1
+        } else {
+            let at = self.oldest;
+            self.oldest = (at + 1) % self.capacity;
+            let b = self.bucket(self.slots[at].hash);
+            if self.heads[b] == at as u32 {
+                self.heads[b] = NO_SLOT;
+            }
+            at
+        };
+        let b = self.bucket(hash);
+        let slot = &mut self.slots[at];
+        slot.hash = hash;
+        slot.seq = self.inserted;
+        slot.next = self.heads[b];
+        slot.owner.clear();
+        slot.owner.extend_from_slice(owner);
+        self.heads[b] = at as u32;
+        self.inserted += 1;
+        false
+    }
 }
 
 /// Word-at-a-time `\n` finder (SWAR: subtract-and-mask zero-byte
@@ -239,8 +351,7 @@ pub struct ZoneScanner {
     config: ScanConfig,
     stats: BTreeMap<String, TldScanStats>,
     quarantine: Vec<String>,
-    window: VecDeque<u64>,
-    window_set: HashSet<u64>,
+    window: OwnerWindow,
     files: usize,
 }
 
@@ -251,13 +362,19 @@ impl ZoneScanner {
     pub fn new(router: SessionRouter, config: ScanConfig) -> Self {
         ZoneScanner {
             router,
+            window: OwnerWindow::new(config.dedup_window, owner_hash),
             config,
             stats: BTreeMap::new(),
             quarantine: Vec::new(),
-            window: VecDeque::new(),
-            window_set: HashSet::new(),
             files: 0,
         }
+    }
+
+    /// Replaces the dedup window's hash, so tests can force collisions.
+    #[cfg(test)]
+    fn with_owner_hash(mut self, hash: fn(&[u8]) -> u64) -> Self {
+        self.window = OwnerWindow::new(self.config.dedup_window, hash);
+        self
     }
 
     /// Scans one zone file; the TLD (fallback `$ORIGIN`) is `tld`.
@@ -399,19 +516,9 @@ impl ZoneScanner {
                     stats.dedup_consecutive += 1;
                     return;
                 }
-                let hash = owner_hash(owner);
-                if self.config.dedup_window > 0 {
-                    if self.window_set.contains(&hash) {
-                        stats.dedup_window += 1;
-                        return;
-                    }
-                    if self.window.len() >= self.config.dedup_window {
-                        if let Some(old) = self.window.pop_front() {
-                            self.window_set.remove(&old);
-                        }
-                    }
-                    self.window.push_back(hash);
-                    self.window_set.insert(hash);
+                if self.window.seen_or_insert(owner.as_ascii().as_bytes()) {
+                    stats.dedup_window += 1;
+                    return;
                 }
                 if self
                     .config
@@ -424,9 +531,7 @@ impl ZoneScanner {
                 }
                 stats.routed += 1;
                 pending.push(owner.clone());
-                // Occupancy-adaptive flush mark, read per flush — the
-                // PR 9 policy seam (never per domain).
-                if pending.len() >= crate::sched::flush_capacity(self.config.batch_capacity) {
+                if pending.len() >= self.config.batch_capacity {
                     self.router.push_domains(pending.iter());
                     pending.clear();
                 }
@@ -571,6 +676,48 @@ mod tests {
         assert!(stats.is_accounted());
         // The lookalike owner is detected, the benign one is not.
         assert_eq!(report.detection_count(), 1);
+    }
+
+    #[test]
+    fn hash_collisions_never_dedup_distinct_owners() {
+        let zone = "$ORIGIN com.\n\
+                    alpha IN A 192.0.2.1\n\
+                    beta IN A 192.0.2.2\n\
+                    alpha IN A 192.0.2.3\n";
+        let index = shared_index(&["google"]);
+        let mut scanner = ZoneScanner::new(SessionRouter::new(index), ScanConfig::default())
+            .with_owner_hash(|_| 0);
+        scanner.scan_reader("com", zone.as_bytes()).unwrap();
+        let report = scanner.finish();
+        report.verify_accounting().unwrap();
+        let stats = report.per_tld["com"];
+        assert_eq!(stats.routed, 2, "a colliding hash hid a distinct owner");
+        assert_eq!(stats.dedup_window, 1, "the true repeat is still caught");
+    }
+
+    #[test]
+    fn window_matches_a_string_fifo_under_total_collision() {
+        // Every owner hashes alike, so one chain holds the whole window
+        // and every eviction leaves a stale link behind.
+        let owners: Vec<String> = (0..400).map(|i| format!("o{}", (i * 7) % 23)).collect();
+        for capacity in [1, 2, 3, 5, 16] {
+            let mut window = OwnerWindow::new(capacity, |_| 42);
+            let mut model: std::collections::VecDeque<&str> = Default::default();
+            for owner in &owners {
+                let expected = model.contains(&owner.as_str());
+                if !expected {
+                    if model.len() == capacity {
+                        model.pop_front();
+                    }
+                    model.push_back(owner);
+                }
+                assert_eq!(
+                    window.seen_or_insert(owner.as_bytes()),
+                    expected,
+                    "{owner} at capacity {capacity}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,55 +1,41 @@
-//! Occupancy-driven execution policy + per-call execution statistics.
+//! Fixed execution policy + per-call execution statistics.
 //!
-//! The worker pool (vendored `rayon`) exposes two telemetry readings:
-//! the live busy-worker gauge ([`rayon::busy_workers`]) and the full
-//! [`rayon::PoolStats`] snapshot. This module turns the gauge into the
-//! two partitioning decisions the hot paths make:
+//! `detect_append` splits a batch into shards for the worker pool
+//! (vendored `rayon`). The rule is fixed (`shard_len_for`): one inline
+//! shard at 1 thread, otherwise ≈ 4 shards per worker so every worker
+//! engages and a slow shard cannot serialise the tail. Flushes (router
+//! lanes, the scanner's pre-stage, the ingest drainer) happen at the
+//! configured batch capacity.
 //!
-//! * **Shard sizing** (`shard_len_for`) — `detect_append` splits a
-//!   batch into shards for the pool. An *idle* pool gets fine shards
-//!   (≈ 4 per worker) so every worker engages and a slow shard cannot
-//!   serialise the tail; a *busy* pool gets fewer, larger shards sized
-//!   to the workers actually free, so a batch arriving while another
-//!   is in flight does not queue dozens of tiny jobs behind it.
-//! * **Flush batching** (`flush_capacity`) — the router's lanes and
-//!   the ingest drainer buffer events and flush them as one batch.
-//!   When the pool is idle there is latency headroom to flush *early*
-//!   (a quarter of the configured capacity), getting detections out
-//!   sooner; when the pool is busy the full configured batch amortises
-//!   the dispatch better than more, smaller flushes would.
+//! A fixed rule is enough because there is one detection caller:
+//! `scan-zone`, `serve-feed`'s drainer and the benchmark workloads all
+//! detect from a single thread, and each parallel call waits for its
+//! own pool jobs before returning, so the pool is idle at every
+//! partitioning decision.
 //!
 //! # Determinism
 //!
-//! Occupancy influences **partitioning only** — how many shards a
-//! batch splits into and how many events a flush carries — never what
-//! is computed. Shard outputs merge in corpus order (see
-//! `vendor/rayon`'s in-order chunk merge) and streaming detection is
-//! partition-invariant (see `crate::session`), so any occupancy
-//! history, including the adversarial sequences the test hook
-//! [`rayon::set_occupancy_override`] / `SHAM_OCC_PERTURB` injects,
-//! yields bit-identical reports. The equivalence suites pin exactly
-//! that.
+//! Partitioning never changes what is computed. Shard outputs merge in
+//! corpus order (see `vendor/rayon`'s in-order chunk merge) and
+//! streaming detection is partition-invariant (see `crate::session`),
+//! so every thread count and batch capacity yields bit-identical
+//! reports. The equivalence suites pin exactly that.
 //!
-//! What the scheduler *chose* is still observable out of band:
-//! [`ExecStats`] accumulates per-call decisions (batches, shards,
-//! shard sizes, workers engaged) into every report — compared by
-//! nothing (report equality ignores it), printed by ledgers.
+//! What was *chosen* is still observable out of band: [`ExecStats`]
+//! accumulates per-call decisions (batches, shards, shard sizes,
+//! workers engaged) into every report — compared by nothing (report
+//! equality ignores it), printed by ledgers.
 
 use serde::{Deserialize, Serialize};
 
 /// Minimum IDNs per shard — amortises the per-shard scratch buffers.
 pub const MIN_SHARD_LEN: usize = 64;
 
-/// Floor for adaptively shrunken flush batches: flushing fewer than
-/// this many events per dispatch would spend more on dispatch than on
-/// detection. Configured capacities at or below it are never adapted.
-pub const MIN_FLUSH_BATCH: usize = 64;
-
 /// Execution statistics of the detection calls behind one report:
-/// what the adaptive scheduler chose, not what it computed. Purely
+/// how batches were partitioned, not what they computed. Purely
 /// observational — [`FrameworkReport`](crate::FrameworkReport)
 /// equality deliberately ignores this field, because partitioning
-/// varies with occupancy and thread count while results must not.
+/// varies with thread count and batching while results must not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecStats {
     /// Detection batches executed (one per `detect_append` call with
@@ -106,45 +92,15 @@ impl ExecStats {
     }
 }
 
-/// Shard length for a `len`-IDN batch at `threads` configured workers,
-/// adapted to the observed pool occupancy:
-///
-/// * 1 thread → one shard (the caller runs it inline; splitting would
-///   only add merge overhead);
-/// * idle pool → ≈ 4 shards per worker (fine shards, full engagement,
-///   skew-tolerant);
-/// * busy pool → ≈ 2 shards per *free* worker (larger shards, less
-///   queueing behind the in-flight work).
-///
-/// Never below [`MIN_SHARD_LEN`]. Occupancy is read once per call —
-/// never per IDN — and affects partitioning only (see module docs).
+/// Shard length for a `len`-IDN batch at `threads` configured workers:
+/// one shard at 1 thread (the caller runs it inline; splitting would
+/// only add merge overhead), otherwise ≈ 4 shards per worker, never
+/// below [`MIN_SHARD_LEN`].
 pub(crate) fn shard_len_for(len: usize, threads: usize) -> usize {
     if threads <= 1 {
         return len.max(1);
     }
-    // Clamp so at least one worker always counts as free: the reading
-    // is advisory and may be stale (or forced by the test hook) — the
-    // batch must still be schedulable.
-    let busy = rayon::busy_workers().min(threads - 1);
-    let free = threads - busy;
-    let per_worker = if busy == 0 { 4 } else { 2 };
-    len.div_ceil(free * per_worker).max(MIN_SHARD_LEN)
-}
-
-/// Effective flush batch for a configured lane capacity: the full
-/// capacity when the pool is busy (or there is no pool), a quarter of
-/// it — never below [`MIN_FLUSH_BATCH`] — when the pool is idle and
-/// there is latency headroom to flush early. Adaptation only ever
-/// *shrinks* the batch, so a configured capacity remains the upper
-/// bound callers size their buffers by.
-pub(crate) fn flush_capacity(configured: usize) -> usize {
-    if configured <= MIN_FLUSH_BATCH {
-        return configured.max(1);
-    }
-    if rayon::current_num_threads() <= 1 || rayon::busy_workers() > 0 {
-        return configured;
-    }
-    (configured / 4).max(MIN_FLUSH_BATCH)
+    len.div_ceil(threads * 4).max(MIN_SHARD_LEN)
 }
 
 #[cfg(test)]
@@ -179,68 +135,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_len_single_thread_is_one_shard() {
+    fn shard_len_follows_the_fixed_rule() {
+        // 1 thread: one inline shard, whatever the length.
         assert_eq!(shard_len_for(10_000, 1), 10_000);
         assert_eq!(shard_len_for(0, 1), 1);
-    }
-
-    #[test]
-    fn shard_len_adapts_to_forced_occupancy() {
-        // Serialise against other tests that force occupancy.
-        let _guard = occupancy_guard();
-        {
-            let _idle = rayon::OccupancyOverride::new(vec![0]);
-            // Idle, 4 threads: ~16 shards of 625.
-            assert_eq!(shard_len_for(10_000, 4), 625);
-        }
-        {
-            let _busy = rayon::OccupancyOverride::new(vec![3]);
-            // 3 of 4 busy: 1 free worker, ~2 shards of 5 000.
-            assert_eq!(shard_len_for(10_000, 4), 5_000);
-        }
-        {
-            // Forced occupancy beyond the thread count clamps: one
-            // worker always counts as free.
-            let _swamped = rayon::OccupancyOverride::new(vec![64]);
-            assert_eq!(shard_len_for(10_000, 4), 5_000);
-        }
-        {
-            let _idle = rayon::OccupancyOverride::new(vec![0]);
-            // The shard floor holds whatever the split says.
-            assert_eq!(shard_len_for(100, 8), MIN_SHARD_LEN);
-        }
-    }
-
-    #[test]
-    fn flush_capacity_shrinks_only_when_idle() {
-        let _guard = occupancy_guard();
-        let _threads = rayon::ThreadOverride::new(2);
-        {
-            let _idle = rayon::OccupancyOverride::new(vec![0]);
-            assert_eq!(flush_capacity(1_024), 256);
-            assert_eq!(flush_capacity(160), MIN_FLUSH_BATCH);
-            // At or below the floor: never adapted.
-            assert_eq!(flush_capacity(64), 64);
-            assert_eq!(flush_capacity(1), 1);
-            assert_eq!(flush_capacity(0), 1);
-        }
-        {
-            let _busy = rayon::OccupancyOverride::new(vec![1]);
-            assert_eq!(flush_capacity(1_024), 1_024);
-        }
-        // Single-threaded: no pool to keep fed, full batches always.
-        let _one = rayon::ThreadOverride::new(1);
-        let _idle = rayon::OccupancyOverride::new(vec![0]);
-        assert_eq!(flush_capacity(1_024), 1_024);
-    }
-
-    /// Serialises tests that install a global occupancy override
-    /// (poison-tolerant, like the executor's own test guard).
-    fn occupancy_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> =
-            std::sync::OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        // N threads: ~4 shards per worker.
+        assert_eq!(shard_len_for(10_000, 4), 625);
+        assert_eq!(shard_len_for(10_000, 2), 1_250);
+        assert_eq!(shard_len_for(10_001, 2), 1_251);
+        // The shard floor holds whatever the split says.
+        assert_eq!(shard_len_for(100, 8), MIN_SHARD_LEN);
+        assert_eq!(shard_len_for(1_024, 2), 128);
     }
 }

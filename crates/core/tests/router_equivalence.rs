@@ -3,13 +3,15 @@
 //! reference churn interleaved — must produce, per TLD, exactly the
 //! report a one-shot `Framework::run` over that TLD's slice of the
 //! feed produces, at every thread count. Routing, lane buffering and
-//! the shared worker pool must all be unobservable in the results.
+//! the shared worker pool must all be unobservable in the results,
+//! while the [`ExecStats`](sham_core::ExecStats) they record still
+//! accumulate across batches and lanes.
 
 use proptest::prelude::*;
 use sham_core::{DetectionIndex, Framework, RouterReport, SessionRouter};
 use sham_punycode::DomainName;
 use sham_simchar::{build, BuildConfig, HomoglyphDb, Repertoire};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const REFERENCES: &[&str] = &[
     "google", "amazon", "facebook", "apple", "paypal", "netflix", "coinbase",
@@ -17,6 +19,16 @@ const REFERENCES: &[&str] = &[
 ];
 
 const TLDS: &[&str] = &["com", "net", "org"];
+
+/// Serialises the tests that force a thread count: the override is
+/// process-global, and the exec-stats assertions would observe a
+/// neighbouring test's count.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One shared index for every case — the SimChar build is the
 /// expensive part and the index is immutable.
@@ -105,9 +117,12 @@ fn per_tld_batch(domains: &[DomainName]) -> Vec<(String, sham_core::FrameworkRep
 
 /// Asserts a router report matches the per-TLD batch ground truth
 /// (lanes for TLDs that saw no domain may be absent from the router).
-fn assert_matches_batch(report: &RouterReport, domains: &[DomainName]) {
-    let expected = per_tld_batch(domains);
-    for (tld, batch) in &expected {
+fn assert_matches(
+    report: &RouterReport,
+    domains: &[DomainName],
+    expected: &[(String, sham_core::FrameworkReport)],
+) {
+    for (tld, batch) in expected {
         match report.per_tld.iter().find(|lane| &lane.tld == tld) {
             Some(lane) => assert_eq!(&lane.report, batch, "lane .{tld} diverged"),
             None => assert_eq!(
@@ -124,14 +139,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Any push partition of the interleaved feed, at any lane batch
-    /// capacity, folds into the per-TLD batch reports.
+    /// capacity and at 1, 2 or 4 threads, folds into the 1-thread
+    /// per-TLD batch reports.
     #[test]
     fn any_interleaving_matches_per_tld_batch_runs(
         n in 0usize..1_200,
         capacity in 1usize..200,
         cuts in proptest::collection::vec(0usize..120, 0..10),
+        threads_idx in 0usize..3,
     ) {
+        let _serial = serial();
         let domains = corpus(n);
+        let expected = {
+            let _one = rayon::ThreadOverride::new(1);
+            per_tld_batch(domains)
+        };
+        let _threads = rayon::ThreadOverride::new([1usize, 2, 4][threads_idx]);
         let mut router =
             SessionRouter::new(Arc::clone(index())).with_batch_capacity(capacity);
         let mut rest = domains;
@@ -142,7 +165,7 @@ proptest! {
             rest = tail;
         }
         router.push_domains(rest);
-        assert_matches_batch(&router.into_report(), domains);
+        assert_matches(&router.into_report(), domains, &expected);
     }
 
     /// Global reference diffs that net out to nothing — applied at
@@ -181,7 +204,7 @@ proptest! {
         router.push_domains(rest);
         let report = router.into_report();
         prop_assert!(report.reference_diffs >= cuts.len());
-        assert_matches_batch(&report, domains);
+        assert_matches(&report, domains, &per_tld_batch(domains));
     }
 }
 
@@ -191,6 +214,7 @@ proptest! {
 /// lane batches through the persistent pool).
 #[test]
 fn interleaved_feed_matches_batch_at_every_thread_count() {
+    let _serial = serial();
     let domains = corpus(12_000);
     let sequential = {
         let _one = rayon::ThreadOverride::new(1);
@@ -217,6 +241,43 @@ fn interleaved_feed_matches_batch_at_every_thread_count() {
             assert_eq!(&lane.report, batch, ".{tld} diverges at {threads} threads");
         }
     }
+}
+
+/// `ExecStats` accumulate across a session's batches: every non-empty
+/// push records one batch, 1-thread pushes are inline single shards,
+/// and the router folds its lanes' stats into one accumulator.
+#[test]
+fn exec_stats_accumulate_across_batches_and_lanes() {
+    let _serial = serial();
+    let _one = rayon::ThreadOverride::new(1);
+
+    // 1 thread: every batch is one inline shard of the batch's length.
+    let com: Vec<DomainName> =
+        corpus(1_500).iter().filter(|d| d.tld() == "com").cloned().collect();
+    let mut session = Framework::with_shared_index(Arc::clone(index()), "com").session();
+    let mut idn_batches = 0u64;
+    for batch in com.chunks(100) {
+        session.push_domains(batch);
+        if batch.iter().any(|d| d.is_idn()) {
+            idn_batches += 1;
+        }
+    }
+    let exec = session.exec_stats();
+    assert_eq!(exec.batches, idn_batches);
+    assert_eq!(exec.inline_batches, idn_batches);
+    assert_eq!(exec.shards, idn_batches);
+    assert_eq!(exec.max_workers, 1);
+    assert!(exec.max_shard_len <= 100);
+    assert_eq!(session.into_report().exec, exec);
+
+    // Router: the folded accumulator covers every lane's batches.
+    let mut router = SessionRouter::new(Arc::clone(index()));
+    router.push_domains(corpus(1_500));
+    let report = router.into_report();
+    let folded = report.exec();
+    let per_lane: u64 = report.per_tld.iter().map(|l| l.report.exec.batches).sum();
+    assert!(!folded.is_empty());
+    assert_eq!(folded.batches, per_lane);
 }
 
 /// A restricted lane set drops (and counts) foreign TLDs, and the

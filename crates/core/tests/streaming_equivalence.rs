@@ -4,19 +4,30 @@
 //! must fold into a [`FrameworkReport`] identical to one
 //! `Framework::run` over the whole corpus, at every thread count.
 //! Batch and streaming share one executor, and this suite pins that
-//! they cannot drift apart.
+//! they cannot drift apart. It also pins the observational contract of
+//! [`ExecStats`](sham_core::ExecStats): report equality ignores it.
 
 use proptest::prelude::*;
 use sham_confusables::UcDatabase;
 use sham_core::{Framework, FrameworkReport};
 use sham_punycode::DomainName;
 use sham_simchar::{build, BuildConfig, Repertoire};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 const REFERENCES: &[&str] = &[
     "google", "amazon", "facebook", "apple", "paypal", "netflix", "coinbase",
     "alphabet", "microsoft", "cloudflare",
 ];
+
+/// Serialises the tests that force a thread count: the override is
+/// process-global, and the exec-stats assertions would observe a
+/// neighbouring test's count.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One shared framework for every case — the SimChar build is the
 /// expensive part and the framework is read-only.
@@ -96,16 +107,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any batch partition of the corpus — empty batches included —
-    /// yields the report of one `Framework::run`.
+    /// at 1, 2 or 4 threads yields the report of one 1-thread
+    /// `Framework::run`.
     #[test]
     fn any_batch_partition_matches_one_shot_run(
         n in 0usize..1_500,
         cuts in proptest::collection::vec(0usize..120, 0..12),
+        threads_idx in 0usize..3,
     ) {
+        let _serial = serial();
         let fw = framework();
         let corpus = corpus(n);
-        let expected = fw.run(corpus);
+        let expected = {
+            let _one = rayon::ThreadOverride::new(1);
+            fw.run(corpus)
+        };
 
+        let _threads = rayon::ThreadOverride::new([1usize, 2, 4][threads_idx]);
         let mut session = fw.session();
         let mut rest = corpus;
         for &cut in &cuts {
@@ -161,6 +179,7 @@ proptest! {
 /// worker threads.
 #[test]
 fn twenty_k_corpus_in_64_domain_batches_at_every_thread_count() {
+    let _serial = serial();
     let fw = framework();
     let corpus = corpus(20_000);
 
@@ -188,6 +207,47 @@ fn twenty_k_corpus_in_64_domain_batches_at_every_thread_count() {
             "streaming diverges at {threads} threads"
         );
     }
+}
+
+/// Report equality is blind to `exec`: the same corpus at 1 thread (one
+/// inline shard) and at 4 (fine shards across the pool) compares equal
+/// while the recorded stats differ.
+#[test]
+fn report_equality_ignores_exec_stats() {
+    let _serial = serial();
+    let fw = framework();
+    let corpus = corpus(2_000);
+    let one = {
+        let _one = rayon::ThreadOverride::new(1);
+        fw.run(corpus)
+    };
+    let four = {
+        let _four = rayon::ThreadOverride::new(4);
+        fw.run(corpus)
+    };
+    assert_eq!(one, four, "partitioning leaked into the results");
+    assert!(
+        one.detections.len() > 100,
+        "corpus must be detection-rich ({} found)",
+        one.detections.len()
+    );
+    assert_eq!(one.exec.shards, one.exec.batches, "1 thread runs one inline shard");
+    assert!(
+        four.exec.shards > one.exec.shards,
+        "4 threads should shard finer ({} vs {} shards)",
+        four.exec.shards,
+        one.exec.shards,
+    );
+    assert_ne!(one.exec, four.exec);
+}
+
+/// The empty run records nothing: no batches, `is_empty`, and the
+/// default accumulator round-trips through report merging unchanged.
+#[test]
+fn empty_runs_record_no_exec_stats() {
+    let report = framework().run(&[]);
+    assert!(report.exec.is_empty());
+    assert_eq!(report.exec, sham_core::ExecStats::default());
 }
 
 /// Overlay compaction is unobservable: a session that compacts after

@@ -664,7 +664,7 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
 /// `scan-zone <FILE...>`: the GB-scale batch pipeline — streaming
 /// chunked reads on a reader thread, allocation-conscious line scan,
 /// consecutive + windowed owner dedup, blacklist suffix filtering, and
-/// occupancy-adaptive fan-out into the per-TLD router. Prints the
+/// fixed-size batches into the per-TLD router. Prints the
 /// per-TLD accounting table, the `records_accounted` identity and the
 /// scheduling ledger; `--metrics-json` writes the machine-readable
 /// document (same `exec`/`pool`/`per_tld` schema as `serve-feed`).

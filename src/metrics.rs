@@ -17,7 +17,7 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
     Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// The `exec` section: what the occupancy-adaptive scheduler chose.
+/// The `exec` section: how the detection batches were partitioned.
 fn exec_value(exec: &ExecStats) -> Value {
     map(vec![
         ("batches", Value::U64(exec.batches)),

@@ -17,6 +17,8 @@
 //!    lane panics (which poison + retry) leave the router report
 //!    bit-identical to the clean run; only corruption (and shed, and
 //!    double-panic loss) may change it.
+//! 4. **Churn barriers release their connector** — a single feed with
+//!    no other traffic finishes however many churns it carries.
 
 use shamfinder::core::{
     Backpressure, DetectionIndex, FeedError, FeedItem, FeedOutcome, FeedSource,
@@ -413,6 +415,47 @@ fn idle_lanes_fold_and_reopen_without_touching_the_report() {
     assert!(report.lane_folds >= 1, "the idle .com lane must fold");
     assert_eq!(report.router, expected, "folding must be unobservable");
     assert_eq!(report.events_accounted(), 120);
+}
+
+/// One feed, 200k churns, nothing else to wake a stalled connector:
+/// each churn's submitter must be released by the drainer applying it.
+/// A lost wake-up hangs the run forever, so it runs on its own thread
+/// and this test fails when the watchdog deadline passes first.
+#[test]
+fn single_feed_churn_never_loses_its_wakeup() {
+    const CHURNS: usize = 200_000;
+    let (index, events) = world();
+    let names: Vec<&ZoneEvent> = events
+        .iter()
+        .filter(|e| matches!(e, ZoneEvent::Registered(_)))
+        .collect();
+    // A registration before every churn gives each barrier a flush to
+    // wait for. Empty diffs keep the drainer's apply short, so its
+    // wake-up lands close to the connector's check.
+    let mut feed_events = Vec::with_capacity(2 * CHURNS);
+    for i in 0..CHURNS {
+        feed_events.push(names[i % names.len()].clone());
+        feed_events.push(ZoneEvent::ReferenceChurn { added: Vec::new(), removed: Vec::new() });
+    }
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let index = Arc::clone(index);
+    let run = std::thread::spawn(move || {
+        let feed =
+            FaultyZoneFeed::new("churny", feed_events, FaultSchedule::none(), FeedStats::shared());
+        let report = IngestService::new(index, service_config(64)).run(vec![Box::new(feed)]);
+        let _ = done_tx.send(());
+        report
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        done_rx.recv_timeout(Duration::from_secs(120))
+    {
+        panic!("single-feed ingest hung: a churn barrier lost its wake-up");
+    }
+    let report = run.join().expect("ingest run panicked");
+    assert_eq!(report.feeds[0].churns, CHURNS as u64);
+    assert_eq!(report.router.reference_diffs, CHURNS);
+    assert_eq!(report.events_accounted(), CHURNS as u64);
 }
 
 #[test]
