@@ -17,13 +17,16 @@
 //!   buffered bytes are kept and the next pull continues where the
 //!   transport left off.
 //!
-//! Consecutive records for one owner (a delegation's NS set, say)
-//! yield a single [`IngestEvent::Registered`] — zone files list each
-//! newly registered name as a run of records, and the detection
-//! pipeline wants names, not records.
+//! [`ZoneTextFeed`] runs the zone scanner's line stage, so a zone file
+//! registers the same owners whether `scan-zone` or the ingest service
+//! reads it: one [`IngestEvent::Registered`] per owner that survives
+//! the consecutive and window dedup (zone files list each newly
+//! registered name as a run of records, and the detection pipeline
+//! wants names, not records). [`WireMessageFeed`] collapses
+//! consecutive duplicate owners.
 
 use crate::ingest::{FeedError, FeedItem, FeedSource, IngestEvent};
-use sham_dns::zone::ZoneStreamParser;
+use crate::scan::{LineStage, StageItem, DEFAULT_DEDUP_WINDOW};
 use sham_dns::wire;
 use std::collections::VecDeque;
 use std::io::Read;
@@ -44,22 +47,18 @@ fn map_io(error: &std::io::Error) -> FeedError {
     }
 }
 
-/// A master-file zone feed over any byte transport: reads chunks,
-/// reassembles lines across chunk boundaries, and runs each line
-/// through the incremental [`ZoneStreamParser`].
-///
-/// Non-UTF-8 bytes are decoded lossily (the replacement characters
-/// then fail domain validation and quarantine like any other bad
-/// line), so arbitrary binary garbage cannot wedge the feed.
+/// A master-file zone feed over any byte transport: reads chunks and
+/// pushes them through the zone scanner's line stage, which carries a
+/// partial line across reads (and across transport errors), quarantines
+/// malformed and non-UTF-8 lines, and drops repeated owners with the
+/// scanner's dedup window ([`DEFAULT_DEDUP_WINDOW`] owners, no
+/// blacklist).
 pub struct ZoneTextFeed<R> {
     name: String,
     reader: R,
-    parser: ZoneStreamParser,
-    /// Unconsumed transport bytes (at most one partial line).
-    carry: Vec<u8>,
+    stage: LineStage,
     /// Parsed items awaiting delivery.
     pending: VecDeque<FeedItem>,
-    last_owner: Option<String>,
     eof: bool,
 }
 
@@ -70,36 +69,9 @@ impl<R: Read + Send> ZoneTextFeed<R> {
         ZoneTextFeed {
             name: name.into(),
             reader,
-            parser: ZoneStreamParser::new(origin),
-            carry: Vec::new(),
+            stage: LineStage::new(origin, DEFAULT_DEDUP_WINDOW, Vec::new()),
             pending: VecDeque::new(),
-            last_owner: None,
             eof: false,
-        }
-    }
-
-    /// Feeds one complete raw line to the parser, queueing the outcome.
-    fn consume_line(&mut self, raw: &[u8]) {
-        let line = String::from_utf8_lossy(raw);
-        match self.parser.push_line(&line) {
-            Ok(Some(record)) => {
-                let owner = record.name.as_ascii().to_string();
-                if self.last_owner.as_deref() != Some(owner.as_str()) {
-                    self.last_owner = Some(owner);
-                    self.pending
-                        .push_back(FeedItem::Event(IngestEvent::Registered(record.name)));
-                }
-            }
-            Ok(None) => {}
-            Err(error) => self.pending.push_back(FeedItem::Malformed(error.to_string())),
-        }
-    }
-
-    /// Splits the carry buffer at newlines, consuming complete lines.
-    fn drain_carry_lines(&mut self) {
-        while let Some(nl) = self.carry.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.carry.drain(..=nl).collect();
-            self.consume_line(&line[..line.len() - 1]);
         }
     }
 }
@@ -117,20 +89,23 @@ impl<R: Read + Send> FeedSource for ZoneTextFeed<R> {
             if self.eof {
                 return Ok(None);
             }
+            let pending = &mut self.pending;
+            let mut sink = |item: StageItem<'_>| {
+                pending.push_back(match item {
+                    StageItem::Owner(owner) => {
+                        FeedItem::Event(IngestEvent::Registered(owner.clone()))
+                    }
+                    StageItem::Quarantined(error) => FeedItem::Malformed(error.to_string()),
+                })
+            };
             let mut chunk = [0u8; READ_CHUNK];
             match self.reader.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
-                    if !self.carry.is_empty() {
-                        let tail = std::mem::take(&mut self.carry);
-                        self.consume_line(&tail);
-                    }
+                    self.stage.finish(&mut sink);
                 }
-                Ok(n) => {
-                    self.carry.extend_from_slice(&chunk[..n]);
-                    self.drain_carry_lines();
-                }
-                // Buffered bytes survive the error: the feed resumes
+                Ok(n) => self.stage.push(&chunk[..n], &mut sink),
+                // The stage keeps the partial line: the feed resumes
                 // mid-line after the connector's backoff.
                 Err(error) => return Err(map_io(&error)),
             }
@@ -277,6 +252,64 @@ mod tests {
         assert_eq!(malformed.len(), 1);
         assert!(malformed[0].contains("bad IPv4"), "{}", malformed[0]);
         assert!(matches!(feed.next(), Ok(None)), "EOF is sticky");
+    }
+
+    /// Hands out `step` bytes per read, stalling before every read.
+    struct StallingReader<'a> {
+        data: &'a [u8],
+        step: usize,
+        stall: bool,
+    }
+
+    impl Read for StallingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stall = !self.stall;
+            if self.stall {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn zone_text_feed_quarantines_bad_bytes_and_resumes_mid_line() {
+        let text = b"$ORIGIN com.\n\
+                     alpha IN A 192.0.2.1\n\
+                     beta IN A 192.0.2.2\n\
+                     alpha IN A 192.0.2.3\n\
+                     go\xEFgle IN A 192.0.2.4\n\
+                     gamma IN A 192.0.2.5\n";
+        let mut feed = ZoneTextFeed::new(
+            "zone",
+            "com",
+            StallingReader {
+                data: text,
+                step: 3,
+                stall: false,
+            },
+        );
+        let (mut registered, mut malformed, mut stalls) = (Vec::new(), Vec::new(), 0);
+        loop {
+            match feed.next() {
+                Ok(Some(FeedItem::Event(IngestEvent::Registered(d)))) => {
+                    registered.push(d.as_ascii().to_string())
+                }
+                Ok(Some(FeedItem::Malformed(why))) => malformed.push(why),
+                Ok(Some(other)) => panic!("unexpected item {other:?}"),
+                Ok(None) => break,
+                Err(FeedError::Stall) => stalls += 1,
+                Err(other) => panic!("unexpected error {other}"),
+            }
+        }
+        // Every line arrived in 3-byte pieces between stalls; the
+        // out-of-order `alpha` repeat falls to the window, and the
+        // damaged owner is quarantined instead of decoded lossily.
+        assert_eq!(registered, ["alpha.com", "beta.com", "gamma.com"]);
+        assert_eq!(malformed, ["zone line 5: invalid UTF-8"]);
+        assert_eq!(stalls, text.len().div_ceil(3) + 1);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! GB-scale batch zone scanning: file → detections, overlapped I/O.
 //!
 //! This is the whole-`.com`-zone workload of the paper's §5 as one
-//! streaming pipeline (the QUIC-Lab `domain_extractor` shape):
+//! streaming pipeline (the QUIC-Lab `domain_extractor` shape). The
+//! calling thread's side is one line stage, which
+//! [`ZoneTextFeed`](crate::ZoneTextFeed) drives too, so `scan-zone`
+//! and `serve-feed --zone` give the same bytes the same verdicts:
 //!
 //! ```text
-//!  reader thread          calling thread
+//!  reader thread          calling thread: the line stage
 //!  ┌───────────┐  full   ┌───────────────────────────────────────┐
 //!  │ chunked   │ ──────▶ │ byte-level line split (SWAR newline)  │
 //!  │ File reads│  chunks │   └▶ ZoneStreamParser::scan_line      │
 //!  │ recycled  │ ◀────── │       └▶ dedup (consecutive + window) │
 //!  │ buffers   │  free   │           └▶ blacklist suffix filter  │
-//!  └───────────┘  buffers│               └▶ SessionRouter batches│
+//!  └───────────┘  buffers│               └▶ SessionRouter lanes  │
 //!                        └───────────────────────────────────────┘
 //! ```
 //!
@@ -22,11 +25,12 @@
 //! * **Allocation-conscious scanning** — lines are split with a
 //!   word-at-a-time newline scan over the chunk bytes and fed to
 //!   [`ZoneStreamParser::scan_line`], which yields *borrowed* owner
-//!   names; nothing is allocated for skipped, malformed, deduplicated
-//!   or blacklisted lines. Only domains that survive the pre-stage are
-//!   cloned into a router batch.
+//!   names; nothing is allocated for skipped, deduplicated or
+//!   blacklisted lines. Each surviving owner is pushed straight into
+//!   the [`SessionRouter`] and cloned once, into its lane, which flushes
+//!   a detection batch at [`ScanConfig::batch_capacity`].
 //! * **Pre-detection dedup** — zone dumps repeat each owner once per
-//!   record (NS runs, glue); the scanner drops consecutive repeats for
+//!   record (NS runs, glue); the stage drops consecutive repeats for
 //!   free (the parser's owner cache flags them) and catches
 //!   out-of-order repeats with a bounded window of recent owners. A
 //!   window hit is confirmed on the owner bytes, never on a hash alone.
@@ -34,12 +38,9 @@
 //!   `records + quarantined == routed + deduped + blacklisted +
 //!   quarantined` per TLD ([`TldScanStats::is_accounted`]); the CLI and
 //!   tests close the books on it.
-//!
-//! Batches flush into the [`SessionRouter`] whenever the pre-stage
-//! buffer reaches [`ScanConfig::batch_capacity`].
 
 use crate::router::{RouterReport, SessionRouter};
-use sham_dns::zone::{ZoneScan, ZoneStreamParser};
+use sham_dns::zone::{ZoneError, ZoneScan, ZoneStreamParser};
 use sham_punycode::DomainName;
 use sham_web::Blacklist;
 use serde::{Deserialize, Serialize};
@@ -48,6 +49,10 @@ use std::io::{self, Read};
 use std::path::Path;
 use std::sync::mpsc;
 use std::time::Instant;
+
+/// Recent owners the out-of-order dedup window remembers by default,
+/// in `scan-zone` and `ZoneTextFeed` alike.
+pub const DEFAULT_DEDUP_WINDOW: usize = 8_192;
 
 /// Tuning knobs for [`ZoneScanner`]. `Default` is sized for multi-GB
 /// files on spinning or networked storage.
@@ -59,11 +64,11 @@ pub struct ScanConfig {
     /// floored at 2 so the pipeline is at least double-buffered).
     pub channel_depth: usize,
     /// Out-of-order dedup window: how many recent owners are
-    /// remembered (default 8192; 0 disables the window — consecutive
-    /// dedup still applies).
+    /// remembered (default [`DEFAULT_DEDUP_WINDOW`]; 0 disables the
+    /// window — consecutive dedup still applies).
     pub dedup_window: usize,
-    /// Owners the pre-stage buffers before pushing them to the router
-    /// as one batch.
+    /// Owners each router lane buffers before detecting them as one
+    /// batch; [`ZoneScanner::new`] applies it to the router.
     pub batch_capacity: usize,
     /// Cap on quarantined-line samples kept for the report.
     pub quarantine_samples: usize,
@@ -77,7 +82,7 @@ impl Default for ScanConfig {
         ScanConfig {
             chunk_bytes: 1 << 20,
             channel_depth: 4,
-            dedup_window: 8_192,
+            dedup_window: DEFAULT_DEDUP_WINDOW,
             batch_capacity: crate::router::DEFAULT_ROUTER_BATCH,
             quarantine_samples: 8,
             blacklists: Vec::new(),
@@ -343,38 +348,153 @@ fn find_newline(haystack: &[u8]) -> Option<usize> {
         .map(|p| head_len + p)
 }
 
+/// What the [`LineStage`] hands its caller per line that matters.
+pub(crate) enum StageItem<'a> {
+    /// A record owner that survived dedup and the blacklists, borrowed
+    /// from the parser.
+    Owner(&'a DomainName),
+    /// A malformed or non-UTF-8 line.
+    Quarantined(ZoneError),
+}
+
+/// The zone-text line stage of [`ZoneScanner`] and
+/// [`ZoneTextFeed`](crate::ZoneTextFeed): splits pushed bytes into
+/// lines, runs each through [`ZoneStreamParser::scan_line`], both
+/// dedups and the blacklists, and counts it in [`TldScanStats`].
+pub(crate) struct LineStage {
+    parser: ZoneStreamParser,
+    /// The unterminated tail of the bytes pushed so far.
+    carry: Vec<u8>,
+    window: OwnerWindow,
+    blacklists: Vec<Blacklist>,
+    /// Counters since the last [`restart`](Self::restart).
+    pub(crate) stats: TldScanStats,
+}
+
+impl LineStage {
+    /// A stage resolving relative names against `origin`, remembering
+    /// `window` recent owners and dropping owners the blacklists list.
+    pub(crate) fn new(origin: &str, window: usize, blacklists: Vec<Blacklist>) -> Self {
+        LineStage {
+            parser: ZoneStreamParser::new(origin),
+            carry: Vec::new(),
+            window: OwnerWindow::new(window, owner_hash),
+            blacklists,
+            stats: TldScanStats::default(),
+        }
+    }
+
+    /// Starts a new stream under `origin`: a fresh parser, no carried
+    /// bytes, zeroed counters. The dedup window carries over.
+    pub(crate) fn restart(&mut self, origin: &str) {
+        self.parser = ZoneStreamParser::new(origin);
+        self.carry.clear();
+        self.stats = TldScanStats::default();
+    }
+
+    /// Consumes the next bytes of the stream: every line they complete
+    /// runs through the stage, and a trailing partial line waits for
+    /// the next push.
+    pub(crate) fn push(&mut self, mut bytes: &[u8], sink: &mut impl FnMut(StageItem<'_>)) {
+        self.stats.bytes += bytes.len() as u64;
+        if !self.carry.is_empty() {
+            let Some(nl) = find_newline(bytes) else {
+                self.carry.extend_from_slice(bytes);
+                return;
+            };
+            let mut line = std::mem::take(&mut self.carry);
+            line.extend_from_slice(&bytes[..nl]);
+            self.line(&line, sink);
+            bytes = &bytes[nl + 1..];
+        }
+        while let Some(nl) = find_newline(bytes) {
+            self.line(&bytes[..nl], sink);
+            bytes = &bytes[nl + 1..];
+        }
+        self.carry.extend_from_slice(bytes);
+    }
+
+    /// Ends the stream: a final unterminated line still counts.
+    pub(crate) fn finish(&mut self, sink: &mut impl FnMut(StageItem<'_>)) {
+        if !self.carry.is_empty() {
+            let line = std::mem::take(&mut self.carry);
+            self.line(&line, sink);
+        }
+    }
+
+    /// One raw line through scan → dedup → blacklist → sink.
+    fn line(&mut self, raw: &[u8], sink: &mut impl FnMut(StageItem<'_>)) {
+        self.stats.lines += 1;
+        let raw = match raw.split_last() {
+            Some((b'\r', head)) => head,
+            _ => raw,
+        };
+        let scanned = match std::str::from_utf8(raw) {
+            Ok(text) => self.parser.scan_line(text),
+            Err(_) => {
+                // Keep the parser's line numbering in step with the
+                // stream even though it never sees this line.
+                let _ = self.parser.scan_line("");
+                let line = self.parser.lines_seen();
+                Err(ZoneError {
+                    line,
+                    message: "invalid UTF-8".to_string(),
+                })
+            }
+        };
+        let stats = &mut self.stats;
+        match scanned {
+            Ok(ZoneScan::Skip) => {}
+            Err(error) => {
+                stats.quarantined += 1;
+                sink(StageItem::Quarantined(error));
+            }
+            Ok(ZoneScan::Record { owner, new_owner }) => {
+                stats.records += 1;
+                if !new_owner {
+                    stats.dedup_consecutive += 1;
+                } else if self.window.seen_or_insert(owner.as_ascii().as_bytes()) {
+                    stats.dedup_window += 1;
+                } else if self
+                    .blacklists
+                    .iter()
+                    .any(|bl| bl.contains_suffix(owner.as_ascii()))
+                {
+                    stats.blacklisted += 1;
+                } else {
+                    stats.routed += 1;
+                    sink(StageItem::Owner(owner));
+                }
+            }
+        }
+    }
+}
+
 /// The streaming batch scanner. Feed it files (or any reader) with
 /// [`scan_file`](Self::scan_file) / [`scan_reader`](Self::scan_reader),
 /// then close the books with [`finish`](Self::finish).
 pub struct ZoneScanner {
     router: SessionRouter,
     config: ScanConfig,
+    stage: LineStage,
     stats: BTreeMap<String, TldScanStats>,
     quarantine: Vec<String>,
-    window: OwnerWindow,
     files: usize,
 }
 
 impl ZoneScanner {
-    /// Wraps a configured router. The router's own batch capacity is
-    /// respected; the scanner's `config.batch_capacity` governs the
-    /// pre-stage buffer it pushes from.
-    pub fn new(router: SessionRouter, config: ScanConfig) -> Self {
+    /// Wraps a configured router, setting its lanes' batch capacity to
+    /// `config.batch_capacity`.
+    pub fn new(router: SessionRouter, mut config: ScanConfig) -> Self {
+        let blacklists = std::mem::take(&mut config.blacklists);
         ZoneScanner {
-            router,
-            window: OwnerWindow::new(config.dedup_window, owner_hash),
+            router: router.with_batch_capacity(config.batch_capacity),
+            stage: LineStage::new("", config.dedup_window, blacklists),
             config,
             stats: BTreeMap::new(),
             quarantine: Vec::new(),
             files: 0,
         }
-    }
-
-    /// Replaces the dedup window's hash, so tests can force collisions.
-    #[cfg(test)]
-    fn with_owner_hash(mut self, hash: fn(&[u8]) -> u64) -> Self {
-        self.window = OwnerWindow::new(self.config.dedup_window, hash);
-        self
     }
 
     /// Scans one zone file; the TLD (fallback `$ORIGIN`) is `tld`.
@@ -401,10 +521,18 @@ impl ZoneScanner {
             let _ = free_tx.send(Vec::with_capacity(chunk_bytes));
         }
 
-        let mut parser = ZoneStreamParser::new(tld);
-        let mut pending: Vec<DomainName> = Vec::new();
-        let mut file_stats = TldScanStats::default();
-        let mut carry: Vec<u8> = Vec::new();
+        let stage = &mut self.stage;
+        stage.restart(tld);
+        let (router, quarantine) = (&mut self.router, &mut self.quarantine);
+        let samples = self.config.quarantine_samples;
+        let mut sink = |item: StageItem<'_>| match item {
+            StageItem::Owner(owner) => router.push_domains(std::iter::once(owner)),
+            StageItem::Quarantined(error) => {
+                if quarantine.len() < samples {
+                    quarantine.push(format!("line {}: {}", error.line, error.message));
+                }
+            }
+        };
 
         let result: io::Result<()> = std::thread::scope(|s| {
             s.spawn(move || {
@@ -434,42 +562,16 @@ impl ZoneScanner {
 
             for msg in full_rx.iter() {
                 let buf = msg?;
-                file_stats.bytes += buf.len() as u64;
-                let mut rest: &[u8] = &buf;
-                // Complete a line carried over from the previous chunk.
-                if !carry.is_empty() {
-                    match find_newline(rest) {
-                        Some(nl) => {
-                            carry.extend_from_slice(&rest[..nl]);
-                            self.process_line(&mut parser, &mut pending, &mut file_stats, &carry);
-                            carry.clear();
-                            rest = &rest[nl + 1..];
-                        }
-                        None => {
-                            carry.extend_from_slice(rest);
-                            let _ = free_tx.send(buf);
-                            continue;
-                        }
-                    }
-                }
-                while let Some(nl) = find_newline(rest) {
-                    self.process_line(&mut parser, &mut pending, &mut file_stats, &rest[..nl]);
-                    rest = &rest[nl + 1..];
-                }
-                carry.extend_from_slice(rest);
+                stage.push(&buf, &mut sink);
                 let _ = free_tx.send(buf);
             }
             Ok(())
         });
 
-        // A final unterminated line still counts.
-        if result.is_ok() && !carry.is_empty() {
-            let line = std::mem::take(&mut carry);
-            self.process_line(&mut parser, &mut pending, &mut file_stats, &line);
+        if result.is_ok() {
+            stage.finish(&mut sink);
         }
-        if !pending.is_empty() {
-            self.router.push_domains(&pending);
-        }
+        let mut file_stats = stage.stats;
         file_stats.elapsed_secs = started.elapsed().as_secs_f64();
         self.stats.entry(tld.to_string()).or_default().merge(&file_stats);
         self.files += 1;
@@ -480,79 +582,13 @@ impl ZoneScanner {
         result
     }
 
-    /// One raw line through scan → dedup → blacklist → router batch.
-    fn process_line(
-        &mut self,
-        parser: &mut ZoneStreamParser,
-        pending: &mut Vec<DomainName>,
-        stats: &mut TldScanStats,
-        raw: &[u8],
-    ) {
-        stats.lines += 1;
-        let raw = match raw.split_last() {
-            Some((b'\r', head)) => head,
-            _ => raw,
-        };
-        let text = match std::str::from_utf8(raw) {
-            Ok(t) => t,
-            Err(_) => {
-                stats.quarantined += 1;
-                self.sample_quarantine(parser.lines_seen() + 1, "invalid UTF-8");
-                // Keep the parser's line numbering in step with the
-                // file even though it never saw this line.
-                let _ = parser.scan_line("");
-                return;
-            }
-        };
-        match parser.scan_line(text) {
-            Ok(ZoneScan::Skip) => {}
-            Err(e) => {
-                stats.quarantined += 1;
-                self.sample_quarantine(e.line, &e.message);
-            }
-            Ok(ZoneScan::Record { owner, new_owner }) => {
-                stats.records += 1;
-                if !new_owner {
-                    stats.dedup_consecutive += 1;
-                    return;
-                }
-                if self.window.seen_or_insert(owner.as_ascii().as_bytes()) {
-                    stats.dedup_window += 1;
-                    return;
-                }
-                if self
-                    .config
-                    .blacklists
-                    .iter()
-                    .any(|bl| bl.contains_suffix(owner.as_ascii()))
-                {
-                    stats.blacklisted += 1;
-                    return;
-                }
-                stats.routed += 1;
-                pending.push(owner.clone());
-                if pending.len() >= self.config.batch_capacity {
-                    self.router.push_domains(pending.iter());
-                    pending.clear();
-                }
-            }
-        }
-    }
-
-    fn sample_quarantine(&mut self, line: usize, message: &str) {
-        if self.quarantine.len() < self.config.quarantine_samples {
-            self.quarantine.push(format!("line {line}: {message}"));
-        }
-    }
-
     /// Per-TLD accounting so far (books may still be open).
     pub fn stats(&self) -> &BTreeMap<String, TldScanStats> {
         &self.stats
     }
 
     /// Flushes every lane and closes the books.
-    pub fn finish(mut self) -> ScanReport {
-        self.router.flush();
+    pub fn finish(self) -> ScanReport {
         ScanReport {
             router: self.router.into_report(),
             per_tld: self.stats,
@@ -578,9 +614,11 @@ pub fn tld_from_path(path: &Path) -> Option<String> {
 mod tests {
     use super::*;
     use crate::DetectionIndex;
+    use proptest::{prop_assert, prop_assert_eq};
     use sham_confusables::UcDatabase;
     use sham_glyph::SynthUnifont;
     use sham_simchar::{build, BuildConfig, HomoglyphDb, Repertoire};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn shared_index(refs: &[&str]) -> Arc<DetectionIndex> {
@@ -680,19 +718,28 @@ mod tests {
 
     #[test]
     fn hash_collisions_never_dedup_distinct_owners() {
-        let zone = "$ORIGIN com.\n\
-                    alpha IN A 192.0.2.1\n\
-                    beta IN A 192.0.2.2\n\
-                    alpha IN A 192.0.2.3\n";
-        let index = shared_index(&["google"]);
-        let mut scanner = ZoneScanner::new(SessionRouter::new(index), ScanConfig::default())
-            .with_owner_hash(|_| 0);
-        scanner.scan_reader("com", zone.as_bytes()).unwrap();
-        let report = scanner.finish();
-        report.verify_accounting().unwrap();
-        let stats = report.per_tld["com"];
-        assert_eq!(stats.routed, 2, "a colliding hash hid a distinct owner");
-        assert_eq!(stats.dedup_window, 1, "the true repeat is still caught");
+        let zone = b"$ORIGIN com.\n\
+                     alpha IN A 192.0.2.1\n\
+                     beta IN A 192.0.2.2\n\
+                     alpha IN A 192.0.2.3\n";
+        let mut stage = LineStage::new("com", DEFAULT_DEDUP_WINDOW, Vec::new());
+        stage.window = OwnerWindow::new(DEFAULT_DEDUP_WINDOW, |_| 0);
+        let mut routed = Vec::new();
+        stage.push(zone, &mut |item| {
+            if let StageItem::Owner(owner) = item {
+                routed.push(owner.as_ascii().to_string());
+            }
+        });
+        assert_eq!(
+            routed,
+            ["alpha.com", "beta.com"],
+            "a colliding hash hid a distinct owner"
+        );
+        assert_eq!(
+            stage.stats.dedup_window, 1,
+            "the true repeat is still caught"
+        );
+        assert!(stage.stats.is_accounted());
     }
 
     #[test]
@@ -745,6 +792,111 @@ mod tests {
                 None => baseline = Some(report.router.clone()),
                 Some(b) => assert_eq!(b, &report.router, "chunk {chunk} diverged"),
             }
+        }
+    }
+
+    /// Owners the adversarial mixes draw from: few enough that each
+    /// repeats at every distance. `listed` is blacklisted.
+    const MIX_OWNERS: [&str; 5] = ["alpha", "beta", "listed", "xn--ggle-55da", "gamma"];
+
+    /// One line of an adversarial zone mix, chosen by the bits of `pick`.
+    fn mix_line(pick: u64) -> Vec<u8> {
+        let owner = MIX_OWNERS[(pick >> 8) as usize % MIX_OWNERS.len()];
+        let origin = ["com", "net"][(pick >> 16) as usize % 2];
+        let line = match pick % 11 {
+            0 | 1 => format!("{owner} IN A 192.0.2.1"),
+            2 => format!("{owner}.{origin}. IN NS ns.example."),
+            3 => "@ IN NS ns.example.".to_string(),
+            4 => "\tIN A 192.0.2.2".to_string(),
+            5 => format!("$ORIGIN {origin}."),
+            // The owner resolves, then the record fails.
+            6 => format!("{owner} IN A not-an-ip"),
+            7 => "??? garbage".to_string(),
+            8 => {
+                let mut bytes = format!("{owner} IN A 192.0.2.").into_bytes();
+                bytes.push(0xFF);
+                return bytes;
+            }
+            9 => "; comment only".to_string(),
+            _ => format!("{owner} IN TXT \"v=1\"\r"),
+        };
+        line.into_bytes()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// No silent drops: whatever the line mix, byte split, window
+        /// capacity or window hash, the set of owners the stage emits
+        /// is the set of well-formed record owners minus the
+        /// blacklisted ones, and the books close.
+        #[test]
+        fn stage_emits_every_well_formed_owner(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..120),
+            splits in proptest::collection::vec(1usize..48, 1..16),
+            window in 0usize..5,
+            collide in 0u8..2,
+        ) {
+            let capacity = [0, 1, 2, 3, 64][window];
+            let lines: Vec<Vec<u8>> = picks.iter().map(|&p| mix_line(p)).collect();
+            let mut bytes = lines.join(&b'\n');
+            if picks[0] % 2 == 0 {
+                bytes.push(b'\n');
+            }
+
+            // The oracle: every record owner of a fresh parser's replay
+            // of the same lines, with no dedup at all.
+            let listed = |name: &str| name == "listed.com" || name.ends_with(".listed.com");
+            let mut parser = ZoneStreamParser::new("com");
+            let (mut expected, mut records, mut quarantined) = (HashSet::new(), 0, 0);
+            for line in &lines {
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                let Ok(text) = std::str::from_utf8(line) else {
+                    quarantined += 1;
+                    continue;
+                };
+                match parser.scan_line(text) {
+                    Ok(ZoneScan::Record { owner, .. }) => {
+                        records += 1;
+                        if !listed(owner.as_ascii()) {
+                            expected.insert(owner.as_ascii().to_string());
+                        }
+                    }
+                    Ok(ZoneScan::Skip) => {}
+                    Err(_) => quarantined += 1,
+                }
+            }
+
+            let mut blacklist = Blacklist::new("mix");
+            blacklist.add("listed.com");
+            let mut stage = LineStage::new("com", capacity, vec![blacklist]);
+            if collide == 1 {
+                stage.window = OwnerWindow::new(capacity, |_| 7);
+            }
+            let mut emitted = HashSet::new();
+            let mut sink = |item: StageItem<'_>| {
+                if let StageItem::Owner(owner) = item {
+                    emitted.insert(owner.as_ascii().to_string());
+                }
+            };
+            let mut rest: &[u8] = &bytes;
+            for step in splits.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at((*step).min(rest.len()));
+                stage.push(piece, &mut sink);
+                rest = tail;
+            }
+            stage.finish(&mut sink);
+
+            prop_assert_eq!(emitted, expected);
+            let stats = stage.stats;
+            prop_assert!(stats.is_accounted(), "books open: {stats:?}");
+            prop_assert_eq!(stats.lines, lines.len() as u64);
+            prop_assert_eq!(stats.records, records);
+            prop_assert_eq!(stats.quarantined, quarantined);
+            prop_assert_eq!(stats.bytes, bytes.len() as u64);
         }
     }
 }

@@ -254,8 +254,9 @@ impl LineParser {
 #[derive(Debug, PartialEq, Eq)]
 pub enum ZoneScan<'a> {
     /// A well-formed record line. `new_owner` is false when the line
-    /// reused the previous owner (continuation line or repeated owner
-    /// token) — the consecutive-owner dedup signal, for free.
+    /// reused the previous record's owner (continuation line or
+    /// repeated owner token) — the consecutive-owner dedup signal, for
+    /// free. A malformed line in between makes it true.
     Record {
         /// The record's owner name, borrowed from the parser state.
         owner: &'a DomainName,
@@ -306,13 +307,21 @@ fn strip_comment(line: &str) -> &str {
 pub struct ZoneStreamParser {
     inner: LineParser,
     line_no: usize,
+    /// A line failed since the last record. It may have resolved a new
+    /// owner before failing, so the next record's owner is not known
+    /// to repeat the last record's.
+    failed_since_record: bool,
 }
 
 impl ZoneStreamParser {
     /// A fresh parser resolving relative names against
     /// `fallback_origin` until a `$ORIGIN` directive overrides it.
     pub fn new(fallback_origin: &str) -> Self {
-        ZoneStreamParser { inner: LineParser::new(fallback_origin), line_no: 0 }
+        ZoneStreamParser {
+            inner: LineParser::new(fallback_origin),
+            line_no: 0,
+            failed_since_record: false,
+        }
     }
 
     /// Consumes one raw line (comments and surrounding blank space
@@ -343,16 +352,23 @@ impl ZoneStreamParser {
         if line.trim().is_empty() {
             return Ok(ZoneScan::Skip);
         }
-        match self.inner.scan_line(line, self.line_no, false)? {
-            None => Ok(ZoneScan::Skip),
-            Some((new_owner, _ttl, _data)) => Ok(ZoneScan::Record {
-                owner: self
-                    .inner
-                    .last_owner
-                    .as_ref()
-                    .expect("scan_line resolves an owner for every record line"),
-                new_owner,
-            }),
+        match self.inner.scan_line(line, self.line_no, false) {
+            Err(error) => {
+                self.failed_since_record = true;
+                Err(error)
+            }
+            Ok(None) => Ok(ZoneScan::Skip),
+            Ok(Some((owner_changed, _ttl, _data))) => {
+                let failed = std::mem::take(&mut self.failed_since_record);
+                Ok(ZoneScan::Record {
+                    owner: self
+                        .inner
+                        .last_owner
+                        .as_ref()
+                        .expect("scan_line resolves an owner for every record line"),
+                    new_owner: owner_changed || failed,
+                })
+            }
         }
     }
 
@@ -606,6 +622,27 @@ note IN TXT \"hello; world\"
         // Back to a previously seen owner: the cache only remembers the
         // immediately preceding token, so this counts as new again.
         assert!(new_owner(p.scan_line("alpha IN A 192.0.2.3")));
+    }
+
+    #[test]
+    fn scan_line_owner_runs_restart_after_a_malformed_line() {
+        let mut p = ZoneStreamParser::new("com");
+        let new_owner = |r: Result<ZoneScan<'_>, ZoneError>| match r.unwrap() {
+            ZoneScan::Record { new_owner, .. } => new_owner,
+            ZoneScan::Skip => panic!("expected a record"),
+        };
+        assert!(new_owner(p.scan_line("alpha IN A 192.0.2.1")));
+        // `beta` resolves, then its address fails: no record of beta
+        // has been seen, so neither of the next lines repeats one.
+        assert!(p.scan_line("beta IN A nope").is_err());
+        assert!(new_owner(p.scan_line("beta IN A 192.0.2.2")));
+        assert!(!new_owner(p.scan_line("\tIN NS ns1.beta.com.")));
+        assert!(p.scan_line("beta IN A nope").is_err());
+        assert!(new_owner(p.scan_line("\tIN NS ns2.beta.com.")));
+        // A record clears the mark even when its owner is new anyway.
+        assert!(p.scan_line("??? garbage").is_err());
+        assert!(new_owner(p.scan_line("gamma IN A 192.0.2.3")));
+        assert!(!new_owner(p.scan_line("gamma IN NS ns1.gamma.com.")));
     }
 
     #[test]

@@ -8,34 +8,14 @@
 //! paper's relative sizes.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
-use std::sync::OnceLock;
+use std::collections::HashSet;
 
 /// A named blacklist of domain names.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Blacklist {
     /// Feed name (e.g. `hpHosts`).
     pub name: String,
-    entries: BTreeSet<String>,
-    /// FNV-1a hashes of every entry, built lazily on the first
-    /// [`contains_suffix`](Self::contains_suffix) call and invalidated
-    /// by mutation. Derived state — never serialised (deserialisation
-    /// leaves it empty and the next lookup rebuilds it).
-    #[serde(skip)]
-    suffix_index: OnceLock<HashSet<u64>>,
-}
-
-/// FNV-1a 64-bit over lowercased ASCII: cheap enough to run per
-/// label-suffix of every scanned domain, and entries are verified
-/// against the real set on a hash hit, so collisions cost a probe,
-/// never a wrong answer.
-fn fnv1a_lower(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b.to_ascii_lowercase() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    entries: HashSet<String>,
 }
 
 impl Blacklist {
@@ -43,15 +23,13 @@ impl Blacklist {
     pub fn new(name: &str) -> Self {
         Blacklist {
             name: name.to_string(),
-            entries: BTreeSet::new(),
-            suffix_index: OnceLock::new(),
+            entries: HashSet::new(),
         }
     }
 
     /// Adds a domain (stored lowercased).
     pub fn add(&mut self, domain: &str) {
         self.entries.insert(domain.to_ascii_lowercase());
-        self.suffix_index = OnceLock::new();
     }
 
     /// True when the exact domain is listed.
@@ -64,17 +42,15 @@ impl Blacklist {
     /// convention (listing an apex blocks the whole subtree) and the
     /// filter the zone scanner runs per candidate domain.
     ///
-    /// Each label-suffix of `domain` is probed against a hashed entry
-    /// index (built lazily, O(entries) once); a hash hit is confirmed
-    /// against the real entry set, so the answer is exact. Cost per call
-    /// is O(labels), independent of feed size — no linear iteration.
+    /// Each label-suffix of `domain` is one borrowed `&str` probe of the
+    /// entry set, so the cost per call is O(labels), independent of
+    /// feed size — no linear iteration.
     pub fn contains_suffix(&self, domain: &str) -> bool {
         if self.entries.is_empty() {
             return false;
         }
-        // The index hashes case-insensitively, but the confirming set
-        // lookup needs lowercase text: only pay for it on mixed-case
-        // input (zone scan owners are already lowercase ACE).
+        // Entries are lowercase: only pay for lowering mixed-case input
+        // (zone scan owners are already lowercase ACE).
         let lowered: String;
         let domain = if domain.bytes().any(|b| b.is_ascii_uppercase()) {
             lowered = domain.to_ascii_lowercase();
@@ -82,12 +58,9 @@ impl Blacklist {
         } else {
             domain
         };
-        let index = self
-            .suffix_index
-            .get_or_init(|| self.entries.iter().map(|e| fnv1a_lower(e)).collect());
         let mut suffix = domain;
         loop {
-            if index.contains(&fnv1a_lower(suffix)) && self.entries.contains(suffix) {
+            if self.entries.contains(suffix) {
                 return true;
             }
             match suffix.find('.') {
@@ -107,7 +80,7 @@ impl Blacklist {
         self.entries.is_empty()
     }
 
-    /// Iterates entries in sorted order.
+    /// Iterates entries in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(String::as_str)
     }
@@ -137,10 +110,12 @@ impl Blacklist {
         (bl, bad)
     }
 
-    /// Serialises to the hosts-file format.
+    /// Serialises to the hosts-file format, entries sorted.
     pub fn to_hosts_file(&self) -> String {
         let mut s = format!("# {} — {} entries\n", self.name, self.len());
-        for d in &self.entries {
+        let mut sorted: Vec<&String> = self.entries.iter().collect();
+        sorted.sort();
+        for d in sorted {
             s.push_str("127.0.0.1\t");
             s.push_str(d);
             s.push('\n');
@@ -181,7 +156,12 @@ mod tests {
         assert!(bl.contains("bad.com"));
         assert!(bl.contains("worse.com"));
 
-        let (again, bad2) = Blacklist::from_hosts_file("hpHosts", &bl.to_hosts_file());
+        let text = bl.to_hosts_file();
+        assert!(
+            text.ends_with("127.0.0.1\tbad.com\n127.0.0.1\tworse.com\n"),
+            "{text}"
+        );
+        let (again, bad2) = Blacklist::from_hosts_file("hpHosts", &text);
         assert_eq!(again.len(), 2);
         assert_eq!(bad2, 0);
     }
@@ -227,17 +207,16 @@ mod tests {
     }
 
     #[test]
-    fn suffix_index_survives_mutation_and_serde() {
+    fn suffix_match_survives_mutation_and_serde() {
         let mut bl = Blacklist::new("test");
         bl.add("first.com");
-        // Build the index, then mutate: the next lookup must see the
-        // new entry (mutation invalidates the lazy index).
+        // Probe, then mutate: the next lookup must see the new entry.
         assert!(bl.contains_suffix("x.first.com"));
         bl.add("second.net");
         assert!(bl.contains_suffix("x.second.net"));
 
-        // Round-trip through serde: the index field is skipped and
-        // rebuilds lazily on the deserialised value.
+        // Round-trip through serde: the deserialised feed matches the
+        // same suffixes.
         let json = serde_json::to_string(&bl).unwrap();
         let back: Blacklist = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), 2);

@@ -342,28 +342,16 @@ fn cmd_check(args: &[String]) -> ExitCode {
 }
 
 fn cmd_scan(args: &[String]) -> ExitCode {
+    use shamfinder::core::{DetectionIndex, ScanConfig, SessionRouter, ZoneScanner};
+
     let Some(path) = args.first() else { return usage() };
     let tld = flag_value(args, "--tld").unwrap_or_else(|| "com".into());
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    // Accept either a zone file or a flat domain list.
-    let domains: Vec<DomainName> = if text.contains("$ORIGIN") || text.contains(" IN ") {
-        let (zone, errors) = shamfinder::dns::parse_lenient(&text, &tld);
-        if !errors.is_empty() {
-            eprintln!("[shamfinder] skipped {} malformed zone lines", errors.len());
-        }
-        zone.owner_names().into_iter().cloned().collect()
-    } else {
-        let (names, bad) = shamfinder::dns::parse_domain_list(&text);
-        if bad > 0 {
-            eprintln!("[shamfinder] skipped {bad} malformed list lines");
-        }
-        names
     };
     let refs: Vec<String> = match flag_value(args, "--refs-file") {
         Some(f) => match std::fs::read_to_string(&f) {
@@ -375,16 +363,49 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         },
         None => default_refs(),
     };
-    let db = build_db(4);
-    let fw = Framework::new(db.simchar().clone(), UcDatabase::embedded(), refs, &tld);
-    let report = fw.run(&domains);
+    // Only `--tld` owners are detected.
+    let router = || {
+        SessionRouter::new(DetectionIndex::shared(build_db(4), refs)).with_tlds([tld.clone()])
+    };
+    // Accept either a zone file or a flat domain list.
+    let contains = |needle: &[u8]| bytes.windows(needle.len()).any(|w| w == needle);
+    let report = if contains(b"$ORIGIN") || contains(b" IN ") {
+        // The scan-zone line stage: a malformed or non-UTF-8 line is
+        // quarantined alone.
+        let mut scanner = ZoneScanner::new(router(), ScanConfig::default());
+        if let Err(e) = scanner.scan_reader(&tld, bytes.as_slice()) {
+            eprintln!("error: cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        let report = scanner.finish();
+        let quarantined = report.totals().quarantined;
+        if quarantined > 0 {
+            eprintln!("[shamfinder] skipped {quarantined} malformed zone lines");
+        }
+        report.router
+    } else {
+        let text = match String::from_utf8(bytes) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("error: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let (names, bad) = shamfinder::dns::parse_domain_list(&text);
+        if bad > 0 {
+            eprintln!("[shamfinder] skipped {bad} malformed list lines");
+        }
+        let mut router = router();
+        router.push_domains(&names);
+        router.into_report()
+    };
     println!(
         "scanned {} domains ({} IDNs): {} homographs",
-        report.total_domains,
-        report.idn_count,
-        report.detections.len()
+        report.total_domains(),
+        report.idn_count(),
+        report.detection_count()
     );
-    for det in &report.detections {
+    for det in report.detections() {
         println!(
             "  {} -> imitates {}.{} ({} substitution{})",
             det.idn_ascii,
@@ -669,7 +690,7 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
 /// scheduling ledger; `--metrics-json` writes the machine-readable
 /// document (same `exec`/`pool`/`per_tld` schema as `serve-feed`).
 fn cmd_scan_zone(args: &[String]) -> ExitCode {
-    use shamfinder::core::scan::{tld_from_path, ScanConfig, ZoneScanner};
+    use shamfinder::core::scan::{tld_from_path, ScanConfig, ZoneScanner, DEFAULT_DEDUP_WINDOW};
     use shamfinder::core::SessionRouter;
     use shamfinder::web::Blacklist;
     use std::path::Path;
@@ -706,7 +727,7 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
     let batch: usize =
         flag_value(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(1024);
     let window: usize =
-        flag_value(args, "--window").and_then(|v| v.parse().ok()).unwrap_or(8_192);
+        flag_value(args, "--window").and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_DEDUP_WINDOW);
     let chunk: usize =
         flag_value(args, "--chunk").and_then(|v| v.parse().ok()).unwrap_or(1 << 20);
 
@@ -774,9 +795,7 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
     let report = scanner.finish();
     let totals = report.totals();
     println!("-- per-TLD scan --");
-    for (tld, s) in &report.per_tld {
-        let lane = report.router.per_tld.iter().find(|l| &l.tld == tld);
-        let detections = lane.map_or(0, |l| l.report.detections.len());
+    for (tld, (s, (_, _, detections))) in shamfinder::metrics::scan_per_tld(&report) {
         println!(
             "  .{tld}: {:.1} MB, {} lines, {} records → {} routed \
 (dedup {} + {}, blacklisted {}, quarantined {}), {} detections in {:.2}s \

@@ -10,8 +10,9 @@
 //! fine, silently dropping one is not.
 
 use serde::Value;
-use sham_core::scan::ScanReport;
+use sham_core::scan::{ScanReport, TldScanStats};
 use sham_core::{ExecStats, IngestReport, PoolStats};
+use std::collections::BTreeMap;
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
     Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -127,9 +128,32 @@ pub fn ingest_metrics_json(
     serde_json::to_string(&doc).unwrap_or_default()
 }
 
+/// The per-TLD rows of a scan, keyed on every TLD that is a scanner
+/// label or a router lane: the scanner's counters and the lane's
+/// `(domains, idns, detections)`, with zeros on the side that lacks
+/// the TLD. The two differ when a file's `$ORIGIN` is not its label
+/// (`zone.txt` holding `.com` owners).
+pub fn scan_per_tld(report: &ScanReport) -> BTreeMap<&str, (TldScanStats, (u64, u64, u64))> {
+    let mut rows: BTreeMap<&str, (TldScanStats, (u64, u64, u64))> = report
+        .per_tld
+        .iter()
+        .map(|(tld, s)| (tld.as_str(), (*s, (0, 0, 0))))
+        .collect();
+    for lane in &report.router.per_tld {
+        let r = &lane.report;
+        rows.entry(lane.tld.as_str()).or_default().1 = (
+            r.total_domains as u64,
+            r.idn_count as u64,
+            r.detections.len() as u64,
+        );
+    }
+    rows
+}
+
 /// The `scan-zone` document: run totals with throughput, per-TLD
-/// accounting merged with each lane's detection counts, and the same
-/// `exec`/`pool` sections `serve-feed` writes.
+/// accounting merged with each lane's detection counts (see
+/// [`scan_per_tld`]), and the same `exec`/`pool` sections `serve-feed`
+/// writes.
 pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
     let totals = report.totals();
     let throughput = |records: u64, bytes: u64, secs: f64| {
@@ -142,22 +166,9 @@ pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
     };
 
     let per_tld = Value::Map(
-        report
-            .per_tld
-            .iter()
-            .map(|(tld, s)| {
-                // The router lane for this TLD (may be absent when every
-                // record was deduped, blacklisted, or quarantined).
-                let lane = report.router.per_tld.iter().find(|l| &l.tld == tld);
-                let (domains, idns, detections) = lane
-                    .map(|l| {
-                        (
-                            l.report.total_domains as u64,
-                            l.report.idn_count as u64,
-                            l.report.detections.len() as u64,
-                        )
-                    })
-                    .unwrap_or((0, 0, 0));
+        scan_per_tld(report)
+            .into_iter()
+            .map(|(tld, (s, (domains, idns, detections)))| {
                 let (rps, mbps) = throughput(s.records, s.bytes, s.elapsed_secs);
                 let mut entries = tld_core(domains, idns, detections);
                 entries.extend(vec![
@@ -173,7 +184,7 @@ pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
                     ("records_per_sec", rps),
                     ("mb_per_sec", mbps),
                 ]);
-                (tld.clone(), map(entries))
+                (tld.to_string(), map(entries))
             })
             .collect(),
     );
@@ -211,9 +222,8 @@ pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
 mod tests {
     use super::*;
     use sham_core::ingest::{FeedOutcome, FeedReport};
-    use sham_core::router::RouterReport;
-    use sham_core::scan::TldScanStats;
-    use std::collections::BTreeMap;
+    use sham_core::router::{RouterReport, TldReport};
+    use sham_core::FrameworkReport;
 
     fn keys_of(value: &Value) -> Vec<&str> {
         match value {
@@ -366,6 +376,40 @@ mod tests {
                 "records_per_sec",
                 "mb_per_sec",
             ]
+        );
+    }
+
+    #[test]
+    fn scan_per_tld_keys_on_labels_and_lanes() {
+        // `zone.txt` scanned as `.zone` whose `$ORIGIN com.` sends every
+        // owner to the `com` lane.
+        let mut report = empty_scan_report();
+        let mut zone = report.per_tld.remove("com").unwrap();
+        zone.lines = 4;
+        report.per_tld.insert("zone".to_string(), zone);
+        report.router.per_tld.push(TldReport {
+            tld: "com".to_string(),
+            report: FrameworkReport {
+                total_domains: 2,
+                idn_count: 1,
+                ..FrameworkReport::default()
+            },
+        });
+        let json = scan_metrics_json(&report, &PoolStats::default());
+        let doc: Value = serde_json::from_str(&json).unwrap();
+        let per_tld = section(&doc, "per_tld");
+        assert_eq!(keys_of(per_tld), vec!["com", "zone"]);
+        let field = |tld: &str, key: &str| match section(section(per_tld, tld), key) {
+            Value::U64(v) => *v,
+            other => panic!("{tld}.{key} should be a count, got {other:?}"),
+        };
+        assert_eq!((field("com", "domains"), field("com", "idns")), (2, 1));
+        assert_eq!((field("com", "lines"), field("zone", "lines")), (0, 4));
+        assert_eq!(field("zone", "domains"), 0);
+        // Same key set on both sides.
+        assert_eq!(
+            keys_of(section(per_tld, "com")),
+            keys_of(section(per_tld, "zone"))
         );
     }
 }

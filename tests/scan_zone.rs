@@ -6,17 +6,24 @@
 //! at every chunk size and thread count. Truncating the input at an
 //! arbitrary byte offset or corrupting a byte mid-stream must never
 //! panic and must keep the `records_accounted` books closed (and the
-//! two models still agree on the damaged input).
+//! two models still agree on the damaged input). The ingest service
+//! over a [`ZoneTextFeed`] must agree with the scanner on the same
+//! bytes, transport faults included.
 
 use proptest::prelude::*;
+use shamfinder::core::scan::DEFAULT_DEDUP_WINDOW;
 use shamfinder::core::{
-    DetectionIndex, RouterReport, ScanConfig, SessionRouter, TldScanStats, ZoneScanner,
+    Backpressure, DetectionIndex, FeedOutcome, IngestConfig, IngestService, RetryPolicy,
+    RouterReport, ScanConfig, SessionRouter, TldScanStats, ZoneScanner, ZoneTextFeed,
 };
 use shamfinder::dns::zone::{ZoneScan, ZoneStreamParser};
 use shamfinder::web::Blacklist;
-use shamfinder::workload::{reference_list, write_synthetic_zone, ZoneGenConfig};
+use shamfinder::workload::{
+    reference_list, write_synthetic_zone, Fault, FaultSchedule, FaultyReader, ZoneGenConfig,
+};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Reference stems shared by the generator and the detection index, so
 /// the planted Cyrillic lookalikes are actually detectable.
@@ -242,6 +249,23 @@ fn damage_base() -> &'static Vec<u8> {
     BASE.get_or_init(|| gen_zone("com", 0xDA11A6ED, 48 << 10, 40, 8))
 }
 
+/// `base` truncated at `cut`, then damaged at `at` (modulo the
+/// length): a high-bit flip (often invalid UTF-8), a zero byte, an
+/// injected newline that reshapes line structure, or nothing.
+fn damage(base: &[u8], cut: usize, at: usize, mode: u8) -> Vec<u8> {
+    let mut data = base[..cut.min(base.len())].to_vec();
+    if !data.is_empty() {
+        let at = at % data.len();
+        match mode {
+            0 => data[at] ^= 0x80,
+            1 => data[at] = 0x00,
+            2 => data[at] = b'\n',
+            _ => {}
+        }
+    }
+    data
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -257,22 +281,106 @@ proptest! {
         flip_mode in 0u8..4,
         chunk in 4096usize..9_000,
     ) {
-        let base = damage_base();
-        let cut = cut.min(base.len());
-        let mut data = base[..cut].to_vec();
-        if !data.is_empty() {
-            let at = flip_at % data.len();
-            match flip_mode {
-                0 => data[at] ^= 0x80,      // often invalid UTF-8
-                1 => data[at] = 0x00,
-                2 => data[at] = b'\n',      // reshape line structure
-                _ => {}                     // pure truncation
-            }
-        }
+        let data = damage(damage_base(), cut, flip_at, flip_mode);
         let inputs: Vec<(&str, &[u8])> = vec![("com", &data)];
         let (want_router, want_tld) = replay(&inputs, 64, &[]);
         let report = scan(&inputs, chunk, 64, Vec::new());
         assert_equivalent(&report, &want_router, &want_tld, "damaged feed");
+    }
+}
+
+/// A Stall/Disconnect schedule over the first `reads` read calls,
+/// one bit of `bits` per call deciding whether it faults and the next
+/// deciding which fault.
+fn transport_faults(bits: u64, reads: u64) -> FaultSchedule {
+    let mut schedule = FaultSchedule::none();
+    for ordinal in 0..reads.min(32) {
+        if bits >> (2 * ordinal) & 1 == 1 {
+            let fault = if bits >> (2 * ordinal + 1) & 1 == 1 {
+                Fault::Stall
+            } else {
+                Fault::Disconnect
+            };
+            schedule = schedule.with_fault(ordinal, fault);
+        }
+    }
+    schedule
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One zone-text front-end: `serve-feed --zone` (an `IngestService`
+    /// over a `ZoneTextFeed` behind transport stalls and disconnects)
+    /// and `scan-zone` (a `ZoneScanner`) give the same bytes the same
+    /// router report, register exactly the owners the scanner routes
+    /// and quarantine the same lines — on generated zones of any shape,
+    /// truncated or damaged anywhere.
+    #[test]
+    fn zone_feed_matches_the_scanner(
+        seed in any::<u64>(),
+        homographs in 10u32..120,
+        malformed in 0u32..40,
+        cut in 0usize..(32 << 10),
+        damage_at in any::<usize>(),
+        damage_mode in 0u8..4,
+        fault_bits in any::<u64>(),
+    ) {
+        let base = gen_zone("com", seed, 32 << 10, homographs, malformed);
+        let data = damage(&base, cut, damage_at, damage_mode);
+        let scanned = scan(&[("com", &data)], 4096, DEFAULT_DEDUP_WINDOW, Vec::new());
+        let stats = scanned.per_tld["com"];
+
+        // The feed reads 4 KiB per call, plus the final empty read.
+        let reads = data.len().div_ceil(4096) as u64 + 1;
+        let schedule = transport_faults(fault_bits, reads);
+        let faults = schedule.faults.len() as u64;
+        let reader = FaultyReader::new(std::io::Cursor::new(data), schedule);
+        let service = IngestService::new(Arc::clone(index()), IngestConfig {
+            backpressure: Backpressure::Block,
+            retry: RetryPolicy { base: Duration::ZERO, ..RetryPolicy::default() },
+            tlds: None,
+            ..IngestConfig::default()
+        });
+        let fed = service.run(vec![Box::new(ZoneTextFeed::new("zone", "com", reader))]);
+
+        prop_assert_eq!(&fed.router, &scanned.router, "router reports diverged");
+        let feed = &fed.feeds[0];
+        prop_assert_eq!(feed.outcome, FeedOutcome::Completed);
+        prop_assert_eq!(feed.retries, faults, "every transport fault is retried once");
+        prop_assert_eq!(feed.registrations, stats.routed);
+        prop_assert_eq!(feed.quarantined, stats.quarantined);
+        prop_assert_eq!(fed.quarantined, stats.quarantined);
+        prop_assert_eq!(fed.events_accounted(), fed.events_delivered());
+    }
+}
+
+/// The scanner's fault semantics are the feed's opposite: a transport
+/// error aborts the file with `Err`, and the lines already scanned stay
+/// accounted.
+#[test]
+fn transport_faults_abort_the_scan_with_the_books_closed() {
+    let data = damage_base();
+    for fault in [Fault::Stall, Fault::Disconnect] {
+        let config = ScanConfig {
+            chunk_bytes: 4096,
+            ..ScanConfig::default()
+        };
+        let mut scanner = ZoneScanner::new(SessionRouter::new(Arc::clone(index())), config);
+        let reader = FaultyReader::new(&data[..], FaultSchedule::none().with_fault(3, fault));
+        assert!(
+            scanner.scan_reader("com", reader).is_err(),
+            "{fault:?} did not abort"
+        );
+        let report = scanner.finish();
+        report.verify_accounting().unwrap();
+        let com = report.per_tld["com"];
+        assert_eq!(
+            com.bytes,
+            3 * 4096,
+            "{fault:?}: the three chunks before it count"
+        );
+        assert!(com.routed > 0, "{fault:?}: the scanned lines were routed");
     }
 }
 
@@ -288,7 +396,7 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
 
     let (want_router, want_tld) = {
         let _one = rayon::ThreadOverride::new(1);
-        replay(&inputs, 8_192, &[])
+        replay(&inputs, DEFAULT_DEDUP_WINDOW, &[])
     };
     assert!(
         want_router.detection_count() > 0,
@@ -298,7 +406,7 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
     let hardware = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
     for threads in [1usize, hardware] {
         let _forced = rayon::ThreadOverride::new(threads);
-        let report = scan(&inputs, 1 << 16, 8_192, Vec::new());
+        let report = scan(&inputs, 1 << 16, DEFAULT_DEDUP_WINDOW, Vec::new());
         assert_equivalent(
             &report,
             &want_router,
