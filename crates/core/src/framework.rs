@@ -65,6 +65,16 @@ impl FrameworkReport {
     }
 }
 
+/// Step 2 for one name: a name of `tld` with an `xn--` label yields
+/// its `(unicode stem, full ACE name)` pair, any other name `None`.
+pub(crate) fn extract_idn(domain: &DomainName, tld: &str) -> Option<(String, String)> {
+    if domain.tld() != tld || !domain.is_idn() {
+        return None;
+    }
+    let stem = domain.unicode_without_tld()?;
+    Some((stem, domain.as_ascii().to_string()))
+}
+
 /// The configured pipeline.
 pub struct Framework {
     detector: Detector,
@@ -163,11 +173,7 @@ impl Framework {
     ) -> Vec<(String, String)> {
         domains
             .into_iter()
-            .filter(|d| d.tld() == self.tld && d.is_idn())
-            .filter_map(|d| {
-                d.unicode_without_tld()
-                    .map(|stem| (stem, d.as_ascii().to_string()))
-            })
+            .filter_map(|d| extract_idn(d, &self.tld))
             .collect()
     }
 

@@ -178,8 +178,10 @@ pub struct IngestConfig {
     pub backpressure: Backpressure,
     /// Per-TLD overrides of the default backpressure.
     pub lane_policies: Vec<(String, Backpressure)>,
-    /// Names the drainer hands the router per flush (the router's own
-    /// lane batching sits below this).
+    /// Names the drainer takes from one queue and hands the router per
+    /// flush; the router's lanes count to the same capacity and are
+    /// flushed after each hand-off. The queues keep owned names: they
+    /// are the backpressure buffer, and block and shed count per name.
     pub batch_capacity: usize,
     /// Feed-level retry/backoff/circuit policy.
     pub retry: RetryPolicy,
@@ -556,7 +558,7 @@ impl IngestService {
                     if first.is_err() {
                         outcome.lane_panics += 1;
                         // The lane's unflushed state is suspect: poison
-                        // it (pending discarded, durable report banked)
+                        // it (buffer discarded, durable report banked)
                         // and retry the batch once on a fresh lane.
                         router.poison_lane(&tld);
                         let retry = catch_unwind(AssertUnwindSafe(|| {

@@ -10,18 +10,20 @@
 //! [`DetectionIndex`] — the homoglyph database and indexed reference
 //! list are built once for the whole fleet, never per TLD.
 //!
-//! Routing buffers registrations per TLD and flushes each buffer as a
-//! batch once it fills (or when a reference diff / report boundary
-//! forces it), so even a feed trickling in single events drives
-//! multi-shard batches through the shared worker pool instead of
-//! per-domain detection calls. Because streaming detection is
-//! partition-invariant (see `crate::session`), buffering is
-//! unobservable in the results: the router's per-TLD reports are
-//! *identical* to running each TLD's events through its own one-shot
-//! [`Framework::run`](crate::Framework::run).
+//! A lane *is* its TLD's session, and the session is the only buffer:
+//! routing a borrowed name counts it and, if it is an IDN, decodes it
+//! into the session's `(stem, ACE)` batch — no name is cloned. A lane
+//! flushes that batch once it has counted `batch_capacity` owners (or
+//! when a reference diff / report boundary forces it), so even a feed
+//! trickling in single events drives multi-shard batches through the
+//! shared worker pool instead of per-domain detection calls. Because
+//! streaming detection is partition-invariant (see `crate::session`),
+//! buffering is unobservable in the results: the router's per-TLD
+//! reports are *identical* to running each TLD's events through its
+//! own one-shot [`Framework::run`](crate::Framework::run).
 //!
 //! Reference churn is global — popularity lists are not per-TLD — so
-//! [`SessionRouter::apply_reference_diff`] flushes every lane (pending
+//! [`SessionRouter::apply_reference_diff`] flushes every lane (buffered
 //! registrations were observed under the pre-diff list) and then
 //! applies the diff to every session.
 //!
@@ -33,7 +35,7 @@
 //! lane, folds its report into the final aggregate and closes it (the
 //! ingest front-end evicts idle lanes this way, so a junk TLD cannot
 //! leak a lane forever), and [`SessionRouter::poison_lane`] does the
-//! same after a worker panic, discarding the unflushed buffer whose
+//! same after a worker panic, discarding the buffered owners whose
 //! fate is unknown. Either way the next domain of that TLD (if the
 //! lane set permits it) reopens a fresh lane — and because the router
 //! records every reference diff it has applied and replays that
@@ -45,7 +47,7 @@ use crate::algorithm::Indexing;
 use crate::detection::Detection;
 use crate::framework::FrameworkReport;
 use crate::index::DetectionIndex;
-use crate::session::DetectorSession;
+use crate::session::{DetectorSession, DEFAULT_COMPACTION_THRESHOLD};
 use serde::{Deserialize, Serialize};
 use sham_punycode::DomainName;
 use sham_simchar::DbSelection;
@@ -55,14 +57,6 @@ use std::sync::Arc;
 /// this size shard across the worker pool; the value matches the
 /// zone-diff granularity the `phishing_hunt` example ingests.
 pub const DEFAULT_ROUTER_BATCH: usize = 1_024;
-
-/// One TLD's slice of the router: its session plus the pending
-/// registration buffer awaiting the next batch flush.
-struct RouterLane {
-    tld: String,
-    session: DetectorSession,
-    pending: Vec<DomainName>,
-}
 
 /// One TLD's slice of a [`RouterReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,9 +152,10 @@ pub struct SessionRouter {
     index: Arc<DetectionIndex>,
     selection: DbSelection,
     indexing: Indexing,
-    compact_min_dead: Option<usize>,
-    /// Lanes sorted by TLD (binary-searched on every routed domain).
-    lanes: Vec<RouterLane>,
+    compact_min_dead: usize,
+    /// One session per TLD, sorted by TLD (binary-searched on every
+    /// routed domain).
+    lanes: Vec<DetectorSession>,
     /// When false, a domain whose TLD has no lane is counted as
     /// unrouted instead of opening one — unless the TLD is in
     /// `allowed` (a folded or poisoned lane of the fixed set reopens).
@@ -187,7 +182,7 @@ impl SessionRouter {
             index,
             selection: DbSelection::Union,
             indexing: Indexing::CanonicalClosure,
-            compact_min_dead: None,
+            compact_min_dead: DEFAULT_COMPACTION_THRESHOLD,
             lanes: Vec::new(),
             auto_open: true,
             allowed: None,
@@ -212,12 +207,7 @@ impl SessionRouter {
         for tld in tlds {
             let tld = tld.into();
             if let Err(at) = self.lane_position(&tld) {
-                let session = self.open_session(&tld);
-                self.lanes.insert(at, RouterLane {
-                    tld: tld.clone(),
-                    session,
-                    pending: Vec::new(),
-                });
+                self.lanes.insert(at, self.open_session(&tld));
             }
             allowed.push(tld);
         }
@@ -248,32 +238,22 @@ impl SessionRouter {
     /// Sets every lane's overlay-compaction threshold (see
     /// [`DetectorSession::with_compaction_threshold`]).
     pub fn with_compaction_threshold(mut self, min_dead: usize) -> Self {
-        self.compact_min_dead = Some(min_dead);
+        self.compact_min_dead = min_dead;
         self.reopen_lanes();
         self
     }
 
     /// Re-creates every lane's session with the current configuration.
     fn reopen_lanes(&mut self) {
-        let index = Arc::clone(&self.index);
-        let (selection, indexing, compact) =
-            (self.selection, self.indexing, self.compact_min_dead);
-        let history = std::mem::take(&mut self.diff_history);
-        for lane in &mut self.lanes {
-            let mut session =
-                Self::make_session(&index, selection, indexing, compact, &lane.tld);
-            for (added, removed) in &history {
-                session.apply_reference_diff(added, removed);
-            }
-            lane.session = session;
+        for at in 0..self.lanes.len() {
+            self.lanes[at] = self.open_session(self.lanes[at].tld());
         }
-        self.diff_history = history;
     }
 
-    /// Sets how many registrations a lane buffers before flushing them
-    /// as one batch (1 disables buffering). Batching is unobservable in
-    /// the report — it only controls how much work each detection call
-    /// hands the pool.
+    /// Sets how many registrations a lane counts before flushing their
+    /// IDNs as one batch (1 disables buffering). Batching is
+    /// unobservable in the report — it only controls how much work each
+    /// detection call hands the pool.
     pub fn with_batch_capacity(mut self, capacity: usize) -> Self {
         self.batch_capacity = capacity.max(1);
         self
@@ -286,12 +266,12 @@ impl SessionRouter {
 
     /// The TLDs with an open lane, sorted.
     pub fn tlds(&self) -> impl Iterator<Item = &str> {
-        self.lanes.iter().map(|l| l.tld.as_str())
+        self.lanes.iter().map(DetectorSession::tld)
     }
 
     /// Index of the lane for `tld`, or the insertion point.
     fn lane_position(&self, tld: &str) -> Result<usize, usize> {
-        self.lanes.binary_search_by(|lane| lane.tld.as_str().cmp(tld))
+        self.lanes.binary_search_by(|lane| lane.tld().cmp(tld))
     }
 
     /// A fresh session configured like this router's lanes, with every
@@ -299,13 +279,10 @@ impl SessionRouter {
     /// (or reopened) mid-feed sees the same reference view as one open
     /// from the start.
     fn open_session(&self, tld: &str) -> DetectorSession {
-        let mut session = Self::make_session(
-            &self.index,
-            self.selection,
-            self.indexing,
-            self.compact_min_dead,
-            tld,
-        );
+        let mut session = DetectorSession::new(Arc::clone(&self.index), tld)
+            .with_selection(self.selection)
+            .with_indexing(self.indexing)
+            .with_compaction_threshold(self.compact_min_dead);
         for (added, removed) in &self.diff_history {
             session.apply_reference_diff(added, removed);
         }
@@ -322,37 +299,16 @@ impl SessionRouter {
             })
     }
 
-    /// [`SessionRouter::open_session`] with the configuration passed
-    /// explicitly, so callers holding disjoint borrows of the router
-    /// (lane mutation during reopen) can still use it.
-    fn make_session(
-        index: &Arc<DetectionIndex>,
-        selection: DbSelection,
-        indexing: Indexing,
-        compact_min_dead: Option<usize>,
-        tld: &str,
-    ) -> DetectorSession {
-        let session = DetectorSession::new(Arc::clone(index), tld)
-            .with_selection(selection)
-            .with_indexing(indexing);
-        match compact_min_dead {
-            Some(min_dead) => session.with_compaction_threshold(min_dead),
-            None => session,
-        }
-    }
-
     /// Routes one slice of the interleaved feed: each domain joins its
     /// TLD's lane (opened on first sight unless the lane set is fixed),
-    /// and any lane whose buffer reaches capacity flushes as one batch.
+    /// and any lane that has counted `batch_capacity` owners flushes
+    /// their IDNs as one batch.
     pub fn push_domains<'a>(&mut self, domains: impl IntoIterator<Item = &'a DomainName>) {
-        let capacity = self.batch_capacity;
         for domain in domains {
             let at = match self.lane_position(domain.tld()) {
                 Ok(at) => at,
                 Err(at) if self.lane_permitted(domain.tld()) => {
-                    let tld = domain.tld().to_string();
-                    let session = self.open_session(&tld);
-                    self.lanes.insert(at, RouterLane { tld, session, pending: Vec::new() });
+                    self.lanes.insert(at, self.open_session(domain.tld()));
                     at
                 }
                 Err(_) => {
@@ -361,37 +317,32 @@ impl SessionRouter {
                 }
             };
             let lane = &mut self.lanes[at];
-            lane.pending.push(domain.clone());
-            if lane.pending.len() >= capacity {
-                lane.session.push_domains(lane.pending.iter());
-                lane.pending.clear();
+            if lane.buffer(domain) >= self.batch_capacity {
+                lane.flush();
             }
         }
     }
 
-    /// Flushes every lane's pending registrations through its session.
+    /// Flushes every lane's buffered registrations.
     pub fn flush(&mut self) {
         for lane in &mut self.lanes {
-            if !lane.pending.is_empty() {
-                lane.session.push_domains(lane.pending.iter());
-                lane.pending.clear();
-            }
+            lane.flush();
         }
     }
 
-    /// Applies global reference churn to the whole fleet: pending
+    /// Applies global reference churn to the whole fleet: buffered
     /// registrations are flushed first (they were observed under the
     /// pre-diff list), then every lane's session takes the diff.
     pub fn apply_reference_diff(&mut self, added: &[String], removed: &[String]) {
         self.flush();
         for lane in &mut self.lanes {
-            lane.session.apply_reference_diff(added, removed);
+            lane.apply_reference_diff(added, removed);
         }
         self.diff_history.push((added.to_vec(), removed.to_vec()));
         self.reference_diffs += 1;
     }
 
-    /// Folds one lane: flushes its pending registrations, closes its
+    /// Folds one lane: flushes its buffered registrations, closes its
     /// session and banks the report, which report-time merging adds
     /// back into that TLD's aggregate. The ingest front-end evicts
     /// idle lanes this way; the next domain of the TLD (if permitted)
@@ -401,25 +352,22 @@ impl SessionRouter {
     pub fn fold_lane(&mut self, tld: &str) -> bool {
         let Ok(at) = self.lane_position(tld) else { return false };
         let mut lane = self.lanes.remove(at);
-        if !lane.pending.is_empty() {
-            lane.session.push_domains(lane.pending.iter());
-            lane.pending.clear();
-        }
-        self.folded.push(TldReport { tld: lane.tld, report: lane.session.into_report() });
+        lane.flush();
+        self.folded.push(TldReport { tld: lane.tld().to_string(), report: lane.into_report() });
         true
     }
 
-    /// Poisons one lane after a worker panic: the pending buffer —
-    /// whose fate inside the panicking flush is unknown — is
-    /// *discarded* (its size is returned so the caller can account the
-    /// loss), and whatever the session durably ingested before the
-    /// panic is banked like a fold. Returns `None` if no lane for
-    /// `tld` is open.
+    /// Poisons one lane after a worker panic: the buffered owners —
+    /// whose fate inside the panicking flush is unknown — are
+    /// *discarded* uncounted (their number is returned so the caller
+    /// can account the loss), and whatever the session durably
+    /// ingested before the panic is banked like a fold. Returns `None`
+    /// if no lane for `tld` is open.
     pub fn poison_lane(&mut self, tld: &str) -> Option<usize> {
         let Ok(at) = self.lane_position(tld) else { return None };
-        let lane = self.lanes.remove(at);
-        let dropped = lane.pending.len();
-        self.folded.push(TldReport { tld: lane.tld, report: lane.session.into_report() });
+        let mut lane = self.lanes.remove(at);
+        let dropped = lane.discard();
+        self.folded.push(TldReport { tld: lane.tld().to_string(), report: lane.into_report() });
         Some(dropped)
     }
 
@@ -456,7 +404,7 @@ impl SessionRouter {
         let live = self
             .lanes
             .iter()
-            .map(|lane| TldReport { tld: lane.tld.clone(), report: lane.session.report() })
+            .map(|lane| TldReport { tld: lane.tld().to_string(), report: lane.report() })
             .collect();
         RouterReport {
             per_tld: Self::merge_reports(self.folded.clone(), live),
@@ -472,7 +420,7 @@ impl SessionRouter {
         let live = self
             .lanes
             .into_iter()
-            .map(|lane| TldReport { tld: lane.tld, report: lane.session.into_report() })
+            .map(|lane| TldReport { tld: lane.tld().to_string(), report: lane.into_report() })
             .collect();
         RouterReport {
             per_tld: Self::merge_reports(self.folded, live),

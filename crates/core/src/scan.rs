@@ -26,9 +26,11 @@
 //!   word-at-a-time newline scan over the chunk bytes and fed to
 //!   [`ZoneStreamParser::scan_line`], which yields *borrowed* owner
 //!   names; nothing is allocated for skipped, deduplicated or
-//!   blacklisted lines. Each surviving owner is pushed straight into
-//!   the [`SessionRouter`] and cloned once, into its lane, which flushes
-//!   a detection batch at [`ScanConfig::batch_capacity`].
+//!   blacklisted lines. Each surviving owner is pushed, still
+//!   borrowed, straight into the [`SessionRouter`]: its lane counts it
+//!   and decodes it only if it is an IDN, so no owner is cloned on its
+//!   way to detection. A lane detects its decoded IDNs as one batch
+//!   once it has counted [`ScanConfig::batch_capacity`] owners.
 //! * **Pre-detection dedup** — zone dumps repeat each owner once per
 //!   record (NS runs, glue); the stage drops consecutive repeats for
 //!   free (the parser's owner cache flags them) and catches
@@ -67,8 +69,8 @@ pub struct ScanConfig {
     /// remembered (default [`DEFAULT_DEDUP_WINDOW`]; 0 disables the
     /// window — consecutive dedup still applies).
     pub dedup_window: usize,
-    /// Owners each router lane buffers before detecting them as one
-    /// batch; [`ZoneScanner::new`] applies it to the router.
+    /// Owners each router lane counts before detecting their IDNs as
+    /// one batch; [`ZoneScanner::new`] applies it to the router.
     pub batch_capacity: usize,
     /// Cap on quarantined-line samples kept for the report.
     pub quarantine_samples: usize,

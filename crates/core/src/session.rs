@@ -11,9 +11,12 @@
 //! batches yields detections identical to feeding it whole;
 //! `Framework::run` is itself a thin wrapper over a session.
 //!
-//! Memory stays bounded by the largest single batch (one reused
-//! extraction buffer, one reused match scratch) plus the accumulated
-//! detections — the session never materialises the corpus.
+//! A session is the only buffer between an owner and detection: it
+//! counts every owner and keeps, from the borrowed name, only the
+//! decoded `(stem, ACE)` pair of an IDN of its TLD. Memory stays
+//! bounded by the IDNs of one batch (one reused pair buffer, one reused
+//! match scratch) plus the accumulated detections — the session never
+//! materialises the corpus.
 //!
 //! Reference diffs are copy-on-write: the first
 //! [`DetectorSession::apply_reference_diff`] clones the index's
@@ -40,7 +43,7 @@
 
 use crate::algorithm::{detect_append, DetectScratch, Indexing};
 use crate::detection::Detection;
-use crate::framework::FrameworkReport;
+use crate::framework::{extract_idn, FrameworkReport};
 use crate::index::{DetectionIndex, ReferenceSet};
 use crate::sched::ExecStats;
 use sham_punycode::DomainName;
@@ -93,8 +96,11 @@ pub struct DetectorSession {
     /// sizes, workers) — threaded into the report, ignored by report
     /// equality.
     exec: ExecStats,
-    /// Reused extraction buffer — bounds `push_domains` memory by the
-    /// batch size.
+    /// Owners buffered since the last flush: counted into
+    /// `total_domains` by a flush, dropped uncounted by a discard.
+    buffered: usize,
+    /// The `(stem, ACE)` pairs of the buffered owners that are IDNs of
+    /// this TLD; reused across flushes.
     batch: Vec<(String, String)>,
     /// Reused match scratch — steady-state streaming allocates nothing
     /// on the rejecting path.
@@ -116,6 +122,7 @@ impl DetectorSession {
             idn_count: 0,
             detections: Vec::new(),
             exec: ExecStats::default(),
+            buffered: 0,
             batch: Vec::new(),
             scratch: DetectScratch::default(),
         }
@@ -168,21 +175,43 @@ impl DetectorSession {
         &mut self,
         domains: impl IntoIterator<Item = &'a DomainName>,
     ) {
-        // Count and extract in one pass — the corpus itself is never
-        // collected.
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for d in domains {
-            self.total_domains += 1;
-            if d.tld() == self.tld && d.is_idn() {
-                if let Some(stem) = d.unicode_without_tld() {
-                    batch.push((stem, d.as_ascii().to_string()));
-                }
-            }
+        for domain in domains {
+            self.buffer(domain);
         }
-        self.idn_count += batch.len();
+        self.flush();
+    }
+
+    /// This session's TLD.
+    pub(crate) fn tld(&self) -> &str {
+        &self.tld
+    }
+
+    /// Buffers one owner for the next flush, keeping only its decoded
+    /// pair if it is an IDN of this TLD (Step 2 on the borrowed name).
+    /// Returns how many owners are now buffered.
+    pub(crate) fn buffer(&mut self, domain: &DomainName) -> usize {
+        self.batch.extend(extract_idn(domain, &self.tld));
+        self.buffered += 1;
+        self.buffered
+    }
+
+    /// Detects the buffered IDNs as one batch, then counts the buffered
+    /// owners. If detection panics they stay buffered and uncounted, so
+    /// a poisoning [`DetectorSession::discard`] reports them as lost.
+    pub(crate) fn flush(&mut self) {
+        let mut batch = std::mem::take(&mut self.batch);
         self.detect_batch(&batch);
+        self.total_domains += std::mem::take(&mut self.buffered);
+        self.idn_count += batch.len();
+        batch.clear();
         self.batch = batch;
+    }
+
+    /// Drops the buffered owners without counting them, returning how
+    /// many there were.
+    pub(crate) fn discard(&mut self) -> usize {
+        self.batch.clear();
+        std::mem::take(&mut self.buffered)
     }
 
     /// Feeds one batch of pre-extracted IDNs `(unicode stem, full ACE

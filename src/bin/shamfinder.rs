@@ -60,6 +60,26 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The parsed value of a numeric flag, `None` when the flag is absent,
+/// or an error naming the flag and a value that does not parse.
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value {v:?} for {flag}"))
+        })
+        .transpose()
+}
+
+/// [`parse_flag`] for the commands: a malformed value ends the process
+/// with status 2, naming the flag.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    parse_flag(args, flag).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn build_db(theta: u32) -> HomoglyphDb {
     eprintln!("[shamfinder] building SimChar (θ = {theta}) …");
     let font = SynthUnifont::v12();
@@ -77,9 +97,7 @@ fn default_refs() -> Vec<String> {
 }
 
 fn cmd_build_db(args: &[String]) -> ExitCode {
-    let theta = flag_value(args, "--theta")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let theta = numeric_flag(args, "--theta").unwrap_or(4);
     let db = build_db(theta);
     let sim = db.simchar();
     println!("theta: {}", sim.theta());
@@ -127,9 +145,7 @@ fn cmd_index(args: &[String]) -> ExitCode {
     // The library default, not a literal: a retuned DEFAULT_THETA must
     // keep `index build`/`load` fingerprint-compatible with library
     // builds.
-    let theta = flag_value(args, "--theta")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(shamfinder::simchar::DEFAULT_THETA);
+    let theta = numeric_flag(args, "--theta").unwrap_or(shamfinder::simchar::DEFAULT_THETA);
     match action.as_str() {
         "build" => {
             let with_refs = args.iter().any(|a| a == "--with-refs");
@@ -518,8 +534,8 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
         .map(|t| t.trim().to_string())
         .filter(|t| !t.is_empty())
         .collect();
-    let queue = flag_value(args, "--queue").and_then(|v| v.parse().ok()).unwrap_or(1024);
-    let batch = flag_value(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(1024);
+    let queue = numeric_flag(args, "--queue").unwrap_or(1024);
+    let batch = numeric_flag(args, "--batch").unwrap_or(1024);
     let policy = match flag_value(args, "--policy").as_deref() {
         None | Some("block") => Backpressure::Block,
         Some("shed") => Backpressure::Shed,
@@ -528,9 +544,8 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let faults: u32 =
-        flag_value(args, "--faults").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let seed: u64 = flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
+    let faults: u32 = numeric_flag(args, "--faults").unwrap_or(0);
+    let seed: u64 = numeric_flag(args, "--seed").unwrap_or(7);
 
     let refs: Vec<String> = match flag_value(args, "--refs-file") {
         Some(f) => match std::fs::read_to_string(&f) {
@@ -571,8 +586,7 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
         eprintln!("[shamfinder] ingesting zone {zone_path} (.{origin}) …");
         service.run(vec![Box::new(feed)])
     } else {
-        let events_scale: usize =
-            flag_value(args, "--events").and_then(|v| v.parse().ok()).unwrap_or(20_000);
+        let events_scale: usize = numeric_flag(args, "--events").unwrap_or(20_000);
         let workload =
             shamfinder::workload::Workload::generate(shamfinder::workload::WorkloadConfig {
                 benign_ascii: events_scale.saturating_sub(events_scale / 10),
@@ -724,12 +738,9 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         return usage();
     }
 
-    let batch: usize =
-        flag_value(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(1024);
-    let window: usize =
-        flag_value(args, "--window").and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_DEDUP_WINDOW);
-    let chunk: usize =
-        flag_value(args, "--chunk").and_then(|v| v.parse().ok()).unwrap_or(1 << 20);
+    let batch: usize = numeric_flag(args, "--batch").unwrap_or(1024);
+    let window: usize = numeric_flag(args, "--window").unwrap_or(DEFAULT_DEDUP_WINDOW);
+    let chunk: usize = numeric_flag(args, "--chunk").unwrap_or(1 << 20);
 
     let mut blacklists: Vec<Blacklist> = Vec::new();
     for w in args.windows(2) {
@@ -768,7 +779,6 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
     };
     let db = build_db(4);
     let index = shamfinder::core::DetectionIndex::shared(db, refs);
-    let router = SessionRouter::new(index).with_batch_capacity(batch);
     let config = ScanConfig {
         chunk_bytes: chunk,
         dedup_window: window,
@@ -776,7 +786,7 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         blacklists,
         ..ScanConfig::default()
     };
-    let mut scanner = ZoneScanner::new(router, config);
+    let mut scanner = ZoneScanner::new(SessionRouter::new(index), config);
 
     let tld_override = flag_value(args, "--tld");
     for file in &files {
@@ -870,21 +880,21 @@ fn cmd_gen_zone(args: &[String]) -> ExitCode {
     };
     let mut cfg = ZoneGenConfig {
         tld: flag_value(args, "--tld").unwrap_or_else(|| "com".into()),
-        seed: flag_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(11),
+        seed: numeric_flag(args, "--seed").unwrap_or(11),
         ..ZoneGenConfig::default()
     };
-    if let Some(mb) = flag_value(args, "--mb").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(mb) = numeric_flag::<u64>(args, "--mb") {
         cfg.target_bytes = mb << 20;
         cfg.target_records = 0;
     }
-    if let Some(n) = flag_value(args, "--records").and_then(|v| v.parse().ok()) {
+    if let Some(n) = numeric_flag(args, "--records") {
         cfg.target_records = n;
         cfg.target_bytes = 0;
     }
-    if let Some(p) = flag_value(args, "--malformed").and_then(|v| v.parse().ok()) {
+    if let Some(p) = numeric_flag(args, "--malformed") {
         cfg.malformed_permille = p;
     }
-    if let Some(p) = flag_value(args, "--homographs").and_then(|v| v.parse().ok()) {
+    if let Some(p) = numeric_flag(args, "--homographs") {
         cfg.homograph_permille = p;
     }
 
@@ -934,5 +944,32 @@ fn main() -> ExitCode {
         "homoglyphs" => cmd_homoglyphs(rest),
         "surface" => cmd_surface(rest),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_flag_rejects_malformed_values_by_name() {
+        let argv = args(&["zone.txt", "--batch", "1k", "--window", "64"]);
+        assert_eq!(parse_flag::<usize>(&argv, "--window"), Ok(Some(64)));
+        assert_eq!(
+            parse_flag::<usize>(&argv, "--chunk"),
+            Ok(None),
+            "absent flag"
+        );
+        assert_eq!(
+            parse_flag::<usize>(&argv, "--batch"),
+            Err("invalid value \"1k\" for --batch".to_string())
+        );
+        // Negative and out-of-range values are malformed too.
+        assert!(parse_flag::<u32>(&args(&["--faults", "-1"]), "--faults").is_err());
+        assert!(parse_flag::<u64>(&args(&["--mb", "99999999999999999999"]), "--mb").is_err());
     }
 }
