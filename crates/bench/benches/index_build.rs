@@ -10,15 +10,16 @@
 //!
 //! * `flat_index` — `FlatPairIndex::build` alone (interner + union-find
 //!   + CSR over SimChar ∪ UC).
-//! * `flat_index_load` — `FlatPairIndex::read_from` on a serialized
-//!   snapshot (the serve-path alternative to building: checksum +
-//!   linear array copy, no union-find).
+//! * `flat_index_load` — `FlatPairIndex::read_with_section_bytes` on a
+//!   serialized full-index snapshot (the serve-path alternative to
+//!   building: both checksums + linear array copy, no union-find; the
+//!   reference section is borrowed, not parsed).
 //! * `detector` — the full `HomoglyphDb::new` + `Detector::new` path,
 //!   including the closure-hash index over the 10k-reference list.
 //! * `refset_build` — the reference-list half alone: arena interning,
 //!   closure hashing and the two sorted candidate runs over 10k stems.
 //! * `detector_10k_refs_mount` — the v3 cold start:
-//!   `DetectionIndex::from_snapshot` mounting pair index *and*
+//!   `DetectionIndex::from_snapshot_bytes` mounting pair index *and*
 //!   reference set from serialized bytes (checksum + pointer fixups,
 //!   no rebuild) — the zero-rebuild alternative to `detector_10k_refs`.
 //!
@@ -66,16 +67,6 @@ fn bench_index_build(c: &mut Criterion) {
     group.bench_function("flat_index", |b| {
         b.iter(|| std::hint::black_box(FlatPairIndex::build(&simchar, &uc).char_count()))
     });
-    let snapshot = serialized_index(&simchar, &uc);
-    group.bench_function("flat_index_load", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                FlatPairIndex::read_from(&mut snapshot.as_slice())
-                    .expect("snapshot loads")
-                    .char_count(),
-            )
-        })
-    });
     group.bench_function("detector_10k_refs", |b| {
         b.iter(|| {
             let db = HomoglyphDb::new(simchar.clone(), uc.clone());
@@ -93,6 +84,16 @@ fn bench_index_build(c: &mut Criterion) {
         })
     });
     let full = serialized_full_index(db, &references);
+    group.bench_function("flat_index_load", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                FlatPairIndex::read_with_section_bytes(&full)
+                    .expect("snapshot loads")
+                    .0
+                    .char_count(),
+            )
+        })
+    });
     group.bench_function("detector_10k_refs_mount", |b| {
         b.iter(|| {
             std::hint::black_box(
@@ -114,7 +115,6 @@ fn write_snapshot(
     uc: &std::sync::Arc<UcDatabase>,
     references: &[String],
 ) {
-    let serialized = serialized_index(simchar, uc);
     let db = HomoglyphDb::new(simchar.clone(), uc.clone());
     let full = serialized_full_index(db.clone(), references);
     snapshot_thread_sweep(
@@ -133,8 +133,9 @@ fn write_snapshot(
                 }
                 "flat_index_load" => {
                     std::hint::black_box(
-                        FlatPairIndex::read_from(&mut serialized.as_slice())
+                        FlatPairIndex::read_with_section_bytes(&full)
                             .expect("snapshot loads")
+                            .0
                             .char_count(),
                     );
                 }
@@ -165,18 +166,8 @@ fn write_snapshot(
     );
 }
 
-/// One serialized snapshot of the built index, reused by every load
-/// measurement.
-fn serialized_index(simchar: &sham_simchar::SimCharDb, uc: &UcDatabase) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    FlatPairIndex::build(simchar, uc)
-        .write_to(&mut bytes)
-        .expect("serialize index");
-    bytes
-}
-
 /// One serialized v3 full-index snapshot (pair index + 10k-reference
-/// section), reused by every mount measurement.
+/// section), reused by every load and mount measurement.
 fn serialized_full_index(db: HomoglyphDb, references: &[String]) -> Vec<u8> {
     let index = DetectionIndex::new(db, references.iter().cloned());
     let mut bytes = Vec::new();

@@ -98,21 +98,6 @@ impl Framework {
         )
     }
 
-    /// Cold-starts the framework from a v3 full-index snapshot written
-    /// by [`DetectionIndex::write_snapshot_file`]: the pair index and
-    /// the reference set are both mounted (checksum pass + pointer
-    /// fixups, no rebuild) — see [`DetectionIndex::from_snapshot_file`]
-    /// for the staleness checks applied.
-    pub fn from_snapshot_file(
-        path: impl AsRef<std::path::Path>,
-        simchar: impl Into<std::sync::Arc<SimCharDb>>,
-        uc: impl Into<std::sync::Arc<UcDatabase>>,
-        tld: &str,
-    ) -> std::io::Result<Self> {
-        let index = DetectionIndex::from_snapshot_file(path, simchar, uc)?;
-        Ok(Framework::with_shared_index(Arc::new(index), tld))
-    }
-
     /// Assembles a framework over an existing shared index — the
     /// multi-TLD form: build the index once, hand `Arc` clones to one
     /// framework per TLD pipeline.

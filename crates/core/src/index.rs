@@ -16,14 +16,14 @@
 //! ref_idx)` pairs sorted by hash with a prefix-offset accelerator,
 //! and length-grouped `ref_idx` runs behind a direct length-offset
 //! table — instead of `HashMap<_, Vec<u32>>`. Flat arrays make the
-//! set *mountable*: [`DetectionIndex::write_snapshot`] appends it to
-//! the v3 pair-index snapshot as a reference section, and
-//! [`DetectionIndex::from_snapshot`] restores it with one checksum
-//! pass plus length-prefixed pointer fixups — no per-entry allocation
-//! and no re-hashing, which is what makes a fleet of workers
-//! cold-start in well under a millisecond instead of rebuilding 10k
-//! references each (`detector_10k_refs` vs `detector_10k_refs_mount`
-//! in BENCH_detection.json).
+//! set *mountable*: [`DetectionIndex::write_snapshot`] writes it as
+//! the reference section of the one snapshot format, the v3
+//! full-index file, and [`DetectionIndex::from_snapshot_bytes`]
+//! restores it with one checksum pass plus length-prefixed pointer
+//! fixups — no per-entry allocation and no re-hashing, which is what
+//! makes a fleet of workers cold-start in well under a millisecond
+//! instead of rebuilding 10k references each (`detector_10k_refs` vs
+//! `detector_10k_refs_mount` in BENCH_detection.json).
 //!
 //! Sessions that need reference-list churn take a copy-on-write clone
 //! of the reference-set half only — the flat character index, by far
@@ -38,7 +38,7 @@ use crate::detection::RefName;
 use sham_confusables::UcDatabase;
 use sham_simchar::{FlatPairIndex, HomoglyphDb, SimCharDb};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// FNV-1a offset basis shared by [`closure_hash`] and
@@ -774,14 +774,13 @@ impl DetectionIndex {
     }
 
     /// Writes the whole index — pair index *and* reference set — as
-    /// one v3 snapshot: the flat reference layout becomes the file's
-    /// reference section, keyed by the same source fingerprint. The
-    /// file also loads as a plain pair-index snapshot
-    /// ([`sham_simchar::HomoglyphDb::from_snapshot_file`] ignores the
-    /// section).
+    /// one v3 full-index snapshot: the flat reference layout becomes
+    /// the file's reference section, keyed by the same source
+    /// fingerprint.
     pub fn write_snapshot(&self, writer: &mut impl Write) -> io::Result<()> {
-        let section = self.refs.to_section_bytes();
-        self.db.flat().write_with_section(writer, Some(&section))
+        self.db
+            .flat()
+            .write_with_section(writer, &self.refs.to_section_bytes())
     }
 
     /// [`DetectionIndex::write_snapshot`] to a file, rejections
@@ -796,51 +795,34 @@ impl DetectionIndex {
         writer.into_inner().map_err(|e| named(e.into_error()))?.sync_all().map_err(named)
     }
 
-    /// Cold-starts a full detection index from a v3 snapshot: one
-    /// checksum pass over each half, the pair index's flat arrays
-    /// restored as in [`sham_simchar::HomoglyphDb::from_snapshot_file`],
-    /// and the reference set mounted with pointer fixups only — no
-    /// per-reference allocation, no re-hashing, no sorting. The
-    /// snapshot's source fingerprint is verified against the supplied
-    /// databases first (rejecting stale font builds / confusables
-    /// revisions by name); use [`DetectionIndex::expect_references`]
-    /// to additionally pin the reference list.
-    pub fn from_snapshot(
-        reader: &mut impl Read,
-        simchar: impl Into<Arc<SimCharDb>>,
-        uc: impl Into<Arc<UcDatabase>>,
-    ) -> io::Result<DetectionIndex> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        DetectionIndex::from_snapshot_bytes(&bytes, simchar, uc)
-    }
-
-    /// [`DetectionIndex::from_snapshot`] over an in-memory snapshot —
-    /// the zero-copy mount path every other mount entry point funnels
+    /// Cold-starts a full detection index from an in-memory v3
+    /// snapshot — the mount path every other entry point funnels
     /// through. Both halves are checksummed and parsed directly from
     /// sub-slices of `bytes`
     /// ([`sham_simchar::FlatPairIndex::read_with_section_bytes`]), so
-    /// the only allocations are the mounted arrays themselves.
+    /// the only allocations are the mounted arrays themselves: the pair
+    /// index's flat arrays are restored, and the reference set is
+    /// mounted with pointer fixups only — no per-reference allocation,
+    /// no re-hashing, no sorting. The snapshot's source fingerprint is
+    /// verified against the supplied databases first (rejecting stale
+    /// font builds / confusables revisions by name); use
+    /// [`DetectionIndex::expect_references`] to additionally pin the
+    /// reference list.
     pub fn from_snapshot_bytes(
         bytes: &[u8],
         simchar: impl Into<Arc<SimCharDb>>,
         uc: impl Into<Arc<UcDatabase>>,
     ) -> io::Result<DetectionIndex> {
         let (flat, section) = FlatPairIndex::read_with_section_bytes(bytes)?;
-        let Some(section) = section else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot has no reference section (a pair-only file): rebuild it \
-                 with `shamfinder index build --with-refs`",
-            ));
-        };
         let db = HomoglyphDb::from_prebuilt(simchar, uc, flat)?;
         let (refs, _digest) = ReferenceSet::from_section_bytes(section)?;
         Ok(DetectionIndex { db, refs })
     }
 
-    /// [`DetectionIndex::from_snapshot`] over a file on disk,
-    /// rejections prefixed with the path.
+    /// [`DetectionIndex::from_snapshot_bytes`] over a file on disk,
+    /// every rejection — unreadable file, truncated or inconsistent
+    /// section (named), checksum mismatch, stale fingerprint — prefixed
+    /// with the path.
     pub fn from_snapshot_file(
         path: impl AsRef<std::path::Path>,
         simchar: impl Into<Arc<SimCharDb>>,
@@ -871,7 +853,7 @@ impl DetectionIndex {
                     "stale reference section: mounted reference-list digest \
                      {mounted:#018x} does not match the supplied list's digest \
                      {want:#018x} — mismatched: reference list. Rebuild the \
-                     snapshot with `shamfinder index build --with-refs`."
+                     snapshot with `shamfinder index build`."
                 ),
             ));
         }

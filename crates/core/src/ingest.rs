@@ -126,43 +126,44 @@ pub enum Backpressure {
     Shed,
 }
 
+/// Backoff ceiling for feed-level retries.
+const RETRY_CAP: Duration = Duration::from_secs(2);
+
+/// Seed for the deterministic retry-jitter stream (xorshift64), mixed
+/// with each feed's index.
+const JITTER_SEED: u64 = 0x5EED_1E55;
+
 /// Retry/backoff/circuit parameters for feed-level errors.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
-    /// First-retry delay; doubles per consecutive failure. `ZERO`
-    /// disables sleeping (tests and benches).
+    /// First-retry delay; doubles per consecutive failure up to a 2 s
+    /// ceiling. `ZERO` disables sleeping (tests and benches).
     pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
     /// Consecutive failures that open the circuit (feed abandoned,
     /// reported as [`FeedOutcome::CircuitOpen`]).
     pub circuit_threshold: u32,
-    /// Seed for the deterministic jitter stream (xorshift64).
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             base: Duration::from_millis(10),
-            cap: Duration::from_secs(2),
             circuit_threshold: 8,
-            jitter_seed: 0x5EED_1E55,
         }
     }
 }
 
 impl RetryPolicy {
     /// Delay before retry number `failures` (1-based consecutive
-    /// failure count): `min(cap, base · 2^(failures-1))` plus up to
-    /// 50% deterministic jitter.
+    /// failure count): `min(RETRY_CAP, base · 2^(failures-1))` plus up
+    /// to 50% deterministic jitter.
     fn delay(&self, failures: u32, jitter: &mut u64) -> Duration {
         if self.base.is_zero() {
             return Duration::ZERO;
         }
         let exp = failures.saturating_sub(1).min(20);
         let raw = self.base.saturating_mul(1u32 << exp);
-        let capped = raw.min(self.cap);
+        let capped = raw.min(RETRY_CAP);
         let nanos = capped.as_nanos() as u64;
         let spread = (nanos / 2).max(1);
         Duration::from_nanos(nanos + xorshift64(jitter) % spread)
@@ -174,10 +175,8 @@ impl RetryPolicy {
 pub struct IngestConfig {
     /// Per-lane queue bound.
     pub queue_capacity: usize,
-    /// Default full-queue behaviour.
+    /// Full-queue behaviour of every lane.
     pub backpressure: Backpressure,
-    /// Per-TLD overrides of the default backpressure.
-    pub lane_policies: Vec<(String, Backpressure)>,
     /// Names the drainer takes from one queue and hands the router per
     /// flush; the router's lanes count to the same capacity and are
     /// flushed after each hand-off. The queues keep owned names: they
@@ -202,7 +201,6 @@ impl Default for IngestConfig {
         IngestConfig {
             queue_capacity: 1_024,
             backpressure: Backpressure::Block,
-            lane_policies: Vec::new(),
             batch_capacity: DEFAULT_ROUTER_BATCH,
             retry: RetryPolicy::default(),
             tlds: None,
@@ -334,7 +332,6 @@ fn xorshift64(state: &mut u64) -> u64 {
 /// sequence number so churn barriers can order flushes against diffs.
 struct LaneQueue {
     queue: VecDeque<(u64, DomainName)>,
-    policy: Backpressure,
     stats: LaneStats,
 }
 
@@ -723,9 +720,7 @@ fn run_connector(
         last_error: None,
     };
     let mut consecutive: u32 = 0;
-    let mut jitter = config
-        .retry
-        .jitter_seed
+    let mut jitter = JITTER_SEED
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(feed_index);
     let mut position: u64 = 0;
@@ -774,20 +769,9 @@ fn run_connector(
     report
 }
 
-/// Backpressure policy for `tld`: the per-lane override, else the
-/// config default.
-fn policy_for(config: &IngestConfig, tld: &str) -> Backpressure {
-    config
-        .lane_policies
-        .iter()
-        .find(|(t, _)| t == tld)
-        .map(|(_, p)| *p)
-        .unwrap_or(config.backpressure)
-}
-
 /// Pushes one name into its lane queue, creating the lane on first
 /// sight. A full lane blocks (counted once per push attempt) or sheds
-/// per its policy.
+/// per the configured policy.
 fn enqueue(shared: &Shared, config: &IngestConfig, domain: DomainName) {
     let tld = domain.tld().to_string();
     let mut inner = shared.lock();
@@ -796,7 +780,6 @@ fn enqueue(shared: &Shared, config: &IngestConfig, domain: DomainName) {
         let seq = inner.seq;
         let lane = inner.lanes.entry(tld.clone()).or_insert_with(|| LaneQueue {
             queue: VecDeque::new(),
-            policy: policy_for(config, &tld),
             stats: LaneStats {
                 tld: tld.clone(),
                 enqueued: 0,
@@ -815,7 +798,7 @@ fn enqueue(shared: &Shared, config: &IngestConfig, domain: DomainName) {
             shared.work.notify_all();
             return;
         }
-        match lane.policy {
+        match config.backpressure {
             Backpressure::Shed => {
                 lane.stats.shed += 1;
                 return;

@@ -43,14 +43,12 @@
 //! lane sees exactly the reference view a lane open from the start
 //! would: folding and reopening are unobservable in the final report.
 
-use crate::algorithm::Indexing;
 use crate::detection::Detection;
 use crate::framework::FrameworkReport;
 use crate::index::DetectionIndex;
 use crate::session::{DetectorSession, DEFAULT_COMPACTION_THRESHOLD};
 use serde::{Deserialize, Serialize};
 use sham_punycode::DomainName;
-use sham_simchar::DbSelection;
 use std::sync::Arc;
 
 /// Registrations buffered per lane before a batch flush. Batches of
@@ -150,8 +148,6 @@ impl RouterReport {
 /// ```
 pub struct SessionRouter {
     index: Arc<DetectionIndex>,
-    selection: DbSelection,
-    indexing: Indexing,
     compact_min_dead: usize,
     /// One session per TLD, sorted by TLD (binary-searched on every
     /// routed domain).
@@ -175,13 +171,12 @@ pub struct SessionRouter {
 }
 
 impl SessionRouter {
-    /// Opens a router that creates a lane for every TLD it encounters,
-    /// with the framework defaults (union database, closure indexing).
+    /// Opens a router that creates a lane for every TLD it encounters.
+    /// Every lane detects with the framework defaults: the union
+    /// database and closure indexing.
     pub fn new(index: Arc<DetectionIndex>) -> Self {
         SessionRouter {
             index,
-            selection: DbSelection::Union,
-            indexing: Indexing::CanonicalClosure,
             compact_min_dead: DEFAULT_COMPACTION_THRESHOLD,
             lanes: Vec::new(),
             auto_open: true,
@@ -218,36 +213,17 @@ impl SessionRouter {
         self
     }
 
-    /// Switches the database selection for every (current and future)
-    /// lane. Builder-phase only, like the other `with_*` knobs: lanes
-    /// preopened by [`SessionRouter::with_tlds`] are reopened with the
-    /// new configuration (they have no accumulated state yet).
-    pub fn with_selection(mut self, selection: DbSelection) -> Self {
-        self.selection = selection;
-        self.reopen_lanes();
-        self
-    }
-
-    /// Switches the candidate-generation strategy for every lane.
-    pub fn with_indexing(mut self, indexing: Indexing) -> Self {
-        self.indexing = indexing;
-        self.reopen_lanes();
-        self
-    }
-
     /// Sets every lane's overlay-compaction threshold (see
-    /// [`DetectorSession::with_compaction_threshold`]).
+    /// [`DetectorSession::with_compaction_threshold`]). Builder-phase
+    /// only: lanes preopened by [`SessionRouter::with_tlds`] are
+    /// reopened with the new threshold (they have no accumulated state
+    /// yet).
     pub fn with_compaction_threshold(mut self, min_dead: usize) -> Self {
         self.compact_min_dead = min_dead;
-        self.reopen_lanes();
-        self
-    }
-
-    /// Re-creates every lane's session with the current configuration.
-    fn reopen_lanes(&mut self) {
         for at in 0..self.lanes.len() {
             self.lanes[at] = self.open_session(self.lanes[at].tld());
         }
+        self
     }
 
     /// Sets how many registrations a lane counts before flushing their
@@ -280,8 +256,6 @@ impl SessionRouter {
     /// from the start.
     fn open_session(&self, tld: &str) -> DetectorSession {
         let mut session = DetectorSession::new(Arc::clone(&self.index), tld)
-            .with_selection(self.selection)
-            .with_indexing(self.indexing)
             .with_compaction_threshold(self.compact_min_dead);
         for (added, removed) in &self.diff_history {
             session.apply_reference_diff(added, removed);

@@ -56,15 +56,19 @@ use std::time::Instant;
 /// in `scan-zone` and `ZoneTextFeed` alike.
 pub const DEFAULT_DEDUP_WINDOW: usize = 8_192;
 
+/// Read chunks in flight between the reader thread and the parser:
+/// at least two, so the pipeline is double-buffered.
+const CHANNEL_DEPTH: usize = 4;
+
+/// Quarantined-line samples a scan keeps for its report.
+const QUARANTINE_SAMPLES: usize = 8;
+
 /// Tuning knobs for [`ZoneScanner`]. `Default` is sized for multi-GB
 /// files on spinning or networked storage.
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
     /// Bytes per read chunk (default 1 MiB; floored at 4 KiB).
     pub chunk_bytes: usize,
-    /// Bounded-channel depth between reader and parser (default 4;
-    /// floored at 2 so the pipeline is at least double-buffered).
-    pub channel_depth: usize,
     /// Out-of-order dedup window: how many recent owners are
     /// remembered (default [`DEFAULT_DEDUP_WINDOW`]; 0 disables the
     /// window — consecutive dedup still applies).
@@ -72,8 +76,6 @@ pub struct ScanConfig {
     /// Owners each router lane counts before detecting their IDNs as
     /// one batch; [`ZoneScanner::new`] applies it to the router.
     pub batch_capacity: usize,
-    /// Cap on quarantined-line samples kept for the report.
-    pub quarantine_samples: usize,
     /// Suffix blacklists applied before detection; a domain matching
     /// any feed is counted and dropped.
     pub blacklists: Vec<Blacklist>,
@@ -83,10 +85,8 @@ impl Default for ScanConfig {
     fn default() -> Self {
         ScanConfig {
             chunk_bytes: 1 << 20,
-            channel_depth: 4,
             dedup_window: DEFAULT_DEDUP_WINDOW,
             batch_capacity: crate::router::DEFAULT_ROUTER_BATCH,
-            quarantine_samples: 8,
             blacklists: Vec::new(),
         }
     }
@@ -511,26 +511,24 @@ impl ZoneScanner {
     pub fn scan_reader<R: Read + Send>(&mut self, tld: &str, reader: R) -> io::Result<()> {
         let started = Instant::now();
         let chunk_bytes = self.config.chunk_bytes.max(4096);
-        let depth = self.config.channel_depth.max(2);
 
         // Full buffers flow one way, drained buffers flow back: the
         // reader recycles instead of allocating per chunk, and the
         // bounded channel is the backpressure that keeps at most
-        // `depth` chunks in flight.
-        let (full_tx, full_rx) = mpsc::sync_channel::<io::Result<Vec<u8>>>(depth);
+        // `CHANNEL_DEPTH` chunks in flight.
+        let (full_tx, full_rx) = mpsc::sync_channel::<io::Result<Vec<u8>>>(CHANNEL_DEPTH);
         let (free_tx, free_rx) = mpsc::channel::<Vec<u8>>();
-        for _ in 0..=depth {
+        for _ in 0..=CHANNEL_DEPTH {
             let _ = free_tx.send(Vec::with_capacity(chunk_bytes));
         }
 
         let stage = &mut self.stage;
         stage.restart(tld);
         let (router, quarantine) = (&mut self.router, &mut self.quarantine);
-        let samples = self.config.quarantine_samples;
         let mut sink = |item: StageItem<'_>| match item {
             StageItem::Owner(owner) => router.push_domains(std::iter::once(owner)),
             StageItem::Quarantined(error) => {
-                if quarantine.len() < samples {
+                if quarantine.len() < QUARANTINE_SAMPLES {
                     quarantine.push(format!("line {}: {}", error.line, error.message));
                 }
             }

@@ -34,12 +34,19 @@
 //! candidate filter for every selection (candidates are always
 //! re-verified pairwise, so over-approximation never produces false
 //! positives).
+//!
+//! A built index serializes as a v3 *full-index snapshot*
+//! ([`FlatPairIndex::write_with_section`]): these flat arrays plus an
+//! opaque reference section that `sham_core` fills with its reference
+//! set. [`FlatPairIndex::read_with_section_bytes`] is the one parser: it
+//! reads an in-memory file in place, verifies both checksums, and
+//! refuses older versions and files without a reference section.
 
 use crate::db::SimCharDb;
 use crate::homodb::PairSource;
 use sham_confusables::UcDatabase;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Code points per interner page (one second-level array chunk).
 const PAGE_SIZE: u32 = 256;
@@ -382,14 +389,7 @@ impl FlatPairIndex {
         sizes
     }
 
-    /// Writes the index as a versioned, checksummed binary snapshot —
-    /// [`FlatPairIndex::write_with_section`] without a reference
-    /// section.
-    pub fn write_to(&self, writer: &mut impl Write) -> io::Result<()> {
-        self.write_with_section(writer, None)
-    }
-
-    /// Writes the v3 snapshot — see the format table in
+    /// Writes the v3 full-index snapshot — see the format table in
     /// `docs/ARCHITECTURE.md`. Layout: an 8-byte magic, a little-endian
     /// `u32` format version, the source fingerprint (font digest and
     /// UC digest, both `u64` — see [`SourceFingerprint`]), the
@@ -397,21 +397,17 @@ impl FlatPairIndex {
     /// (`u64`) over the fingerprint fields and the pair payload (so a
     /// corrupted fingerprint fails the checksum instead of
     /// masquerading as a stale snapshot), then the length and checksum
-    /// of the optional *reference section* (both zero when absent),
-    /// followed by the six `u32` array sections and the attribution
-    /// byte section (each length-prefixed) and finally the
-    /// reference-section bytes verbatim. Everything is flat arrays
-    /// already, so serialization is a linear copy.
+    /// of the *reference section*, followed by the six `u32` array
+    /// sections and the attribution byte section (each length-prefixed)
+    /// and finally the reference-section bytes verbatim. Everything is
+    /// flat arrays already, so serialization is a linear copy.
     ///
     /// The reference section is opaque at this layer: `sham_core`
     /// serializes its flat `ReferenceSet` into it, keyed by the same
     /// fingerprint, so one file cold-starts a whole `DetectionIndex`.
-    /// An empty slice is treated as absent.
-    pub fn write_with_section(
-        &self,
-        writer: &mut impl Write,
-        extra: Option<&[u8]>,
-    ) -> io::Result<()> {
+    /// [`FlatPairIndex::read_with_section_bytes`] refuses a file whose
+    /// section is empty.
+    pub fn write_with_section(&self, writer: &mut impl Write, section: &[u8]) -> io::Result<()> {
         let mut payload = Vec::with_capacity(
             4 * (self.interner.page_table.len()
                 + self.interner.slots.len()
@@ -422,7 +418,7 @@ impl FlatPairIndex {
                 + self.sources.len()
                 + 7 * 4,
         );
-        for section in [
+        for array in [
             &self.interner.page_table,
             &self.interner.slots,
             &self.interner.cps,
@@ -430,8 +426,8 @@ impl FlatPairIndex {
             &self.offsets,
             &self.neighbours,
         ] {
-            payload.extend_from_slice(&(section.len() as u32).to_le_bytes());
-            for &v in section {
+            payload.extend_from_slice(&(array.len() as u32).to_le_bytes());
+            for &v in array {
                 payload.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -442,76 +438,36 @@ impl FlatPairIndex {
             PairSource::Both => 2,
         }));
 
-        let digest = snapshot_checksum(&self.fingerprint, &payload);
-        let extra = extra.unwrap_or(&[]);
-        let extra_digest = if extra.is_empty() { 0 } else { fnv1a_lanes(extra) };
-
         writer.write_all(SNAPSHOT_MAGIC)?;
         writer.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
         writer.write_all(&self.fingerprint.font.to_le_bytes())?;
         writer.write_all(&self.fingerprint.unicode.to_le_bytes())?;
         writer.write_all(&(payload.len() as u64).to_le_bytes())?;
-        writer.write_all(&digest.to_le_bytes())?;
-        writer.write_all(&(extra.len() as u64).to_le_bytes())?;
-        writer.write_all(&extra_digest.to_le_bytes())?;
+        writer.write_all(&snapshot_checksum(&self.fingerprint, &payload).to_le_bytes())?;
+        writer.write_all(&(section.len() as u64).to_le_bytes())?;
+        writer.write_all(&fnv1a_lanes(section).to_le_bytes())?;
         writer.write_all(&payload)?;
-        writer.write_all(extra)
+        writer.write_all(section)
     }
 
-    /// Reads a snapshot written by [`FlatPairIndex::write_to`] (or any
-    /// `write_with_section` output — the reference section, when
-    /// present, is read past and dropped). Accepts both the current v3
-    /// layout and the 44-byte-header v2 layout of earlier releases.
-    pub fn read_from(reader: &mut impl Read) -> io::Result<FlatPairIndex> {
-        FlatPairIndex::read_with_section(reader).map(|(idx, _)| idx)
-    }
-
-    /// Reads a snapshot together with its optional reference section,
-    /// rejecting wrong magic, unsupported versions, truncated payloads
-    /// and checksum mismatches with [`io::ErrorKind::InvalidData`].
-    /// A successful load is structurally revalidated (section lengths
-    /// must be mutually consistent), so a corrupted-but-checksummed
-    /// file cannot produce out-of-bounds panics later. The reference
-    /// section comes back verbatim (`None` on v2 files and on v3 files
-    /// written without one); its own checksum has already been
-    /// verified, but its internal layout is the caller's to parse.
-    pub fn read_with_section(
-        reader: &mut impl Read,
-    ) -> io::Result<(FlatPairIndex, Option<Vec<u8>>)> {
-        let header = SnapshotHeader::read_from(reader)?;
-        let payload = header.read_pair_payload(reader)?;
-        let extra = header.read_reference_section(reader)?;
-        Ok((FlatPairIndex::parse_payload(&payload, header.fingerprint)?, extra))
-    }
-
-    /// [`FlatPairIndex::read_with_section`] over an in-memory snapshot
-    /// — the zero-copy mount path. The header is parsed in place, both
-    /// checksums run directly over sub-slices of `bytes`, and the
-    /// reference section comes back as a *borrow* of the input: no
-    /// intermediate payload buffer is allocated or copied, which is
-    /// most of the difference between a mount and a read on a
-    /// memory-mapped or already-resident snapshot. Bytes past the end
-    /// of the framed sections are ignored, exactly as a streaming read
-    /// leaves them unconsumed.
-    pub fn read_with_section_bytes(
-        bytes: &[u8],
-    ) -> io::Result<(FlatPairIndex, Option<&[u8]>)> {
-        let (header, rest) = SnapshotHeader::parse(bytes)?;
-        let (payload, extra) = header.split_sections(rest)?;
-        Ok((FlatPairIndex::parse_payload(payload, header.fingerprint)?, extra))
-    }
-
-    /// [`FlatPairIndex::read_with_section`] over a file on disk, with
-    /// every rejection prefixed with the file's path (the
-    /// [`FlatPairIndex::read_from_path`] convention).
-    pub fn read_with_section_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<(FlatPairIndex, Option<Vec<u8>>)> {
-        let path = path.as_ref();
-        let named =
-            |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-        let mut file = std::fs::File::open(path).map_err(named)?;
-        FlatPairIndex::read_with_section(&mut io::BufReader::new(&mut file)).map_err(named)
+    /// Parses an in-memory v3 full-index snapshot — the one snapshot
+    /// parser. Wrong magic, any version but v3, truncation, either
+    /// checksum failing and a missing reference section are rejected
+    /// with [`io::ErrorKind::InvalidData`]. The header is parsed in
+    /// place and both checksums run directly over sub-slices of
+    /// `bytes`, so no header field sizes an allocation. A successful
+    /// load is structurally revalidated (section lengths must be
+    /// mutually consistent), so a corrupted-but-checksummed file cannot
+    /// produce out-of-bounds panics later. The reference section comes
+    /// back as a checksum-verified *borrow* of the input; its internal
+    /// layout is the caller's to parse. Bytes past the end of the
+    /// framed sections are ignored.
+    pub fn read_with_section_bytes(bytes: &[u8]) -> io::Result<(FlatPairIndex, &[u8])> {
+        let (header, payload, section) = SnapshotHeader::split(bytes)?;
+        Ok((
+            FlatPairIndex::parse_payload(payload, header.fingerprint)?,
+            section,
+        ))
     }
 
     /// Parses and structurally revalidates one checksum-verified pair
@@ -609,43 +565,15 @@ impl FlatPairIndex {
         })
     }
 
-    /// [`FlatPairIndex::read_from`] over a file on disk, with every
-    /// rejection — open failure, truncation, checksum mismatch, any
-    /// named-section inconsistency — prefixed with the file's path, so
-    /// an operator staring at a multi-snapshot deployment knows *which*
-    /// file to rebuild and *which* section convicted it.
-    pub fn read_from_path(path: impl AsRef<std::path::Path>) -> io::Result<FlatPairIndex> {
-        let path = path.as_ref();
-        let named = |e: io::Error| {
-            io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-        };
-        let mut file = std::fs::File::open(path).map_err(named)?;
-        FlatPairIndex::read_from(&mut io::BufReader::new(&mut file)).map_err(named)
-    }
-
-    /// Inspects a v3 snapshot without mounting it: header fields, per-
-    /// section sizes, both checksums, and the raw reference section
-    /// (already checksum-verified) for the caller to break down
-    /// further. Both checksums are verified and the pair payload is
-    /// structurally revalidated, so a corrupt file is reported with
-    /// the same named-section errors as a load. Older versions get a
-    /// readable rejection instead of a partial report.
-    pub fn snapshot_stat(reader: &mut impl Read) -> io::Result<SnapshotStat> {
-        let header = SnapshotHeader::read_from(reader)?;
-        if header.version != SNAPSHOT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "version {} FlatPairIndex snapshot: `index stat` reads the \
-                     v{SNAPSHOT_VERSION} full-index layout — rebuild the file with \
-                     `shamfinder index build`",
-                    header.version
-                ),
-            ));
-        }
-        let payload = header.read_pair_payload(reader)?;
-        let idx = FlatPairIndex::parse_payload(&payload, header.fingerprint)?;
-        let reference_section = header.read_reference_section(reader)?;
+    /// Inspects a v3 full-index snapshot without mounting it: header
+    /// fields, per-section sizes, both checksums, and the raw reference
+    /// section (already checksum-verified) for the caller to break down
+    /// further. It runs [`FlatPairIndex::read_with_section_bytes`]'s
+    /// checks, so a corrupt, older or section-less file is rejected
+    /// with the same named errors as a load.
+    pub fn snapshot_stat(bytes: &[u8]) -> io::Result<SnapshotStat> {
+        let (header, payload, section) = SnapshotHeader::split(bytes)?;
+        let idx = FlatPairIndex::parse_payload(payload, header.fingerprint)?;
         let u32s = |name, v: &Vec<u32>| SnapshotSection {
             name,
             elements: v.len(),
@@ -665,27 +593,25 @@ impl FlatPairIndex {
             },
         ];
         Ok(SnapshotStat {
-            version: header.version,
+            version: SNAPSHOT_VERSION,
             fingerprint: header.fingerprint,
             pair_payload_bytes: header.payload_len,
             pair_checksum: header.checksum,
             sections,
             reference_bytes: header.extra_len,
             reference_checksum: header.extra_checksum,
-            reference_section,
+            reference_section: section.to_vec(),
         })
     }
 
     /// [`FlatPairIndex::snapshot_stat`] over a file on disk, rejections
     /// prefixed with the file's path.
-    pub fn snapshot_stat_path(
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<SnapshotStat> {
+    pub fn snapshot_stat_path(path: impl AsRef<std::path::Path>) -> io::Result<SnapshotStat> {
         let path = path.as_ref();
         let named =
             |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-        let mut file = std::fs::File::open(path).map_err(named)?;
-        FlatPairIndex::snapshot_stat(&mut io::BufReader::new(&mut file)).map_err(named)
+        let bytes = std::fs::read(path).map_err(named)?;
+        FlatPairIndex::snapshot_stat(&bytes).map_err(named)
     }
 }
 
@@ -717,19 +643,17 @@ pub struct SnapshotStat {
     pub pair_checksum: u64,
     /// Per-section inventory of the pair payload.
     pub sections: Vec<SnapshotSection>,
-    /// Reference-section length in bytes (0 = absent).
+    /// Reference-section length in bytes.
     pub reference_bytes: u64,
-    /// Reference-section checksum (0 = absent).
+    /// Reference-section checksum.
     pub reference_checksum: u64,
     /// The verified reference-section bytes, for callers that can
     /// parse its layout (`sham_core`).
-    pub reference_section: Option<Vec<u8>>,
+    pub reference_section: Vec<u8>,
 }
 
-/// The fixed-size snapshot header: 44 bytes in v2, 60 in v3 (the two
-/// reference-section fields were appended).
+/// The fixed-size v3 snapshot header.
 struct SnapshotHeader {
-    version: u32,
     fingerprint: SourceFingerprint,
     payload_len: u64,
     checksum: u64,
@@ -738,120 +662,13 @@ struct SnapshotHeader {
 }
 
 impl SnapshotHeader {
-    fn read_from(reader: &mut impl Read) -> io::Result<SnapshotHeader> {
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != SNAPSHOT_MAGIC {
-            return Err(bad("not a FlatPairIndex snapshot (bad magic)".into()));
-        }
-        let mut word = [0u8; 4];
-        reader.read_exact(&mut word)?;
-        let version = u32::from_le_bytes(word);
-        if version != SNAPSHOT_VERSION_V2 && version != SNAPSHOT_VERSION {
-            return Err(bad(format!(
-                "unsupported FlatPairIndex snapshot version {version} \
-                 (expected {SNAPSHOT_VERSION_V2} or {SNAPSHOT_VERSION})"
-            )));
-        }
-        let mut long = [0u8; 8];
-        let mut read_u64 = |reader: &mut dyn Read| -> io::Result<u64> {
-            reader.read_exact(&mut long)?;
-            Ok(u64::from_le_bytes(long))
-        };
-        let font = read_u64(reader)?;
-        let unicode = read_u64(reader)?;
-        let payload_len = read_u64(reader)?;
-        let checksum = read_u64(reader)?;
-        let (extra_len, extra_checksum) = if version >= SNAPSHOT_VERSION {
-            (read_u64(reader)?, read_u64(reader)?)
-        } else {
-            (0, 0)
-        };
-        Ok(SnapshotHeader {
-            version,
-            fingerprint: SourceFingerprint { font, unicode },
-            payload_len,
-            checksum,
-            extra_len,
-            extra_checksum,
-        })
-    }
-
-    /// Reads and checksum-verifies the pair payload. The length field
-    /// itself is outside the checksum, so it must not size any
-    /// allocation: reading through `take` grows the buffer only as
-    /// bytes actually arrive — a corrupt huge length on a short file
-    /// becomes a truncation error, not an OOM.
-    fn read_pair_payload(&self, reader: &mut impl Read) -> io::Result<Vec<u8>> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        // Reserving exactly `payload_len` would let a forged length
-        // demand an arbitrary allocation; a capped reserve avoids the
-        // doubling-realloc copies for every honest snapshot while a
-        // forged length still only costs the cap before it surfaces as
-        // a truncation error.
-        let mut payload = Vec::with_capacity(self.payload_len.min(PREALLOC_CAP) as usize);
-        reader.by_ref().take(self.payload_len).read_to_end(&mut payload)?;
-        if payload.len() as u64 != self.payload_len {
-            return Err(bad("truncated FlatPairIndex snapshot payload"));
-        }
-        self.verify_pair_checksum(&payload)?;
-        Ok(payload)
-    }
-
-    /// Checks the recorded pair-payload checksum against `payload`.
-    fn verify_pair_checksum(&self, payload: &[u8]) -> io::Result<()> {
-        // v2 chained the checksum byte-at-a-time; v3 switched to the
-        // interleaved-lane fold (~30× less of the mount budget on the
-        // same bytes).
-        let digest = if self.version >= SNAPSHOT_VERSION {
-            snapshot_checksum(&self.fingerprint, payload)
-        } else {
-            let mut digest = FNV_OFFSET;
-            digest = fnv1a_update(digest, &self.fingerprint.font.to_le_bytes());
-            digest = fnv1a_update(digest, &self.fingerprint.unicode.to_le_bytes());
-            fnv1a_update(digest, payload)
-        };
-        if digest != self.checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "FlatPairIndex snapshot checksum mismatch".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Checks the recorded reference-section checksum against `extra`.
-    fn verify_extra_checksum(&self, extra: &[u8]) -> io::Result<()> {
-        if fnv1a_lanes(extra) != self.extra_checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "`reference section` checksum mismatch".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reads and checksum-verifies the optional reference section.
-    fn read_reference_section(&self, reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        if self.extra_len == 0 {
-            return Ok(None);
-        }
-        // Same capped reserve as the pair payload.
-        let mut extra = Vec::with_capacity(self.extra_len.min(PREALLOC_CAP) as usize);
-        reader.by_ref().take(self.extra_len).read_to_end(&mut extra)?;
-        if extra.len() as u64 != self.extra_len {
-            return Err(bad("truncated `reference section`"));
-        }
-        self.verify_extra_checksum(&extra)?;
-        Ok(Some(extra))
-    }
-
-    /// Parses the header from the front of an in-memory snapshot,
-    /// returning it together with the bytes that follow. Same
-    /// rejections as [`SnapshotHeader::read_from`].
-    fn parse(bytes: &[u8]) -> io::Result<(SnapshotHeader, &[u8])> {
+    /// Splits an in-memory snapshot into its header, the
+    /// checksum-verified pair payload and the checksum-verified
+    /// reference section, borrowing both. The length fields are outside
+    /// the checksums, so they only bound slices of `bytes`: a forged
+    /// length on a short file is a truncation error, never an
+    /// allocation.
+    fn split(bytes: &[u8]) -> io::Result<(SnapshotHeader, &[u8], &[u8])> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         if bytes.len() < 12 {
             return Err(bad("truncated FlatPairIndex snapshot header".into()));
@@ -860,52 +677,50 @@ impl SnapshotHeader {
             return Err(bad("not a FlatPairIndex snapshot (bad magic)".into()));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != SNAPSHOT_VERSION_V2 && version != SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(bad(format!(
-                "unsupported FlatPairIndex snapshot version {version} \
-                 (expected {SNAPSHOT_VERSION_V2} or {SNAPSHOT_VERSION})"
+                "unsupported FlatPairIndex snapshot version {version} (expected \
+                 {SNAPSHOT_VERSION}): rebuild the file with `shamfinder index build`"
             )));
         }
-        let header_len = if version >= SNAPSHOT_VERSION { 60 } else { 44 };
-        if bytes.len() < header_len {
+        if bytes.len() < HEADER_LEN {
             return Err(bad("truncated FlatPairIndex snapshot header".into()));
         }
         let u64_at =
             |offset: usize| u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap());
-        let (extra_len, extra_checksum) =
-            if version >= SNAPSHOT_VERSION { (u64_at(44), u64_at(52)) } else { (0, 0) };
-        Ok((
-            SnapshotHeader {
-                version,
-                fingerprint: SourceFingerprint { font: u64_at(12), unicode: u64_at(20) },
-                payload_len: u64_at(28),
-                checksum: u64_at(36),
-                extra_len,
-                extra_checksum,
+        let header = SnapshotHeader {
+            fingerprint: SourceFingerprint {
+                font: u64_at(12),
+                unicode: u64_at(20),
             },
-            &bytes[header_len..],
-        ))
-    }
-
-    /// Splits `rest` (the bytes after the header) into the
-    /// checksum-verified pair payload and optional reference section,
-    /// borrowing both — the zero-copy counterpart of
-    /// [`SnapshotHeader::read_pair_payload`] +
-    /// [`SnapshotHeader::read_reference_section`].
-    fn split_sections<'a>(&self, rest: &'a [u8]) -> io::Result<(&'a [u8], Option<&'a [u8]>)> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let payload = rest
-            .get(..self.payload_len as usize)
-            .ok_or_else(|| bad("truncated FlatPairIndex snapshot payload"))?;
-        self.verify_pair_checksum(payload)?;
-        if self.extra_len == 0 {
-            return Ok((payload, None));
+            payload_len: u64_at(28),
+            checksum: u64_at(36),
+            extra_len: u64_at(44),
+            extra_checksum: u64_at(52),
+        };
+        let rest = &bytes[HEADER_LEN..];
+        let payload = usize::try_from(header.payload_len)
+            .ok()
+            .and_then(|len| rest.get(..len))
+            .ok_or_else(|| bad("truncated FlatPairIndex snapshot payload".into()))?;
+        if snapshot_checksum(&header.fingerprint, payload) != header.checksum {
+            return Err(bad("FlatPairIndex snapshot checksum mismatch".into()));
         }
-        let extra = rest[payload.len()..]
-            .get(..self.extra_len as usize)
-            .ok_or_else(|| bad("truncated `reference section`"))?;
-        self.verify_extra_checksum(extra)?;
-        Ok((payload, Some(extra)))
+        if header.extra_len == 0 {
+            return Err(bad(
+                "FlatPairIndex snapshot has no reference section (a pair-only file): \
+                 rebuild it with `shamfinder index build`"
+                    .into(),
+            ));
+        }
+        let section = usize::try_from(header.extra_len)
+            .ok()
+            .and_then(|len| rest[payload.len()..].get(..len))
+            .ok_or_else(|| bad("truncated `reference section`".into()))?;
+        if fnv1a_lanes(section) != header.extra_checksum {
+            return Err(bad("`reference section` checksum mismatch".into()));
+        }
+        Ok((header, payload, section))
     }
 }
 
@@ -913,22 +728,19 @@ impl SnapshotHeader {
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SHAMFIDX";
 /// Snapshot format version; bumped on any layout change.
 /// Version 2 added the [`SourceFingerprint`] header fields; version 3
-/// added the optional reference section (length + checksum in the
-/// header, bytes after the pair payload) and switched the checksums to
-/// the interleaved-lane FNV-1a fold. v2 files still load.
+/// added the reference section (length + checksum in the header, bytes
+/// after the pair payload) and switched the checksums to the
+/// interleaved-lane FNV-1a fold. Only v3 files load; older ones are
+/// refused with a rebuild hint.
 const SNAPSHOT_VERSION: u32 = 3;
-/// The previous, still-readable format version.
-const SNAPSHOT_VERSION_V2: u32 = 2;
+/// Bytes in the fixed v3 header.
+const HEADER_LEN: usize = 60;
 
 /// FNV-1a offset basis — the checksum chain's initial state.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Largest up-front buffer reservation a snapshot header field may
-/// cause (the read itself is still bounded by bytes actually present).
-const PREALLOC_CAP: u64 = 8 << 20;
-
-/// Folds `bytes` into a running FNV-1a state byte-at-a-time — the v2
-/// checksum chain, kept for reading old snapshots.
+/// Folds `bytes` into a running FNV-1a state byte-at-a-time — the
+/// [`SourceFingerprint`] digest, and the tail of [`fnv1a_words`].
 fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -1106,6 +918,32 @@ mod tests {
         assert!(FlatPairIndex::default().component_sizes().is_empty());
     }
 
+    /// A stand-in reference section: this layer treats it as opaque.
+    const SECTION: &[u8] = b"reference bytes";
+
+    /// `idx` as a full-index snapshot carrying [`SECTION`].
+    fn full_snapshot(idx: &FlatPairIndex) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        idx.write_with_section(&mut bytes, SECTION).unwrap();
+        bytes
+    }
+
+    fn read(bytes: &[u8]) -> io::Result<FlatPairIndex> {
+        FlatPairIndex::read_with_section_bytes(bytes).map(|(idx, _)| idx)
+    }
+
+    /// Recomputes the pair checksum over the (edited) payload, so
+    /// parsing reaches the structural checks.
+    fn reseal(bytes: &mut [u8]) {
+        let fp = SourceFingerprint {
+            font: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
+            unicode: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
+        };
+        let len = u64::from_le_bytes(bytes[28..36].try_into().unwrap()) as usize;
+        let digest = snapshot_checksum(&fp, &bytes[HEADER_LEN..HEADER_LEN + len]);
+        bytes[36..44].copy_from_slice(&digest.to_le_bytes());
+    }
+
     #[test]
     fn snapshot_round_trips_bit_identically() {
         let idx = FlatPairIndex::build(
@@ -1114,19 +952,15 @@ mod tests {
                 parse("043E ; 006F ; MA\n03BF ; 006F ; MA\n").unwrap(),
             ),
         );
-        let mut bytes = Vec::new();
-        idx.write_to(&mut bytes).unwrap();
-        let back = FlatPairIndex::read_from(&mut bytes.as_slice()).unwrap();
+        let bytes = full_snapshot(&idx);
+        let (back, section) = FlatPairIndex::read_with_section_bytes(&bytes).unwrap();
         assert_eq!(back, idx);
+        assert_eq!(section, SECTION);
         // Serializing the loaded index reproduces the exact bytes.
-        let mut again = Vec::new();
-        back.write_to(&mut again).unwrap();
-        assert_eq!(again, bytes);
+        assert_eq!(full_snapshot(&back), bytes);
         // The empty index round-trips too.
-        let mut empty = Vec::new();
-        FlatPairIndex::default().write_to(&mut empty).unwrap();
         assert_eq!(
-            FlatPairIndex::read_from(&mut empty.as_slice()).unwrap(),
+            read(&full_snapshot(&FlatPairIndex::default())).unwrap(),
             FlatPairIndex::default()
         );
     }
@@ -1134,31 +968,29 @@ mod tests {
     #[test]
     fn snapshot_rejects_corruption() {
         let idx = FlatPairIndex::build(&simchar(&[(1, 2), (2, 3)]), &UcDatabase::default());
-        let mut bytes = Vec::new();
-        idx.write_to(&mut bytes).unwrap();
+        let bytes = full_snapshot(&idx);
 
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        let err = FlatPairIndex::read_from(&mut bad.as_slice()).unwrap_err();
+        let err = read(&bad).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // Wrong version.
         let mut bad = bytes.clone();
         bad[8] = 99;
-        let err = FlatPairIndex::read_from(&mut bad.as_slice()).unwrap_err();
+        let err = read(&bad).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
 
         // Flipped payload byte → checksum mismatch.
         let mut bad = bytes.clone();
-        let last = bad.len() - 1;
+        let last = bad.len() - SECTION.len() - 1;
         bad[last] ^= 0x01;
-        let err = FlatPairIndex::read_from(&mut bad.as_slice()).unwrap_err();
+        let err = read(&bad).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Truncation → read error before any parsing.
-        let mut truncated = &bytes[..bytes.len() / 2];
-        assert!(FlatPairIndex::read_from(&mut truncated).is_err());
+        assert!(read(&bytes[..bytes.len() / 2]).is_err());
 
         // The payload-length field (LE u64 at offset 28..36, after the
         // 16-byte fingerprint) is outside the checksum: a flipped high
@@ -1167,7 +999,7 @@ mod tests {
         // panic.
         let mut bad = bytes.clone();
         bad[35] ^= 0x80;
-        let err = FlatPairIndex::read_from(&mut bad.as_slice()).unwrap_err();
+        let err = read(&bad).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
 
         // A flipped *fingerprint* byte (offsets 12..28) is plain file
@@ -1177,7 +1009,7 @@ mod tests {
         for at in [12usize, 27] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x01;
-            let err = FlatPairIndex::read_from(&mut bad.as_slice()).unwrap_err();
+            let err = read(&bad).unwrap_err();
             assert!(err.to_string().contains("checksum"), "offset {at}: {err}");
         }
 
@@ -1187,13 +1019,8 @@ mod tests {
         // starts at offset 60; its first u32 is the page_table count.
         let mut forged = bytes.clone();
         forged[60..64].copy_from_slice(&u32::MAX.to_le_bytes());
-        let fp = SourceFingerprint {
-            font: u64::from_le_bytes(forged[12..20].try_into().unwrap()),
-            unicode: u64::from_le_bytes(forged[20..28].try_into().unwrap()),
-        };
-        let digest = snapshot_checksum(&fp, &forged[60..]);
-        forged[36..44].copy_from_slice(&digest.to_le_bytes());
-        let err = FlatPairIndex::read_from(&mut forged.as_slice()).unwrap_err();
+        reseal(&mut forged);
+        let err = read(&forged).unwrap_err();
         assert!(
             err.to_string().contains("truncated `interner page table` section"),
             "{err}"
@@ -1203,14 +1030,12 @@ mod tests {
     #[test]
     fn rejections_name_the_offending_section() {
         let idx = FlatPairIndex::build(&simchar(&[(1, 2), (2, 3)]), &UcDatabase::default());
-        let mut bytes = Vec::new();
-        idx.write_to(&mut bytes).unwrap();
+        let bytes = full_snapshot(&idx);
         // Payload layout: sections start at offset 60, each a u32 count
         // then count u32s. Walk to each section's count, forge it, and
         // re-checksum so parsing reaches the structural check.
-        let reload = |bytes: &[u8]| FlatPairIndex::read_from(&mut &bytes[..]);
         let section_offsets = {
-            let mut at = 60usize;
+            let mut at = HEADER_LEN;
             let mut offs = Vec::new();
             for _ in 0..6 {
                 offs.push(at);
@@ -1220,14 +1045,6 @@ mod tests {
             }
             offs.push(at); // attribution count
             offs
-        };
-        let reseal = |bytes: &mut Vec<u8>| {
-            let fp = SourceFingerprint {
-                font: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-                unicode: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
-            };
-            let digest = snapshot_checksum(&fp, &bytes[60..]);
-            bytes[36..44].copy_from_slice(&digest.to_le_bytes());
         };
         for (i, section) in [
             "interner page table",
@@ -1246,7 +1063,7 @@ mod tests {
             forged[section_offsets[i]..section_offsets[i] + 4]
                 .copy_from_slice(&u32::MAX.to_le_bytes());
             reseal(&mut forged);
-            let err = reload(&forged).unwrap_err();
+            let err = read(&forged).unwrap_err();
             assert!(err.to_string().contains(section), "section {section}: {err}");
         }
         // A structurally inconsistent (but well-framed) section names
@@ -1258,12 +1075,11 @@ mod tests {
         let mut forged = bytes.clone();
         forged[rep_at..rep_at + 4].copy_from_slice(&0u32.to_le_bytes());
         forged.drain(rep_at + 4..rep_at + 4 + 4 * rep_count);
-        reseal(&mut forged);
         // The removed bytes shrink the payload; fix the length header.
-        let new_len = (forged.len() - 60) as u64;
+        let new_len = (forged.len() - HEADER_LEN - SECTION.len()) as u64;
         forged[28..36].copy_from_slice(&new_len.to_le_bytes());
         reseal(&mut forged);
-        let err = reload(&forged).unwrap_err();
+        let err = read(&forged).unwrap_err();
         assert!(
             err.to_string().contains("component representatives"),
             "{err}"
@@ -1271,32 +1087,33 @@ mod tests {
     }
 
     #[test]
-    fn path_loader_names_the_file_in_every_rejection() {
+    fn snapshot_stat_path_names_the_file_in_every_rejection() {
         let dir = std::env::temp_dir().join("shamfinder-flat-test");
         std::fs::create_dir_all(&dir).unwrap();
 
         // Open failure names the missing file.
         let missing = dir.join("does-not-exist.idx");
-        let err = FlatPairIndex::read_from_path(&missing).unwrap_err();
+        let err = FlatPairIndex::snapshot_stat_path(&missing).unwrap_err();
         assert!(err.to_string().contains("does-not-exist.idx"), "{err}");
 
         // A corrupt file names both the file and the reason.
         let idx = FlatPairIndex::build(&simchar(&[(1, 2)]), &UcDatabase::default());
-        let mut bytes = Vec::new();
-        idx.write_to(&mut bytes).unwrap();
+        let mut bytes = full_snapshot(&idx);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         let corrupt = dir.join("corrupt.idx");
         std::fs::write(&corrupt, &bytes).unwrap();
-        let err = FlatPairIndex::read_from_path(&corrupt).unwrap_err();
+        let err = FlatPairIndex::snapshot_stat_path(&corrupt).unwrap_err();
         assert!(err.to_string().contains("corrupt.idx"), "{err}");
         assert!(err.to_string().contains("checksum"), "{err}");
 
-        // And a good file loads identically through the path API.
+        // And a good file stats identically through the path API.
         bytes[last] ^= 0x01;
         let good = dir.join("good.idx");
         std::fs::write(&good, &bytes).unwrap();
-        assert_eq!(FlatPairIndex::read_from_path(&good).unwrap(), idx);
+        let stat = FlatPairIndex::snapshot_stat_path(&good).unwrap();
+        assert_eq!(stat.fingerprint, idx.fingerprint());
+        assert_eq!(stat.reference_section, SECTION);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1330,48 +1147,8 @@ mod tests {
         let uc = UcDatabase::from_mappings(parse("043E ; 006F ; MA\n").unwrap());
         let idx = FlatPairIndex::build(&sim, &uc);
         assert_eq!(idx.fingerprint(), SourceFingerprint::of(&sim, &uc));
-        let mut bytes = Vec::new();
-        idx.write_to(&mut bytes).unwrap();
-        let back = FlatPairIndex::read_from(&mut bytes.as_slice()).unwrap();
+        let back = read(&full_snapshot(&idx)).unwrap();
         assert_eq!(back.fingerprint(), idx.fingerprint());
-    }
-
-    /// Rewrites v3 snapshot bytes into the 44-byte-header v2 layout
-    /// (reference section dropped, byte-wise checksum), for
-    /// backward-compat tests.
-    fn downgrade_to_v2(v3: &[u8]) -> Vec<u8> {
-        let mut v2 = Vec::with_capacity(v3.len() - 16);
-        v2.extend_from_slice(&v3[..44]);
-        let payload_len =
-            u64::from_le_bytes(v3[28..36].try_into().unwrap()) as usize;
-        v2.extend_from_slice(&v3[60..60 + payload_len]);
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let digest = fnv1a_update(fnv1a_update(FNV_OFFSET, &v2[12..28]), &v2[44..]);
-        v2[36..44].copy_from_slice(&digest.to_le_bytes());
-        v2
-    }
-
-    #[test]
-    fn v2_snapshots_still_load() {
-        let idx = FlatPairIndex::build(
-            &simchar(&[('o' as u32, 0x043E), (1, 2)]),
-            &UcDatabase::from_mappings(parse("043E ; 006F ; MA\n").unwrap()),
-        );
-        let mut v3 = Vec::new();
-        idx.write_with_section(&mut v3, Some(b"reference bytes")).unwrap();
-        let v2 = downgrade_to_v2(&v3);
-        assert_eq!(FlatPairIndex::read_from(&mut v2.as_slice()).unwrap(), idx);
-        // The section-aware reader reports the absence, not an error.
-        let (back, section) =
-            FlatPairIndex::read_with_section(&mut v2.as_slice()).unwrap();
-        assert_eq!(back, idx);
-        assert!(section.is_none());
-        // A corrupted v2 payload still fails its (byte-wise) checksum.
-        let mut bad = v2.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        let err = FlatPairIndex::read_from(&mut bad.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]
@@ -1379,34 +1156,30 @@ mod tests {
         let idx = FlatPairIndex::build(&simchar(&[(1, 2), (2, 3)]), &UcDatabase::default());
         let section: Vec<u8> = (0u16..600).flat_map(u16::to_le_bytes).collect();
         let mut bytes = Vec::new();
-        idx.write_with_section(&mut bytes, Some(&section)).unwrap();
+        idx.write_with_section(&mut bytes, &section).unwrap();
 
-        // Both halves come back; the plain reader skips the section.
-        let (back, got) = FlatPairIndex::read_with_section(&mut bytes.as_slice()).unwrap();
+        // Both halves come back.
+        let (back, got) = FlatPairIndex::read_with_section_bytes(&bytes).unwrap();
         assert_eq!(back, idx);
-        assert_eq!(got.as_deref(), Some(&section[..]));
-        assert_eq!(FlatPairIndex::read_from(&mut bytes.as_slice()).unwrap(), idx);
+        assert_eq!(got, &section[..]);
 
-        // No section (or an empty one) reads back as None.
-        let mut plain = Vec::new();
-        idx.write_to(&mut plain).unwrap();
-        let (_, none) = FlatPairIndex::read_with_section(&mut plain.as_slice()).unwrap();
-        assert!(none.is_none());
+        // An empty section is no full index: refused by name.
         let mut empty = Vec::new();
-        idx.write_with_section(&mut empty, Some(&[])).unwrap();
-        assert_eq!(empty, plain);
+        idx.write_with_section(&mut empty, &[]).unwrap();
+        let err = read(&empty).unwrap_err();
+        assert!(err.to_string().contains("no reference section"), "{err}");
 
         // A flipped section byte fails the section checksum — the pair
         // half is untouched, so the error names the reference section.
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
-        let err = FlatPairIndex::read_with_section(&mut bad.as_slice()).unwrap_err();
+        let err = read(&bad).unwrap_err();
         assert!(err.to_string().contains("`reference section` checksum"), "{err}");
 
         // Truncation inside the section names it too.
         let cut = bytes.len() - 7;
-        let err = FlatPairIndex::read_with_section(&mut &bytes[..cut]).unwrap_err();
+        let err = read(&bytes[..cut]).unwrap_err();
         assert!(err.to_string().contains("truncated `reference section`"), "{err}");
     }
 
@@ -1415,13 +1188,13 @@ mod tests {
         let idx = FlatPairIndex::build(&simchar(&[(1, 2), (2, 3)]), &UcDatabase::default());
         let section = vec![0xABu8; 96];
         let mut bytes = Vec::new();
-        idx.write_with_section(&mut bytes, Some(&section)).unwrap();
+        idx.write_with_section(&mut bytes, &section).unwrap();
 
-        let stat = FlatPairIndex::snapshot_stat(&mut bytes.as_slice()).unwrap();
+        let stat = FlatPairIndex::snapshot_stat(&bytes).unwrap();
         assert_eq!(stat.version, SNAPSHOT_VERSION);
         assert_eq!(stat.fingerprint, idx.fingerprint());
         assert_eq!(stat.reference_bytes, 96);
-        assert_eq!(stat.reference_section.as_deref(), Some(&section[..]));
+        assert_eq!(stat.reference_section, section);
         assert_ne!(stat.reference_checksum, 0);
         // The section inventory accounts for the whole pair payload.
         let total: usize = stat.sections.iter().map(|s| s.bytes).sum();
@@ -1433,24 +1206,10 @@ mod tests {
             stat.pair_checksum
         );
 
-        // Sectionless files stat too; old versions get a readable error.
-        let mut plain = Vec::new();
-        idx.write_to(&mut plain).unwrap();
-        let stat = FlatPairIndex::snapshot_stat(&mut plain.as_slice()).unwrap();
-        assert_eq!(stat.reference_bytes, 0);
-        assert!(stat.reference_section.is_none());
-        let v2 = downgrade_to_v2(&plain);
-        let err = FlatPairIndex::snapshot_stat(&mut v2.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
-        assert!(err.to_string().contains("index build"), "{err}");
-        let mut v1 = v2.clone();
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let err = FlatPairIndex::snapshot_stat(&mut v1.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("unsupported"), "{err}");
         // Corruption surfaces with the load path's named errors.
         let mut bad = bytes.clone();
         bad[61] ^= 0x01;
-        let err = FlatPairIndex::snapshot_stat(&mut bad.as_slice()).unwrap_err();
+        let err = FlatPairIndex::snapshot_stat(&bad).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 

@@ -12,6 +12,12 @@
 //! binary-searching one CSR neighbour row. The component databases are
 //! kept only for their own richer APIs (profiles, skeletons, per-pair
 //! Δ) — the hot path never touches them.
+//!
+//! A snapshot mount skips that construction: [`HomoglyphDb::from_prebuilt`]
+//! takes a flat index parsed from a full-index snapshot (see
+//! `sham_core::DetectionIndex::from_snapshot_file`) and rejects it when
+//! its recorded [`SourceFingerprint`] does not match the databases
+//! supplied.
 
 use crate::db::SimCharDb;
 use crate::flat::{FlatPairIndex, SourceFingerprint};
@@ -73,9 +79,9 @@ impl HomoglyphDb {
     }
 
     /// Assembles the database around a prebuilt flat index — typically
-    /// one loaded with [`FlatPairIndex::read_from`] from a snapshot
-    /// produced earlier by [`FlatPairIndex::write_to`] — skipping the
-    /// interner/union-find/CSR construction entirely.
+    /// one parsed with [`FlatPairIndex::read_with_section_bytes`] from a
+    /// snapshot written earlier by [`FlatPairIndex::write_with_section`]
+    /// — skipping the interner/union-find/CSR construction entirely.
     ///
     /// The snapshot's recorded [`SourceFingerprint`] is checked against
     /// the component databases actually supplied: a *stale* snapshot —
@@ -116,24 +122,6 @@ impl HomoglyphDb {
             ));
         }
         Ok(HomoglyphDb { simchar, uc, flat })
-    }
-
-    /// Loads a [`FlatPairIndex`] snapshot from `path` and mounts it on
-    /// the supplied component databases — [`FlatPairIndex::read_from_path`]
-    /// followed by [`HomoglyphDb::from_prebuilt`], with the staleness
-    /// rejection also prefixed by the file's path. Every error out of
-    /// this function — unreadable file, truncated or inconsistent
-    /// section (named), checksum mismatch, stale fingerprint — says
-    /// which file it is talking about.
-    pub fn from_snapshot_file(
-        path: impl AsRef<std::path::Path>,
-        simchar: impl Into<Arc<SimCharDb>>,
-        uc: impl Into<Arc<UcDatabase>>,
-    ) -> io::Result<Self> {
-        let path = path.as_ref();
-        let flat = FlatPairIndex::read_from_path(path)?;
-        HomoglyphDb::from_prebuilt(simchar, uc, flat)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 
     /// The SimChar component.
@@ -315,9 +303,9 @@ mod tests {
         // Round trip against the same sources: accepted, identical
         // answers.
         let mut bytes = Vec::new();
-        db.flat().write_to(&mut bytes).unwrap();
-        let flat = FlatPairIndex::read_from(&mut bytes.as_slice()).unwrap();
-        let mounted = HomoglyphDb::from_prebuilt(sim.clone(), uc.clone(), flat).unwrap();
+        db.flat().write_with_section(&mut bytes, b"refs").unwrap();
+        let load = || FlatPairIndex::read_with_section_bytes(&bytes).unwrap().0;
+        let mounted = HomoglyphDb::from_prebuilt(sim.clone(), uc.clone(), load()).unwrap();
         assert!(mounted.is_pair('o' as u32, 0x0585));
 
         // A snapshot from a different font build: rejected, naming the
@@ -326,58 +314,15 @@ mod tests {
             vec![Pair { a: 'o' as u32, b: 0x0585, delta: 1 }],
             4,
         );
-        let stale = FlatPairIndex::read_from(&mut bytes.as_slice()).unwrap();
-        let err = HomoglyphDb::from_prebuilt(other_sim, uc.clone(), stale).unwrap_err();
+        let err = HomoglyphDb::from_prebuilt(other_sim, uc.clone(), load()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("stale"), "{err}");
         assert!(err.to_string().contains("SimChar/font build"), "{err}");
 
         // A snapshot from a different confusables revision likewise.
         let other_uc = UcDatabase::from_mappings(parse("03BF ; 006F ; MA\n").unwrap());
-        let stale = FlatPairIndex::read_from(&mut bytes.as_slice()).unwrap();
-        let err = HomoglyphDb::from_prebuilt(sim, other_uc, stale).unwrap_err();
+        let err = HomoglyphDb::from_prebuilt(sim, other_uc, load()).unwrap_err();
         assert!(err.to_string().contains("UC confusables revision"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_file_mount_names_the_file() {
-        let db = db();
-        let dir = std::env::temp_dir().join("shamfinder-homodb-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pairs.idx");
-        let mut bytes = Vec::new();
-        db.flat().write_to(&mut bytes).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
-
-        // Matching sources: mounts cleanly from disk.
-        let mounted = HomoglyphDb::from_snapshot_file(
-            &path,
-            db.simchar().clone(),
-            db.uc().clone(),
-        )
-        .unwrap();
-        assert!(mounted.is_pair('o' as u32, 0x0585));
-
-        // Stale sources: rejected naming the file AND the stale half.
-        let other_sim = SimCharDb::from_pairs(
-            vec![Pair { a: 'o' as u32, b: 0x0585, delta: 1 }],
-            4,
-        );
-        let err =
-            HomoglyphDb::from_snapshot_file(&path, other_sim, db.uc().clone()).unwrap_err();
-        assert!(err.to_string().contains("pairs.idx"), "{err}");
-        assert!(err.to_string().contains("SimChar/font build"), "{err}");
-
-        // Unreadable file: rejected naming the file.
-        let missing = dir.join("missing.idx");
-        let err = HomoglyphDb::from_snapshot_file(
-            &missing,
-            db.simchar().clone(),
-            db.uc().clone(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("missing.idx"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

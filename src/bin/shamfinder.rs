@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! shamfinder build-db [--theta N] [--out FILE]     build SimChar, print stats
-//! shamfinder index build <out> [--theta N] [--with-refs [FILE]]
-//!                                                  snapshot the flat pair index,
-//!                                                  optionally with the reference set
+//! shamfinder index build <out> [--theta N] [--refs-file FILE]
+//!                                                  snapshot the pair index and
+//!                                                  the indexed reference list
 //! shamfinder index load <path> [--theta N]         mount + verify a snapshot
 //! shamfinder index stat <path>                     inspect a snapshot's sections
 //! shamfinder check <domain> [--refs a,b,c]         check one domain
@@ -26,15 +26,16 @@
 //! shamfinder surface <label> [--tld com|jp|de]     registrable homograph count
 //! ```
 
-use shamfinder::core::IdnTable;
+use shamfinder::core::{DetectionIndex, IdnTable};
 use shamfinder::prelude::*;
+use shamfinder::simchar::DEFAULT_THETA;
 use shamfinder::unicode::block_of;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  shamfinder build-db [--theta N] [--out FILE]\n  \
-         shamfinder index build <out> [--theta N] [--with-refs [FILE]]\n  \
+         shamfinder index build <out> [--theta N] [--refs-file FILE]\n  \
          shamfinder index load <path> [--theta N]\n  \
          shamfinder index stat <path>\n  \
          shamfinder check <domain> [--refs a,b,c]\n  \
@@ -80,6 +81,29 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> 
     })
 }
 
+/// The positional arguments: everything that is neither one of
+/// `value_flags` nor such a flag's value. Any other `--flag` ends the
+/// process with status 2, naming it, so a mistyped or retired flag is
+/// never silently ignored.
+fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let a = &args[i];
+        if value_flags.contains(&a.as_str()) {
+            i += 2;
+        } else if a.starts_with("--") {
+            eprintln!("error: unknown flag {a:?}");
+            usage();
+            std::process::exit(2)
+        } else {
+            found.push(a.clone());
+            i += 1;
+        }
+    }
+    found
+}
+
 fn build_db(theta: u32) -> HomoglyphDb {
     eprintln!("[shamfinder] building SimChar (θ = {theta}) …");
     let font = SynthUnifont::v12();
@@ -96,8 +120,30 @@ fn default_refs() -> Vec<String> {
     shamfinder::workload::reference_list(10_000)
 }
 
+/// The reference list of a scanning command: the trimmed non-empty
+/// lines of `--refs-file`, or the default 10k list when the flag is
+/// absent. An unreadable file ends the process with status 1, naming
+/// the file.
+fn refs_file(args: &[String]) -> Vec<String> {
+    let Some(path) = flag_value(args, "--refs-file") else {
+        return default_refs();
+    };
+    match std::fs::read_to_string(&path) {
+        Ok(text) => text
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .map(String::from)
+            .collect(),
+        Err(e) => {
+            eprintln!("error: cannot read {path}: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
 fn cmd_build_db(args: &[String]) -> ExitCode {
-    let theta = numeric_flag(args, "--theta").unwrap_or(4);
+    let theta = numeric_flag(args, "--theta").unwrap_or(DEFAULT_THETA);
     let db = build_db(theta);
     let sim = db.simchar();
     println!("theta: {}", sim.theta());
@@ -122,97 +168,44 @@ fn cmd_build_db(args: &[String]) -> ExitCode {
 }
 
 /// `index build <out>` / `index load <path>` / `index stat <path>`:
-/// the serve-path snapshot round trip. `build` serializes the flat
-/// pair index (interner + union-find closure + CSR, with its source
-/// fingerprint) so later processes skip that construction; with
-/// `--with-refs [FILE]` it also embeds the fully-indexed reference set
-/// (FILE's lines, or the default 10k list) as the v3 reference
-/// section, making the file a complete cold-startable detection
-/// index. `load` mounts a snapshot back onto freshly built component
-/// databases, which also *verifies* it — a snapshot from another font
+/// the serve-path snapshot round trip. `build` writes a full-index
+/// snapshot: the flat pair index (interner + union-find closure + CSR,
+/// with its source fingerprint) plus the fully-indexed reference set
+/// (`--refs-file` lines, or the default 10k list) as the v3 reference
+/// section, so later processes cold-start detection without either
+/// construction. `load` mounts a snapshot back onto a freshly built
+/// SimChar, which also *verifies* it — a snapshot from another font
 /// build or confusables revision is rejected with the fingerprint
-/// mismatch error instead of trusted, and a full-index snapshot
-/// additionally mounts its reference section. `stat` inspects the
-/// file without rebuilding anything: version, per-section sizes,
-/// checksums and both staleness digests.
+/// mismatch error instead of trusted. `stat` inspects the file without
+/// rebuilding anything: version, per-section sizes, checksums and both
+/// staleness digests.
 fn cmd_index(args: &[String]) -> ExitCode {
-    use shamfinder::core::DetectionIndex;
-    use shamfinder::simchar::FlatPairIndex;
-
-    let (Some(action), Some(path)) = (args.first(), args.get(1)) else {
+    let Some(action) = args.first() else {
         return usage();
     };
     // The library default, not a literal: a retuned DEFAULT_THETA must
     // keep `index build`/`load` fingerprint-compatible with library
     // builds.
-    let theta = numeric_flag(args, "--theta").unwrap_or(shamfinder::simchar::DEFAULT_THETA);
-    match action.as_str() {
-        "build" => {
-            let with_refs = args.iter().any(|a| a == "--with-refs");
+    let theta = numeric_flag(args, "--theta").unwrap_or(DEFAULT_THETA);
+    match (action.as_str(), args.get(1)) {
+        ("build", _) => {
+            let [path] = &positionals(&args[1..], &["--theta", "--refs-file"])[..] else {
+                return usage();
+            };
+            let refs = refs_file(args);
             let db = build_db(theta);
-            if with_refs {
-                // `--with-refs` with no FILE (next token absent or a
-                // flag) embeds the default reference list.
-                let refs: Vec<String> = match flag_value(args, "--with-refs")
-                    .filter(|v| !v.starts_with("--"))
-                {
-                    Some(f) => match std::fs::read_to_string(&f) {
-                        Ok(t) => t
-                            .lines()
-                            .map(|l| l.trim().to_string())
-                            .filter(|l| !l.is_empty())
-                            .collect(),
-                        Err(e) => {
-                            eprintln!("error: cannot read {f}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => default_refs(),
-                };
-                eprintln!("[shamfinder] indexing {} references …", refs.len());
-                let index = DetectionIndex::new(db, refs);
-                if let Err(e) = index.write_snapshot_file(path) {
-                    eprintln!("error: cannot write snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-                let flat = index.db().flat();
-                let fp = flat.fingerprint();
-                let bytes =
-                    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                println!("snapshot: {path} ({bytes} bytes, full index)");
-                println!("characters: {}", flat.char_count());
-                println!("pairs: {}", flat.pair_count());
-                println!("components: {}", flat.component_count());
-                println!("references: {}", index.reference_count());
-                println!(
-                    "fingerprint: font {:#018x} / unicode {:#018x}",
-                    fp.font, fp.unicode
-                );
-                println!("reference digest: {:#018x}", index.reference_digest());
-                return ExitCode::SUCCESS;
-            }
-            let flat = db.flat();
-            let mut bytes = Vec::new();
-            if let Err(e) = flat.write_to(&mut bytes) {
-                eprintln!("error: cannot serialize index: {e}");
+            eprintln!("[shamfinder] indexing {} references …", refs.len());
+            let index = DetectionIndex::new(db, refs);
+            if let Err(e) = index.write_snapshot_file(path) {
+                eprintln!("error: cannot write snapshot: {e}");
                 return ExitCode::FAILURE;
             }
-            if let Err(e) = std::fs::write(path, &bytes) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let fp = flat.fingerprint();
-            println!("snapshot: {path} ({} bytes)", bytes.len());
-            println!("characters: {}", flat.char_count());
-            println!("pairs: {}", flat.pair_count());
-            println!("components: {}", flat.component_count());
-            println!(
-                "fingerprint: font {:#018x} / unicode {:#018x}",
-                fp.font, fp.unicode
-            );
+            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+            println!("snapshot: {path} ({bytes} bytes, full index)");
+            print_index(&index);
             ExitCode::SUCCESS
         }
-        "load" => {
+        ("load", Some(path)) => {
             // Mounting validates the recorded fingerprint against the
             // databases this binary would build (same θ ⇒ same pairs);
             // every rejection out of the loader names the file and, for
@@ -220,68 +213,22 @@ fn cmd_index(args: &[String]) -> ExitCode {
             eprintln!("[shamfinder] rebuilding component databases for verification …");
             let font = SynthUnifont::v12();
             let result = build(&font, &BuildConfig { theta, ..BuildConfig::default() });
-            // Peek the framing to decide between the pair-only load
-            // and the full-index mount (v2 files have no section).
-            let section_present = match FlatPairIndex::read_with_section_path(path) {
-                Ok((_, section)) => section.is_some(),
+            match DetectionIndex::from_snapshot_file(path, result.db, UcDatabase::embedded()) {
+                Ok(index) => {
+                    println!("snapshot {path}: ok (full index mounted, fingerprint verified)");
+                    print_index(&index);
+                    ExitCode::SUCCESS
+                }
                 Err(e) => {
                     eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
+                    ExitCode::FAILURE
                 }
-            };
-            if section_present {
-                let index = match DetectionIndex::from_snapshot_file(
-                    path,
-                    result.db,
-                    UcDatabase::embedded(),
-                ) {
-                    Ok(index) => index,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let flat = index.db().flat();
-                let fp = flat.fingerprint();
-                println!("snapshot {path}: ok (full index mounted, fingerprint verified)");
-                println!("characters: {}", flat.char_count());
-                println!("pairs: {}", flat.pair_count());
-                println!("components: {}", flat.component_count());
-                println!("references: {}", index.reference_count());
-                println!(
-                    "fingerprint: font {:#018x} / unicode {:#018x}",
-                    fp.font, fp.unicode
-                );
-                println!("reference digest: {:#018x}", index.reference_digest());
-                return ExitCode::SUCCESS;
             }
-            let db = match HomoglyphDb::from_snapshot_file(
-                path,
-                result.db,
-                UcDatabase::embedded(),
-            ) {
-                Ok(db) => db,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let flat = db.flat();
-            let fp = flat.fingerprint();
-            println!("snapshot {path}: ok (pair index only, fingerprint verified)");
-            println!("characters: {}", flat.char_count());
-            println!("pairs: {}", flat.pair_count());
-            println!("components: {}", flat.component_count());
-            println!(
-                "fingerprint: font {:#018x} / unicode {:#018x}",
-                fp.font, fp.unicode
-            );
-            ExitCode::SUCCESS
         }
-        "stat" => {
+        ("stat", Some(path)) => {
             // Pure file inspection: no database rebuild, readable
-            // errors on v1/v2/corrupt files.
-            let stat = match FlatPairIndex::snapshot_stat_path(path) {
+            // errors on old, section-less or corrupt files.
+            let stat = match shamfinder::simchar::FlatPairIndex::snapshot_stat_path(path) {
                 Ok(stat) => stat,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -304,29 +251,39 @@ fn cmd_index(args: &[String]) -> ExitCode {
                     section.name, section.elements, section.bytes
                 );
             }
-            match &stat.reference_section {
-                Some(section) => {
-                    println!(
-                        "reference section: {} bytes (checksum {:#018x})",
-                        stat.reference_bytes, stat.reference_checksum
-                    );
-                    match shamfinder::core::reference_section_summary(section) {
-                        Ok((digest, count)) => {
-                            println!("  references: {count}");
-                            println!("  list digest: {digest:#018x}");
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
+            println!(
+                "reference section: {} bytes (checksum {:#018x})",
+                stat.reference_bytes, stat.reference_checksum
+            );
+            match shamfinder::core::reference_section_summary(&stat.reference_section) {
+                Ok((digest, count)) => {
+                    println!("  references: {count}");
+                    println!("  list digest: {digest:#018x}");
+                    ExitCode::SUCCESS
                 }
-                None => println!("reference section: absent (pair-only snapshot)"),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
             }
-            ExitCode::SUCCESS
         }
         _ => usage(),
     }
+}
+
+/// The summary `index build` and `index load` print for a full index.
+fn print_index(index: &DetectionIndex) {
+    let flat = index.db().flat();
+    let fp = flat.fingerprint();
+    println!("characters: {}", flat.char_count());
+    println!("pairs: {}", flat.pair_count());
+    println!("components: {}", flat.component_count());
+    println!("references: {}", index.reference_count());
+    println!(
+        "fingerprint: font {:#018x} / unicode {:#018x}",
+        fp.font, fp.unicode
+    );
+    println!("reference digest: {:#018x}", index.reference_digest());
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
@@ -342,9 +299,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
         Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
         None => default_refs(),
     };
-    let db = build_db(4);
+    let db = build_db(DEFAULT_THETA);
     let tld = domain.tld().to_string();
-    let fw = Framework::new(db.simchar().clone(), UcDatabase::embedded(), refs, &tld);
+    let fw = Framework::with_shared_index(DetectionIndex::shared(db, refs), &tld);
     let report = fw.run(std::slice::from_ref(&domain));
     if report.detections.is_empty() {
         println!("{}: no homograph detected", domain.as_ascii());
@@ -358,7 +315,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 }
 
 fn cmd_scan(args: &[String]) -> ExitCode {
-    use shamfinder::core::{DetectionIndex, ScanConfig, SessionRouter, ZoneScanner};
+    use shamfinder::core::{ScanConfig, SessionRouter, ZoneScanner};
 
     let Some(path) = args.first() else { return usage() };
     let tld = flag_value(args, "--tld").unwrap_or_else(|| "com".into());
@@ -369,19 +326,11 @@ fn cmd_scan(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let refs: Vec<String> = match flag_value(args, "--refs-file") {
-        Some(f) => match std::fs::read_to_string(&f) {
-            Ok(t) => t.lines().map(|l| l.trim().to_string()).filter(|l| !l.is_empty()).collect(),
-            Err(e) => {
-                eprintln!("error: cannot read {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => default_refs(),
-    };
+    let refs = refs_file(args);
     // Only `--tld` owners are detected.
     let router = || {
-        SessionRouter::new(DetectionIndex::shared(build_db(4), refs)).with_tlds([tld.clone()])
+        SessionRouter::new(DetectionIndex::shared(build_db(DEFAULT_THETA), refs))
+            .with_tlds([tld.clone()])
     };
     // Accept either a zone file or a flat domain list.
     let contains = |needle: &[u8]| bytes.windows(needle.len()).any(|w| w == needle);
@@ -442,7 +391,7 @@ fn cmd_revert(args: &[String]) -> ExitCode {
         _ => shamfinder::punycode::ace::to_unicode(input)
             .unwrap_or_else(|_| input.to_string()),
     };
-    let db = build_db(4);
+    let db = build_db(DEFAULT_THETA);
     match revert_stem(&db, &stem) {
         Reverted::Original(original) => {
             println!("{stem} -> {original}");
@@ -471,7 +420,7 @@ fn cmd_homoglyphs(args: &[String]) -> ExitCode {
             None => return usage(),
         }
     };
-    let db = build_db(4);
+    let db = build_db(DEFAULT_THETA);
     let twins = db.homoglyphs_of(target as u32);
     println!("homoglyphs of '{target}' (U+{:04X}): {}", target as u32, twins.len());
     for cp in twins {
@@ -500,7 +449,7 @@ fn cmd_surface(args: &[String]) -> ExitCode {
         Some("rf") => IdnTable::rf(),
         _ => IdnTable::com(),
     };
-    let db = build_db(4);
+    let db = build_db(DEFAULT_THETA);
     let surface = table.homograph_surface(&db, label);
     println!(
         "single-substitution homograph surface of {label:?} under .{}: {surface}",
@@ -547,22 +496,8 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
     let faults: u32 = numeric_flag(args, "--faults").unwrap_or(0);
     let seed: u64 = numeric_flag(args, "--seed").unwrap_or(7);
 
-    let refs: Vec<String> = match flag_value(args, "--refs-file") {
-        Some(f) => match std::fs::read_to_string(&f) {
-            Ok(t) => t
-                .lines()
-                .map(|l| l.trim().to_string())
-                .filter(|l| !l.is_empty())
-                .collect(),
-            Err(e) => {
-                eprintln!("error: cannot read {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => default_refs(),
-    };
-    let db = build_db(4);
-    let index = shamfinder::core::DetectionIndex::shared(db, refs);
+    let refs = refs_file(args);
+    let index = DetectionIndex::shared(build_db(DEFAULT_THETA), refs);
     let config = IngestConfig {
         queue_capacity: queue,
         batch_capacity: batch,
@@ -709,31 +644,18 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
     use shamfinder::web::Blacklist;
     use std::path::Path;
 
-    // Positional FILE arguments: everything that is neither a flag nor
-    // a flag's value.
-    const VALUE_FLAGS: [&str; 7] = [
-        "--tld",
-        "--refs-file",
-        "--blacklist",
-        "--batch",
-        "--window",
-        "--chunk",
-        "--metrics-json",
-    ];
-    let mut files: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            i += 2;
-        } else if a.starts_with("--") {
-            eprintln!("error: unknown flag {a:?}");
-            return usage();
-        } else {
-            files.push(a.clone());
-            i += 1;
-        }
-    }
+    let files = positionals(
+        args,
+        &[
+            "--tld",
+            "--refs-file",
+            "--blacklist",
+            "--batch",
+            "--window",
+            "--chunk",
+            "--metrics-json",
+        ],
+    );
     if files.is_empty() {
         return usage();
     }
@@ -763,28 +685,13 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         }
     }
 
-    let refs: Vec<String> = match flag_value(args, "--refs-file") {
-        Some(f) => match std::fs::read_to_string(&f) {
-            Ok(t) => t
-                .lines()
-                .map(|l| l.trim().to_string())
-                .filter(|l| !l.is_empty())
-                .collect(),
-            Err(e) => {
-                eprintln!("error: cannot read {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => default_refs(),
-    };
-    let db = build_db(4);
-    let index = shamfinder::core::DetectionIndex::shared(db, refs);
+    let refs = refs_file(args);
+    let index = DetectionIndex::shared(build_db(DEFAULT_THETA), refs);
     let config = ScanConfig {
         chunk_bytes: chunk,
         dedup_window: window,
         batch_capacity: batch,
         blacklists,
-        ..ScanConfig::default()
     };
     let mut scanner = ZoneScanner::new(SessionRouter::new(index), config);
 

@@ -1,10 +1,10 @@
-//! Serialized prebuilt index: building the flat pair index from
-//! source, snapshotting it to disk, and loading it back must be
-//! invisible to detection — bit-identical reports — and every corrupted
-//! or mismatched snapshot must be rejected before it can reach the
-//! detector. This is the CI "index snapshot roundtrip" smoke: it
-//! exercises the exact serve-path sequence (build → serialize → load →
-//! detect).
+//! Serialized prebuilt index: building the full detection index from
+//! source, snapshotting it to disk, and mounting it back must be
+//! invisible to detection — bit-identical reports — and every
+//! corrupted, stale, older-format or section-less snapshot must be
+//! rejected before it can reach the detector. This is the CI "index
+//! snapshot roundtrip" smoke: it exercises the exact serve-path
+//! sequence (build → serialize → mount → detect).
 
 use proptest::prelude::*;
 use shamfinder::confusables::UcDatabase;
@@ -47,40 +47,46 @@ fn corpus() -> Vec<DomainName> {
 
 const REFS: &[&str] = &["google", "facebook", "paypal", "amazon"];
 
+/// `db` with [`REFS`] as a full-index snapshot.
+fn full_snapshot(db: HomoglyphDb) -> Vec<u8> {
+    let index = DetectionIndex::new(db, REFS.iter().map(|s| s.to_string()));
+    let mut bytes = Vec::new();
+    index
+        .write_snapshot(&mut bytes)
+        .expect("serialize full index");
+    bytes
+}
+
+/// A temporary file path unique to this process and `name`.
+fn temp_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("shamfinder-{}-{name}", std::process::id()))
+}
+
 #[test]
 fn snapshot_load_detects_bit_identically_to_source_build() {
     let simchar = simchar();
     let uc = UcDatabase::embedded();
 
     // Serve path: build once, snapshot to disk…
-    let built = HomoglyphDb::new(simchar.clone(), uc.clone());
-    let path = std::env::temp_dir().join(format!(
-        "shamfinder-index-{}.bin",
-        std::process::id()
-    ));
-    {
-        let mut file = std::fs::File::create(&path).expect("create snapshot");
-        built.flat().write_to(&mut file).expect("serialize index");
-    }
+    let refs = || REFS.iter().map(|s| s.to_string());
+    let built = DetectionIndex::shared(HomoglyphDb::new(simchar.clone(), uc.clone()), refs());
+    let path = temp_path("index.bin");
+    built.write_snapshot_file(&path).expect("serialize index");
 
-    // …then load the prebuilt index, skipping construction entirely.
-    let loaded_flat = {
-        let mut file = std::fs::File::open(&path).expect("open snapshot");
-        FlatPairIndex::read_from(&mut file).expect("deserialize index")
-    };
-    std::fs::remove_file(&path).ok();
-    assert_eq!(&loaded_flat, built.flat(), "loaded index differs from built");
-    let loaded = HomoglyphDb::from_prebuilt(simchar.clone(), uc.clone(), loaded_flat)
+    // …then mount the prebuilt index, skipping construction entirely.
+    let loaded = DetectionIndex::from_snapshot_file(&path, simchar.clone(), uc.clone())
         .expect("matching sources must mount");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        loaded.db().flat(),
+        built.db().flat(),
+        "loaded index differs from built"
+    );
 
     // Identical detections — the whole report, order included.
-    let refs = || REFS.iter().map(|s| s.to_string());
-    let from_build = Framework::new(simchar.clone(), uc.clone(), refs(), "com");
-    let mut from_snapshot = Framework::with_shared_index(
-        shamfinder::core::DetectionIndex::shared(loaded, refs()),
-        "com",
-    )
-    .session();
+    let from_build = Framework::new(simchar, uc, refs(), "com");
+    let mut from_snapshot =
+        Framework::with_shared_index(std::sync::Arc::new(loaded), "com").session();
 
     let corpus = corpus();
     let batch_report = from_build.run(&corpus);
@@ -91,39 +97,41 @@ fn snapshot_load_detects_bit_identically_to_source_build() {
 
 #[test]
 fn corrupted_and_mismatched_snapshots_are_rejected() {
-    let built = HomoglyphDb::new(simchar(), UcDatabase::embedded());
-    let mut bytes = Vec::new();
-    built.flat().write_to(&mut bytes).expect("serialize index");
+    let simchar = simchar();
+    let uc = UcDatabase::embedded();
+    let bytes = full_snapshot(HomoglyphDb::new(simchar.clone(), uc.clone()));
+    let mount = |bytes: &[u8]| {
+        DetectionIndex::from_snapshot_bytes(bytes, simchar.clone(), uc.clone()).map(|_| ())
+    };
 
     // Wrong magic: a file that is not a snapshot at all.
     let mut wrong_magic = bytes.clone();
     wrong_magic[..8].copy_from_slice(b"NOTANIDX");
-    let err = FlatPairIndex::read_from(&mut wrong_magic.as_slice()).unwrap_err();
+    let err = mount(&wrong_magic).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("magic"), "{err}");
 
     // Wrong version: a snapshot from a future format.
     let mut wrong_version = bytes.clone();
     wrong_version[8..12].copy_from_slice(&7u32.to_le_bytes());
-    let err = FlatPairIndex::read_from(&mut wrong_version.as_slice()).unwrap_err();
+    let err = mount(&wrong_version).unwrap_err();
     assert!(err.to_string().contains("version 7"), "{err}");
 
-    // A single flipped bit in the fingerprint fields (12..28) or the
-    // payload (from offset 44) fails the checksum — corruption is
-    // reported as corruption, never as a staleness mismatch.
+    // A single flipped bit in the fingerprint fields (12..28), the
+    // reference-section length (44), the payload or the reference
+    // section fails a checksum or the framing — corruption is reported
+    // as corruption, never as a staleness mismatch.
     for at in [12usize, 27, 44, bytes.len() / 2, bytes.len() - 1] {
         let mut corrupted = bytes.clone();
         corrupted[at] ^= 0x10;
-        let err = FlatPairIndex::read_from(&mut corrupted.as_slice()).unwrap_err();
+        let err = mount(&corrupted).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "offset {at}");
+        assert!(!err.to_string().contains("stale"), "offset {at}: {err}");
     }
 
     // Truncation anywhere is an error, never a partial index.
     for cut in [0usize, 7, 11, 27, 43, bytes.len() - 1] {
-        assert!(
-            FlatPairIndex::read_from(&mut &bytes[..cut]).is_err(),
-            "truncated at {cut}"
-        );
+        assert!(mount(&bytes[..cut]).is_err(), "truncated at {cut}");
     }
 }
 
@@ -131,9 +139,7 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
 fn stale_snapshots_are_rejected_on_mount() {
     // Snapshot the v12-font index…
     let uc = UcDatabase::embedded();
-    let built = HomoglyphDb::new(simchar(), uc.clone());
-    let mut bytes = Vec::new();
-    built.flat().write_to(&mut bytes).expect("serialize index");
+    let bytes = full_snapshot(HomoglyphDb::new(simchar(), uc.clone()));
 
     // …then try to mount it over a *different* SimChar build (a
     // stricter θ — exactly what a font or threshold upgrade produces).
@@ -141,30 +147,48 @@ fn stale_snapshots_are_rejected_on_mount() {
     // must fail descriptively instead of serving the wrong pair
     // universe.
     let font = SynthUnifont::v12();
-    let retuned_simchar = build(
-        &font,
-        &BuildConfig {
-            theta: 2,
-            repertoire: Repertoire::Blocks(vec![
-                "Basic Latin",
-                "Latin-1 Supplement",
-                "Cyrillic",
-                "Greek and Coptic",
-                "Armenian",
-            ]),
-            ..BuildConfig::default()
-        },
-    )
-    .db;
-    let loaded = FlatPairIndex::read_from(&mut bytes.as_slice()).expect("well-formed bytes");
-    let err = HomoglyphDb::from_prebuilt(retuned_simchar, uc.clone(), loaded).unwrap_err();
+    let retuned_simchar = || {
+        build(
+            &font,
+            &BuildConfig {
+                theta: 2,
+                repertoire: Repertoire::Blocks(vec![
+                    "Basic Latin",
+                    "Latin-1 Supplement",
+                    "Cyrillic",
+                    "Greek and Coptic",
+                    "Armenian",
+                ]),
+                ..BuildConfig::default()
+            },
+        )
+        .db
+    };
+    let err =
+        DetectionIndex::from_snapshot_bytes(&bytes, retuned_simchar(), uc.clone()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("stale"), "{err}");
     assert!(err.to_string().contains("SimChar/font build"), "{err}");
 
+    // A different confusables revision is named likewise.
+    let other_uc = UcDatabase::from_mappings(Vec::new());
+    let err = DetectionIndex::from_snapshot_bytes(&bytes, simchar(), other_uc).unwrap_err();
+    assert!(err.to_string().contains("UC confusables revision"), "{err}");
+
     // The same bytes still mount fine over the matching sources.
-    let loaded = FlatPairIndex::read_from(&mut bytes.as_slice()).expect("well-formed bytes");
-    assert!(HomoglyphDb::from_prebuilt(simchar(), uc, loaded).is_ok());
+    assert!(DetectionIndex::from_snapshot_bytes(&bytes, simchar(), uc.clone()).is_ok());
+
+    // From disk, every rejection also names the file: a stale mount…
+    let path = temp_path("stale.idx");
+    std::fs::write(&path, &bytes).expect("write snapshot");
+    let err = DetectionIndex::from_snapshot_file(&path, retuned_simchar(), uc.clone()).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(err.to_string().contains("stale.idx"), "{err}");
+    assert!(err.to_string().contains("SimChar/font build"), "{err}");
+    // …and an unreadable file.
+    let missing = temp_path("missing.idx");
+    let err = DetectionIndex::from_snapshot_file(&missing, simchar(), uc).unwrap_err();
+    assert!(err.to_string().contains("missing.idx"), "{err}");
 }
 
 // ---------------------------------------------------------------------------
@@ -200,8 +224,7 @@ fn full_index_snapshot_round_trips_and_checks_the_reference_list() {
     let mut bytes = Vec::new();
     built.write_snapshot(&mut bytes).expect("serialize full index");
     let mounted =
-        DetectionIndex::from_snapshot(&mut bytes.as_slice(), simchar.clone(), uc.clone())
-            .expect("mount full index");
+        DetectionIndex::from_snapshot_bytes(&bytes, simchar, uc).expect("mount full index");
 
     // The three-way staleness check: font build and confusables
     // revision are fingerprint-verified by the mount itself; the
@@ -222,22 +245,11 @@ fn full_index_snapshot_round_trips_and_checks_the_reference_list() {
     session.push_domains(&corpus);
     assert_eq!(session.into_report(), from_build);
     assert_eq!(from_build.detections.len(), 4);
-
-    // A pair-only snapshot is not a full index: the mount must say so.
-    let pair_only = {
-        let mut out = Vec::new();
-        let db = HomoglyphDb::new(simchar.clone(), uc.clone());
-        db.flat().write_to(&mut out).expect("serialize pair index");
-        out
-    };
-    let err =
-        DetectionIndex::from_snapshot(&mut pair_only.as_slice(), simchar, uc).unwrap_err();
-    assert!(err.to_string().contains("no reference section"), "{err}");
 }
 
 #[test]
-fn v2_snapshots_without_reference_section_still_load() {
-    // Byte-wise FNV-1a — the v2 checksum (v3 switched to word-chunked).
+fn v2_and_sectionless_snapshots_are_refused() {
+    // Byte-wise FNV-1a — the v2 checksum (v3 switched to word lanes).
     fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         for &b in bytes {
             h ^= u64::from(b);
@@ -246,47 +258,66 @@ fn v2_snapshots_without_reference_section_still_load() {
         h
     }
 
-    let built = HomoglyphDb::new(simchar(), UcDatabase::embedded());
-    let mut v3 = Vec::new();
-    built.flat().write_to(&mut v3).expect("serialize index");
+    let (simchar, uc, v3) = tiny_full_snapshot();
+    let refusals = |bytes: &[u8]| {
+        [
+            FlatPairIndex::read_with_section_bytes(bytes)
+                .map(|_| ())
+                .unwrap_err(),
+            FlatPairIndex::snapshot_stat(bytes).map(|_| ()).unwrap_err(),
+            DetectionIndex::from_snapshot_bytes(bytes, simchar.clone(), uc.clone())
+                .map(|_| ())
+                .unwrap_err(),
+        ]
+    };
 
-    // Downgrade the v3 bytes to the v2 layout: drop the two extra
-    // header fields (bytes 44..60), stamp version 2, reseal with the
-    // byte-wise checksum over fingerprint + payload.
-    let mut v2 = Vec::with_capacity(v3.len() - 16);
+    // Downgrade the v3 bytes to a well-formed v2 file: drop the two
+    // reference-section header fields (bytes 44..60) and the section,
+    // stamp version 2, reseal with the byte-wise checksum over
+    // fingerprint + payload.
+    let payload_len = u64::from_le_bytes(v3[28..36].try_into().unwrap()) as usize;
+    let mut v2 = Vec::with_capacity(44 + payload_len);
     v2.extend_from_slice(&v3[..44]);
-    v2.extend_from_slice(&v3[60..]);
+    v2.extend_from_slice(&v3[60..60 + payload_len]);
     v2[8..12].copy_from_slice(&2u32.to_le_bytes());
     let checksum = fnv1a(fnv1a(0xcbf2_9ce4_8422_2325, &v2[12..28]), &v2[44..]);
     v2[36..44].copy_from_slice(&checksum.to_le_bytes());
+    for err in refusals(&v2) {
+        assert!(err.to_string().contains("version 2"), "{err}");
+        assert!(err.to_string().contains("shamfinder index build"), "{err}");
+    }
+    // Older still: the same refusal, naming the version.
+    let mut v1 = v2.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for err in refusals(&v1) {
+        assert!(err.to_string().contains("unsupported"), "{err}");
+    }
 
-    // The old format still loads, bit-identical to the built index…
-    let loaded = FlatPairIndex::read_from(&mut v2.as_slice()).expect("v2 loads");
-    assert_eq!(&loaded, built.flat(), "v2 load differs from built");
-    // …and the section-aware reader reports "no reference section".
-    let (loaded, section) =
-        FlatPairIndex::read_with_section(&mut v2.as_slice()).expect("v2 loads");
-    assert_eq!(&loaded, built.flat());
-    assert!(section.is_none());
+    // A v3 file with an empty reference section holds no full index.
+    let flat = FlatPairIndex::read_with_section_bytes(&v3)
+        .expect("v3 loads")
+        .0;
+    let mut pair_only = Vec::new();
+    flat.write_with_section(&mut pair_only, &[])
+        .expect("serialize pair index");
+    for err in refusals(&pair_only) {
+        assert!(err.to_string().contains("no reference section"), "{err}");
+    }
 }
 
 #[test]
 fn full_snapshot_rejects_truncation_at_every_offset() {
     let (simchar, uc, bytes) = tiny_full_snapshot();
     // Sanity: the intact bytes mount.
-    DetectionIndex::from_snapshot(&mut bytes.as_slice(), simchar.clone(), uc.clone())
+    DetectionIndex::from_snapshot_bytes(&bytes, simchar.clone(), uc.clone())
         .expect("intact snapshot mounts");
 
     let payload_len =
         u64::from_le_bytes(bytes[28..36].try_into().unwrap()) as usize;
     let section_start = 60 + payload_len;
     for cut in 0..bytes.len() {
-        let err = DetectionIndex::from_snapshot(
-            &mut &bytes[..cut],
-            simchar.clone(),
-            uc.clone(),
-        )
-        .expect_err("truncated snapshot must not mount");
+        let err = DetectionIndex::from_snapshot_bytes(&bytes[..cut], simchar.clone(), uc.clone())
+            .expect_err("truncated snapshot must not mount");
         // Cuts inside the reference section convict it by name.
         if cut > section_start {
             assert!(err.to_string().contains("reference section"), "cut {cut}: {err}");
@@ -305,12 +336,8 @@ proptest! {
         let at = at % bytes.len();
         let mut corrupted = bytes.clone();
         corrupted[at] ^= 1 << bit;
-        let err = DetectionIndex::from_snapshot(
-            &mut corrupted.as_slice(),
-            simchar,
-            uc,
-        )
-        .expect_err("corrupted snapshot must not mount");
+        let err = DetectionIndex::from_snapshot_bytes(&corrupted, simchar, uc)
+            .expect_err("corrupted snapshot must not mount");
         let payload_len =
             u64::from_le_bytes(bytes[28..36].try_into().unwrap()) as usize;
         if at >= 60 + payload_len {
@@ -371,8 +398,7 @@ fn mounted_index_detects_bit_identically_at_scale() {
     let mut bytes = Vec::new();
     built.write_snapshot(&mut bytes).expect("serialize full index");
     let mounted = Arc::new(
-        DetectionIndex::from_snapshot(&mut bytes.as_slice(), simchar, uc)
-            .expect("mount full index"),
+        DetectionIndex::from_snapshot_bytes(&bytes, simchar, uc).expect("mount full index"),
     );
     mounted
         .expect_references(references.iter().map(String::as_str))

@@ -298,7 +298,6 @@ fn repeated_failures_open_the_circuit() {
         retry: RetryPolicy {
             base: Duration::ZERO,
             circuit_threshold: 3,
-            ..RetryPolicy::default()
         },
         ..IngestConfig::default()
     };

@@ -165,7 +165,6 @@ fn scan(
         dedup_window,
         blacklists,
         batch_capacity: 256,
-        ..ScanConfig::default()
     };
     let mut scanner = ZoneScanner::new(SessionRouter::new(Arc::clone(index())), config);
     for (tld, data) in inputs {
