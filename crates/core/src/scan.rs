@@ -803,7 +803,7 @@ mod tests {
     fn mix_line(pick: u64) -> Vec<u8> {
         let owner = MIX_OWNERS[(pick >> 8) as usize % MIX_OWNERS.len()];
         let origin = ["com", "net"][(pick >> 16) as usize % 2];
-        let line = match pick % 11 {
+        let line = match pick % 15 {
             0 | 1 => format!("{owner} IN A 192.0.2.1"),
             2 => format!("{owner}.{origin}. IN NS ns.example."),
             3 => "@ IN NS ns.example.".to_string(),
@@ -818,6 +818,13 @@ mod tests {
                 return bytes;
             }
             9 => "; comment only".to_string(),
+            // Upper case, a Cyrillic `а` (the Punycode path) and an
+            // absolute `foo..` (one dot per resolution step).
+            10 => "Alpha IN A 192.0.2.3".to_string(),
+            11 => "\u{430}lpha IN A 192.0.2.4".to_string(),
+            12 => "foo.. IN NS ns.example.".to_string(),
+            // A malformed directive: quarantined, origin unchanged.
+            13 => format!("$ORIGIN {origin}. junk"),
             _ => format!("{owner} IN TXT \"v=1\"\r"),
         };
         line.into_bytes()

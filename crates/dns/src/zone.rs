@@ -2,9 +2,10 @@
 //!
 //! The measurement's Step 1 ingests the `.com` zone file (paper §5.2,
 //! Verisign's published zone). This module implements the subset of
-//! RFC 1035 master-file syntax such zone dumps use: `$ORIGIN` and `$TTL`
-//! directives, `;` comments, `@` for the origin, relative and absolute
-//! owner names, optional TTL/class fields, and the record types of
+//! RFC 1035 master-file syntax such zone dumps use: `$ORIGIN` (exactly
+//! one name) and `$TTL` directives, `;` comments (not inside quotes or
+//! after a `\` escape), `@` for the origin, relative and absolute owner
+//! names, optional TTL/class fields, and the record types of
 //! [`crate::records`].
 //!
 //! [`parse`] is strict (first error wins); [`parse_lenient`] skips bad
@@ -72,23 +73,26 @@ fn err(line: usize, message: impl Into<String>) -> ZoneError {
     ZoneError { line, message: message.into() }
 }
 
-/// Resolves an owner-name token against the origin.
-fn resolve_name(token: &str, origin: &str, line: usize) -> Result<DomainName, ZoneError> {
-    let full = if token == "@" {
-        origin.to_string()
-    } else if let Some(absolute) = token.strip_suffix('.') {
-        absolute.to_string()
-    } else if origin.is_empty() {
-        token.to_string()
-    } else {
-        format!("{token}.{origin}")
+/// Resolves a name token against the origin into `slot`, reusing the
+/// name already there. On error `slot` is left as it was.
+fn resolve_into(
+    slot: &mut Option<DomainName>,
+    token: &str,
+    origin: &str,
+    line: usize,
+) -> Result<(), ZoneError> {
+    let resolved = match slot {
+        Some(name) => name.resolve_into(token, Some(origin)),
+        None => DomainName::resolve(token, Some(origin)).map(|name| *slot = Some(name)),
     };
-    DomainName::parse(&full).map_err(|e| err(line, format!("bad name {token:?}: {e}")))
+    resolved.map_err(|e| err(line, format!("bad name {token:?}: {e}")))
 }
 
 struct LineParser {
     origin: String,
     default_ttl: u32,
+    /// The current owner, resolved in place (reused buffer); `None`
+    /// until the first owner resolves.
     last_owner: Option<DomainName>,
     /// The raw owner token `last_owner` was resolved from, under the
     /// current origin (reused buffer). A record line whose owner token
@@ -97,6 +101,10 @@ struct LineParser {
     /// so this is the per-line hot path. Cleared when `$ORIGIN`
     /// changes (the same token would resolve differently).
     last_owner_token: String,
+    /// The last NS/CNAME/MX target, resolved in place (reused buffer):
+    /// every target is validated, but only cloned into [`RecordData`]
+    /// when the caller wants record data.
+    target: Option<DomainName>,
 }
 
 impl LineParser {
@@ -106,7 +114,14 @@ impl LineParser {
             default_ttl: 86_400,
             last_owner: None,
             last_owner_token: String::new(),
+            target: None,
         }
+    }
+
+    /// Resolves an NS/CNAME/MX target into the reused target name.
+    fn target(&mut self, token: &str, no: usize) -> Result<&DomainName, ZoneError> {
+        resolve_into(&mut self.target, token, &self.origin, no)?;
+        Ok(self.target.as_ref().expect("a resolved target is stored"))
     }
 
     /// Parses one data line (comments/blank already stripped). Returns
@@ -131,17 +146,28 @@ impl LineParser {
     /// messages) and tracks the owner state, but materialises
     /// [`RecordData`] only when `want_data` is set. Returns `None` for
     /// directives and `Some((owner_changed, ttl, data))` for records;
-    /// the resolved owner is left in `self.last_owner`.
+    /// the resolved owner is left in `self.last_owner`. Owners and
+    /// targets resolve into reused names, so with `want_data` unset a
+    /// line of ASCII names allocates nothing.
     fn scan_line(
         &mut self,
         line: &str,
         no: usize,
         want_data: bool,
     ) -> Result<Option<(bool, u32, Option<RecordData>)>, ZoneError> {
-        if let Some(rest) = line.strip_prefix("$ORIGIN") {
-            let token = rest.trim().trim_end_matches('.');
+        // `$ORIGIN` is the whole first token: `$ORIGINAL x` is a record
+        // line (with an unknown type), not a directive.
+        let origin_args = line
+            .strip_prefix("$ORIGIN")
+            .filter(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace));
+        if let Some(rest) = origin_args {
+            let mut names = rest.split_whitespace();
+            let token = names.next().map_or("", |name| name.trim_end_matches('.'));
             if token.is_empty() {
                 return Err(err(no, "$ORIGIN requires a name"));
+            }
+            if let Some(extra) = names.next() {
+                return Err(err(no, format!("$ORIGIN takes one name, found extra {extra:?}")));
             }
             if token != self.origin {
                 self.origin.clear();
@@ -163,10 +189,9 @@ impl LineParser {
         let starts_with_space = line.starts_with(' ') || line.starts_with('\t');
         let mut tokens = line.split_whitespace().peekable();
 
-        // Owner: blank-led lines reuse the previous owner; a repeated
-        // owner token reuses the previous resolution without
-        // allocating (the dominant case — records arrive in
-        // per-owner runs).
+        // Owner: blank-led lines reuse the previous owner, and so does
+        // a repeated owner token (the dominant case — records arrive in
+        // per-owner runs); a new token resolves into the reused owner.
         let owner_changed = if starts_with_space {
             if self.last_owner.is_none() {
                 return Err(err(no, "continuation line with no previous owner"));
@@ -177,8 +202,7 @@ impl LineParser {
             if self.last_owner.is_some() && tok == self.last_owner_token {
                 false
             } else {
-                let owner = resolve_name(tok, &self.origin, no)?;
-                self.last_owner = Some(owner);
+                resolve_into(&mut self.last_owner, tok, &self.origin, no)?;
                 self.last_owner_token.clear();
                 self.last_owner_token.push_str(tok);
                 true
@@ -216,13 +240,13 @@ impl LineParser {
             }
             RecordType::Ns => {
                 let t = tokens.next().ok_or_else(|| err(no, "NS record missing target"))?;
-                let target = resolve_name(t, &self.origin, no)?;
-                want_data.then_some(RecordData::Ns(target))
+                let target = self.target(t, no)?;
+                want_data.then(|| RecordData::Ns(target.clone()))
             }
             RecordType::Cname => {
                 let t = tokens.next().ok_or_else(|| err(no, "CNAME missing target"))?;
-                let target = resolve_name(t, &self.origin, no)?;
-                want_data.then_some(RecordData::Cname(target))
+                let target = self.target(t, no)?;
+                want_data.then(|| RecordData::Cname(target.clone()))
             }
             RecordType::Mx => {
                 let pref = tokens
@@ -231,8 +255,8 @@ impl LineParser {
                     .parse()
                     .map_err(|e| err(no, format!("bad MX preference: {e}")))?;
                 let t = tokens.next().ok_or_else(|| err(no, "MX missing exchange"))?;
-                let exchange = resolve_name(t, &self.origin, no)?;
-                want_data.then_some(RecordData::Mx { preference: pref, exchange })
+                let exchange = self.target(t, no)?;
+                want_data.then(|| RecordData::Mx { preference: pref, exchange: exchange.clone() })
             }
             // TXT payloads cannot fail validation; the scan path skips
             // the join entirely (no per-line String).
@@ -269,14 +293,23 @@ pub enum ZoneScan<'a> {
 }
 
 fn strip_comment(line: &str) -> &str {
-    // A ';' inside a quoted TXT string is data, not a comment.
+    // A ';' inside a quoted TXT string is data, not a comment, and a
+    // backslash escapes the byte after it (RFC 1035 §5.1), so neither
+    // `\;` nor `\"` ends or toggles anything. All three bytes are
+    // ASCII, so a byte scan is exact on UTF-8: a skipped byte that starts
+    // a multi-byte character leaves only continuation bytes, which never
+    // match.
+    let bytes = line.as_bytes();
     let mut in_quotes = false;
-    for (idx, c) in line.char_indices() {
-        match c {
-            '"' => in_quotes = !in_quotes,
-            ';' if !in_quotes => return &line[..idx],
+    let mut idx = 0;
+    while idx < bytes.len() {
+        match bytes[idx] {
+            b'\\' => idx += 1,
+            b'"' => in_quotes = !in_quotes,
+            b';' if !in_quotes => return &line[..idx],
             _ => {}
         }
+        idx += 1;
     }
     line
 }
@@ -344,8 +377,10 @@ impl ZoneStreamParser {
     /// are identical to `push_line` — the batch scanner and the strict
     /// parser classify every line the same way.
     ///
-    /// On the dominant zone-dump shape (runs of records per owner) a
-    /// well-formed `A` line allocates nothing at all.
+    /// A line whose names are all ASCII allocates nothing at all once
+    /// the parser's reused names have grown to fit: a new owner and an
+    /// NS/CNAME/MX target are resolved in place, and only a non-ASCII
+    /// label takes the Punycode path.
     pub fn scan_line(&mut self, raw: &str) -> Result<ZoneScan<'_>, ZoneError> {
         self.line_no += 1;
         let line = strip_comment(raw);
@@ -447,6 +482,9 @@ pub fn parse_domain_list(text: &str) -> (Vec<DomainName>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert_eq;
+    use sham_punycode::domain::MAX_NAME_OCTETS;
+    use sham_punycode::{to_ascii, PunycodeError};
 
     const SAMPLE: &str = "\
 $ORIGIN com.
@@ -664,5 +702,287 @@ note IN TXT \"hello; world\"
         assert!(p.push_line("..bad.. IN A 192.0.2.2").is_err());
         let rr = p.push_line("\tIN A 192.0.2.3").unwrap().unwrap();
         assert_eq!(rr.name.as_ascii(), "good.com");
+    }
+
+    #[test]
+    fn origin_directive_takes_exactly_one_name() {
+        let text = "$ORIGINAL x\n\
+                    foo IN A 192.0.2.1\n\
+                    $ORIGIN com. junk\n\
+                    bar IN A 192.0.2.2\n";
+        let (zone, errors) = parse_lenient(text, "com");
+        let owners: Vec<&str> = zone.records.iter().map(|r| r.name.as_ascii()).collect();
+        assert_eq!(owners, ["foo.com", "bar.com"]);
+        assert_eq!(zone.origin, "com");
+        // `$ORIGINAL` is no directive: it parses as a record line whose
+        // owner is `$ORIGINAL` and whose type `x` is unknown.
+        assert_eq!(errors.len(), 2);
+        assert_eq!(errors[0].line, 1);
+        assert!(errors[0].message.contains("unsupported record type \"x\""), "{errors:?}");
+        assert_eq!(errors[1].line, 3);
+        assert!(errors[1].message.starts_with("$ORIGIN takes one name"), "{errors:?}");
+        assert!(errors[1].message.contains("junk"), "{errors:?}");
+
+        let mut p = ZoneStreamParser::new("com");
+        assert!(p.push_line("$ORIGIN net. org.").is_err());
+        assert_eq!(p.origin(), "com");
+        assert!(p.push_line("$ORIGIN\tNet.").unwrap().is_none());
+        assert_eq!(p.origin(), "Net");
+        let rr = p.push_line("shop IN A 192.0.2.1").unwrap().unwrap();
+        assert_eq!(rr.name.as_ascii(), "shop.net");
+        assert_eq!(p.push_line("$ORIGIN").unwrap_err().message, "$ORIGIN requires a name");
+    }
+
+    #[test]
+    fn escaped_quote_and_semicolon_are_not_comments() {
+        let txt = |line: &str| match parse(line, "com").unwrap().records[0].data.clone() {
+            RecordData::Txt(t) => t,
+            other => panic!("expected TXT, got {other:?}"),
+        };
+        // The payload keeps each escape as written.
+        assert_eq!(txt("note IN TXT \"a\\\"; b\""), "a\\\"; b");
+        assert_eq!(txt("note IN TXT a\\;b"), "a\\;b");
+        assert_eq!(txt("note IN TXT a\\;b ; comment"), "a\\;b");
+        // Non-ASCII after a backslash is skipped whole, never split.
+        assert_eq!(txt("note IN TXT \"\\é;\" ; c"), "\\é;");
+
+        let mut zone = parse("$ORIGIN com.\nnote IN A 192.0.2.1\n", "com").unwrap();
+        let mut rr = zone.records[0].clone();
+        rr.data = RecordData::Txt("say \\\"hi\\\"; bye".into());
+        zone.records.push(rr);
+        let again = parse(&zone.to_text(), "com").unwrap();
+        assert_eq!(again.records, zone.records);
+    }
+
+    #[test]
+    fn names_keep_their_resolution_edge_cases() {
+        let owner = |line: &str, origin: &str| {
+            let mut p = ZoneStreamParser::new(origin);
+            p.push_line(line).map(|rr| rr.expect("a record").name.as_ascii().to_string())
+        };
+        assert_eq!(owner("foo.. IN A 192.0.2.1", "com").unwrap(), "foo");
+        assert_eq!(owner("@. IN A 192.0.2.1", "com").unwrap(), "@");
+        assert_eq!(owner("\u{212A}ey IN A 192.0.2.1", "com").unwrap(), "key.com");
+        assert_eq!(owner("Foo IN A 192.0.2.1", "Com.").unwrap(), "foo.com");
+        let empty = owner("@ IN A 192.0.2.1", "").unwrap_err();
+        assert_eq!(empty.message, "bad name \"@\": empty label");
+        let long = format!("{} IN A 192.0.2.1", "a".repeat(64));
+        let too_long = owner(&long, "com").unwrap_err();
+        assert!(too_long.message.ends_with(": label is 64 octets (max 63)"), "{too_long}");
+        let l63 = "a".repeat(63);
+        let name = format!("{l63}.{l63}.{l63}.{} IN A 192.0.2.1", "b".repeat(62));
+        let too_long = owner(&name, "").unwrap_err();
+        assert!(too_long.message.ends_with(": name is 254 octets (max 253)"), "{too_long}");
+        // The token's labels are checked before the origin's.
+        let both = owner(&long, "a..b").unwrap_err();
+        assert!(both.message.ends_with("label is 64 octets (max 63)"), "{both}");
+        let target = ZoneStreamParser::new("com").push_line("x IN NS ns..bad").unwrap_err();
+        assert_eq!(target.message, "bad name \"ns..bad\": empty label");
+    }
+
+    /// `DomainName::parse` as it was written before the in-place
+    /// resolver: one `to_ascii` `String` per label, then a `join`.
+    fn oracle_parse(input: &str) -> Result<String, PunycodeError> {
+        let trimmed = input.strip_suffix('.').unwrap_or(input);
+        if trimmed.is_empty() {
+            return Err(PunycodeError::EmptyLabel);
+        }
+        let mut labels = Vec::new();
+        for raw in trimmed.split('.') {
+            labels.push(to_ascii(raw)?);
+        }
+        let ascii = labels.join(".");
+        if ascii.len() > MAX_NAME_OCTETS {
+            return Err(PunycodeError::NameTooLong(ascii.len()));
+        }
+        Ok(ascii)
+    }
+
+    /// Name resolution as it was written before the in-place resolver:
+    /// the full name built with `format!`, then the oracle parse, with
+    /// the parser's error text.
+    fn oracle_resolve(token: &str, origin: &str) -> Result<String, String> {
+        let full = if token == "@" {
+            origin.to_string()
+        } else if let Some(absolute) = token.strip_suffix('.') {
+            absolute.to_string()
+        } else if origin.is_empty() {
+            token.to_string()
+        } else {
+            format!("{token}.{origin}")
+        };
+        oracle_parse(&full).map_err(|e| format!("bad name {token:?}: {e}"))
+    }
+
+    /// The line machine's owner state, replayed through the oracle: what
+    /// each generated line must yield (owner and target in ACE form, a
+    /// skipped line, or an error message).
+    #[derive(Default)]
+    struct Replay {
+        origin: String,
+        owner: Option<String>,
+        owner_token: String,
+    }
+
+    impl Replay {
+        fn line(
+            &mut self,
+            line: &ResolverLine,
+        ) -> Result<Option<(String, Option<String>)>, String> {
+            let (owner_token, target) = match line {
+                ResolverLine::Origin(origin) => {
+                    if *origin != self.origin {
+                        self.origin = origin.clone();
+                        self.owner_token.clear();
+                    }
+                    return Ok(None);
+                }
+                ResolverLine::Record { owner, target } => (owner.as_deref(), target.as_deref()),
+            };
+            match owner_token {
+                None if self.owner.is_none() => {
+                    return Err("continuation line with no previous owner".into())
+                }
+                Some(token) if self.owner.is_none() || token != self.owner_token => {
+                    self.owner = Some(oracle_resolve(token, &self.origin)?);
+                    self.owner_token = token.to_string();
+                }
+                _ => {}
+            }
+            let target = target.map(|t| oracle_resolve(t, &self.origin)).transpose()?;
+            Ok(Some((self.owner.clone().expect("an owner resolved"), target)))
+        }
+    }
+
+    /// One generated line of the resolver differential test, with its
+    /// name tokens kept apart from the text.
+    enum ResolverLine {
+        Origin(String),
+        Record { owner: Option<String>, target: Option<String> },
+    }
+
+    /// Labels name tokens are built from: mixed case, non-ASCII (U+212A
+    /// folds to ASCII `k`), empty, `@`, and around the 63-octet limit.
+    fn resolver_label(pick: u64) -> String {
+        match pick % 12 {
+            0 => "alpha".into(),
+            1 => "Alpha".into(),
+            2 => "\u{212A}ey".into(),
+            3 => "\u{430}lpha".into(),
+            4 => "xn--ggle-55da".into(),
+            5 => String::new(),
+            6 => "a".repeat(63),
+            7 => "B".repeat(64),
+            8 => "c".repeat(61),
+            9 => "C".repeat(62),
+            10 => "@".into(),
+            _ => "Stra\u{DF}e".into(),
+        }
+    }
+
+    /// A name token: `@`, `@.`, `foo..`, or one to three labels followed
+    /// by none, one or two dots (`.` when that would be empty).
+    fn resolver_token(pick: u64) -> String {
+        match pick % 8 {
+            0 => "@".into(),
+            1 => "@.".into(),
+            2 => "foo..".into(),
+            _ => {
+                let labels: Vec<String> =
+                    (0..1 + (pick >> 3) % 3).map(|i| resolver_label(pick >> (5 + 4 * i))).collect();
+                let token = labels.join(".") + ["", "", ".", ".."][(pick >> 20) as usize % 4];
+                if token.is_empty() {
+                    ".".into()
+                } else {
+                    token
+                }
+            }
+        }
+    }
+
+    /// Origins `$ORIGIN` switches between; a 191-octet one puts a 61- or
+    /// 62-octet token at 253 or 254 octets.
+    fn resolver_origin(pick: u64) -> String {
+        let l63 = "a".repeat(63);
+        match pick % 6 {
+            0 => "com".into(),
+            1 => "Com".into(),
+            2 => "xn--p1ai".into(),
+            3 => "a..b".into(),
+            4 => format!("{l63}.{l63}.{l63}"),
+            _ => "B".repeat(64),
+        }
+    }
+
+    /// One line built from the bits of `pick`; fields are separated by a
+    /// space, a tab or U+00A0 (all whitespace to the tokenizer).
+    fn resolver_line(pick: u64) -> (String, ResolverLine) {
+        let sep = [" ", "\t", "\u{A0}"][(pick >> 4) as usize % 3];
+        let owner = resolver_token(pick >> 8);
+        let target = resolver_token(pick >> 32);
+        let record =
+            |owner: Option<String>, target: Option<String>| ResolverLine::Record { owner, target };
+        match pick % 8 {
+            0 => {
+                let origin = resolver_origin(pick >> 8);
+                (format!("$ORIGIN {origin}."), ResolverLine::Origin(origin))
+            }
+            1 => (format!("{owner}{sep}IN{sep}A{sep}192.0.2.1"), record(Some(owner), None)),
+            2 => (
+                format!("{owner}{sep}IN{sep}CNAME{sep}{target}"),
+                record(Some(owner), Some(target)),
+            ),
+            3 => (
+                format!("{owner}{sep}IN{sep}MX{sep}10{sep}{target}"),
+                record(Some(owner), Some(target)),
+            ),
+            4 => (format!("\tIN{sep}NS{sep}{target}"), record(None, Some(target))),
+            5 => {
+                let owner = ["Foo", "foo"][(pick >> 8) as usize % 2].to_string();
+                (format!("{owner}{sep}IN{sep}A{sep}192.0.2.1"), record(Some(owner), None))
+            }
+            _ => (format!("{owner}{sep}IN{sep}NS{sep}{target}"), record(Some(owner), Some(target))),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `push_line` and `scan_line` resolve every owner and NS/CNAME/MX
+        /// target exactly like a replay through the `format!` + oracle
+        /// resolution: the same names, the same errors with the same
+        /// text, under `$ORIGIN` switches and an empty or dotted fallback
+        /// origin.
+        #[test]
+        fn names_resolve_like_the_oracle_replay(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..48),
+            fallback in 0usize..3,
+        ) {
+            let fallback = ["", "com", "Com."][fallback];
+            let mut replay = Replay { origin: fallback.to_string(), ..Replay::default() };
+            let mut pusher = ZoneStreamParser::new(fallback);
+            let mut scanner = ZoneStreamParser::new(fallback);
+            for (idx, &pick) in picks.iter().enumerate() {
+                let (text, line) = resolver_line(pick);
+                let expected = replay.line(&line).map_err(|message| err(idx + 1, message));
+                let pushed = pusher.push_line(&text).map(|rr| {
+                    rr.map(|rr| {
+                        let target = match rr.data {
+                            RecordData::Ns(t) | RecordData::Cname(t) => Some(t),
+                            RecordData::Mx { exchange, .. } => Some(exchange),
+                            _ => None,
+                        };
+                        (rr.name.as_ascii().to_string(), target.map(|t| t.as_ascii().to_string()))
+                    })
+                });
+                prop_assert_eq!(&pushed, &expected, "push_line on {:?}: {:?}", text, pushed);
+                let scanned = scanner.scan_line(&text).map(|scan| match scan {
+                    ZoneScan::Record { owner, .. } => Some(owner.as_ascii().to_string()),
+                    ZoneScan::Skip => None,
+                });
+                let expected_owner = expected.map(|rr| rr.map(|(owner, _)| owner));
+                prop_assert_eq!(&scanned, &expected_owner, "scan_line on {:?}: {:?}", text, scanned);
+            }
+        }
     }
 }

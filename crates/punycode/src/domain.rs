@@ -25,21 +25,67 @@ impl DomainName {
     ///
     /// Labels are individually converted with [`ace::to_ascii`]; the result
     /// is validated against DNS length limits. A single trailing dot
-    /// (root) is accepted and dropped.
+    /// (root) is accepted and dropped. This is
+    /// [`resolve`](Self::resolve) with no origin.
     pub fn parse(input: &str) -> Result<Self, PunycodeError> {
-        let trimmed = input.strip_suffix('.').unwrap_or(input);
-        if trimmed.is_empty() {
+        Self::resolve(input, None)
+    }
+
+    /// Like [`resolve_into`](Self::resolve_into), into a new name.
+    pub fn resolve(token: &str, origin: Option<&str>) -> Result<Self, PunycodeError> {
+        let capacity = token.len() + origin.map_or(0, |o| o.len() + 1);
+        let mut name = DomainName { ascii: String::with_capacity(capacity.min(MAX_NAME_OCTETS)) };
+        name.resolve_into(token, origin)?;
+        Ok(name)
+    }
+
+    /// Resolves a name into `self`, reusing its buffer: the one validator
+    /// behind [`parse`](Self::parse) and zone-file name resolution.
+    ///
+    /// With no `origin`, `token` is a whole name, as in `parse`. With an
+    /// origin, `token` is in RFC 1035 presentation form: `@` is the
+    /// origin, a token ending in `.` is absolute (that dot is dropped),
+    /// and any other token is relative to the origin (or the whole name
+    /// when the origin is empty). In both cases one trailing dot of the
+    /// resulting name is then dropped, and the labels are checked left to
+    /// right before the total length.
+    ///
+    /// ASCII labels are length-checked and lowercased in place; only
+    /// non-ASCII labels go through [`ace::to_ascii`]. The new name is
+    /// written after the old one, so resolving an ASCII name allocates
+    /// nothing once the buffer has room for both. On error `self` is left
+    /// as it was.
+    pub fn resolve_into(&mut self, token: &str, origin: Option<&str>) -> Result<(), PunycodeError> {
+        // The name is `head`, or `head.tail` for a relative token under
+        // a non-empty origin.
+        let (head, tail) = match origin {
+            None => (token, None),
+            Some(origin) if token == "@" => (origin, None),
+            Some(origin) if !origin.is_empty() && !token.ends_with('.') => (token, Some(origin)),
+            Some(_) => (token.strip_suffix('.').unwrap_or(token), None),
+        };
+        // Then, as for a whole name, one trailing dot (the root) goes.
+        let (head, tail) = match tail {
+            Some(tail) => (head, Some(tail.strip_suffix('.').unwrap_or(tail))),
+            None => (head.strip_suffix('.').unwrap_or(head), None),
+        };
+        if head.is_empty() && tail.is_none() {
             return Err(PunycodeError::EmptyLabel);
         }
-        let mut labels = Vec::new();
-        for raw in trimmed.split('.') {
-            labels.push(ace::to_ascii(raw)?);
+        // Write after the current name, so an error can truncate back to
+        // it; on success the old name is shifted out.
+        let start = self.ascii.len();
+        let labels = head.split('.').chain(tail.into_iter().flat_map(|t| t.split('.')));
+        match push_labels(&mut self.ascii, start, labels) {
+            Ok(()) => {
+                self.ascii.replace_range(..start, "");
+                Ok(())
+            }
+            Err(e) => {
+                self.ascii.truncate(start);
+                Err(e)
+            }
         }
-        let ascii = labels.join(".");
-        if ascii.len() > MAX_NAME_OCTETS {
-            return Err(PunycodeError::NameTooLong(ascii.len()));
-        }
-        Ok(DomainName { ascii })
     }
 
     /// The full name in ACE form (`xn--…` labels, lowercase).
@@ -107,6 +153,50 @@ impl DomainName {
         }
         Some(out.join("."))
     }
+}
+
+/// Appends `labels` in ACE form, dot-separated, to `out[start..]`.
+///
+/// Stops writing once the name is over [`MAX_NAME_OCTETS`] but keeps
+/// checking labels, so an earlier label error still wins over
+/// [`PunycodeError::NameTooLong`] and the error carries the full length.
+fn push_labels<'a>(
+    out: &mut String,
+    start: usize,
+    labels: impl Iterator<Item = &'a str>,
+) -> Result<(), PunycodeError> {
+    let mut len = 0;
+    for label in labels {
+        let encoded;
+        let ace = if label.is_ascii() {
+            if label.is_empty() {
+                return Err(PunycodeError::EmptyLabel);
+            }
+            if label.len() > ace::MAX_LABEL_OCTETS {
+                return Err(PunycodeError::LabelTooLong(label.len()));
+            }
+            label
+        } else {
+            encoded = ace::to_ascii(label)?;
+            &encoded
+        };
+        if len > 0 {
+            len += 1;
+        }
+        len += ace.len();
+        if len <= MAX_NAME_OCTETS {
+            if out.len() > start {
+                out.push('.');
+            }
+            let at = out.len();
+            out.push_str(ace);
+            out[at..].make_ascii_lowercase();
+        }
+    }
+    if len > MAX_NAME_OCTETS {
+        return Err(PunycodeError::NameTooLong(len));
+    }
+    Ok(())
 }
 
 impl FromStr for DomainName {
@@ -188,6 +278,173 @@ mod tests {
         let d = DomainName::parse("xn--a.com");
         if let Ok(d) = d {
             let _ = d.unicode_without_tld();
+        }
+    }
+
+    /// `DomainName::parse` as it was written before the resolver: one
+    /// `to_ascii` `String` per label, then a `join`. Kept as the oracle
+    /// the resolver must agree with.
+    fn oracle_parse(input: &str) -> Result<String, PunycodeError> {
+        let trimmed = input.strip_suffix('.').unwrap_or(input);
+        if trimmed.is_empty() {
+            return Err(PunycodeError::EmptyLabel);
+        }
+        let mut labels = Vec::new();
+        for raw in trimmed.split('.') {
+            labels.push(ace::to_ascii(raw)?);
+        }
+        let ascii = labels.join(".");
+        if ascii.len() > MAX_NAME_OCTETS {
+            return Err(PunycodeError::NameTooLong(ascii.len()));
+        }
+        Ok(ascii)
+    }
+
+    /// Master-file resolution as it was written before the resolver: the
+    /// full name built with `format!`, then the oracle parse.
+    fn oracle_resolve(token: &str, origin: &str) -> Result<String, PunycodeError> {
+        let full = if token == "@" {
+            origin.to_string()
+        } else if let Some(absolute) = token.strip_suffix('.') {
+            absolute.to_string()
+        } else if origin.is_empty() {
+            token.to_string()
+        } else {
+            format!("{token}.{origin}")
+        };
+        oracle_parse(&full)
+    }
+
+    /// Resolves `token` into the reused `name` and checks the outcome
+    /// against `expected`: the same name, or the same error with `name`
+    /// unchanged.
+    fn check_into(
+        name: &mut DomainName,
+        token: &str,
+        origin: Option<&str>,
+        expected: Result<String, PunycodeError>,
+    ) -> Result<(), String> {
+        let before = name.clone();
+        let got = name.resolve_into(token, origin).map(|()| name.as_ascii().to_string());
+        if got != expected {
+            return Err(format!("{token:?} under {origin:?}: got {got:?}, want {expected:?}"));
+        }
+        if got.is_err() && *name != before {
+            return Err(format!("{token:?} under {origin:?} clobbered {before} with {name}"));
+        }
+        Ok(())
+    }
+
+    const ORIGINS: [&str; 7] = ["", "com", "Com", "com.", ".", "a\u{A0}b", "xn--p1ai"];
+
+    /// A name of `lens.len()` labels of the given lengths, cased by the
+    /// bits of `case`.
+    fn sized_name(lens: &[usize], case: u64) -> String {
+        let labels: Vec<String> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| if case >> (i % 64) & 1 == 1 { "A" } else { "b" }.repeat(n))
+            .collect();
+        labels.join(".")
+    }
+
+    #[test]
+    fn resolver_keeps_parse_edge_cases() {
+        let key = DomainName::resolve("\u{212A}ey", Some("com")).unwrap();
+        assert_eq!(key.as_ascii(), "key.com");
+        assert_eq!(DomainName::parse("a\u{A0}b").unwrap().as_ascii(), "xn--ab-1ca");
+        assert_eq!(DomainName::resolve("foo..", Some("com")).unwrap().as_ascii(), "foo");
+        assert_eq!(DomainName::parse("foo.."), Err(PunycodeError::EmptyLabel));
+        assert_eq!(DomainName::resolve("@.", Some("com")).unwrap().as_ascii(), "@");
+        assert_eq!(DomainName::resolve("@", Some("")), Err(PunycodeError::EmptyLabel));
+        assert_eq!(DomainName::resolve("@", Some("Com.")).unwrap().as_ascii(), "com");
+        assert_eq!(DomainName::resolve("Foo", Some("Com")).unwrap().as_ascii(), "foo.com");
+
+        let label63 = "a".repeat(63);
+        assert!(DomainName::parse(&label63).is_ok());
+        let label64 = "a".repeat(64);
+        assert_eq!(DomainName::parse(&label64), Err(PunycodeError::LabelTooLong(64)));
+        // Three 63-octet labels, a 61-octet one and three dots make 253
+        // octets; one more is 254.
+        let name253 = sized_name(&[63, 63, 63, 61], 0b1010);
+        assert_eq!(name253.len(), 253);
+        assert_eq!(DomainName::parse(&name253).unwrap().as_ascii(), name253.to_lowercase());
+        let name254 = sized_name(&[63, 63, 63, 62], 0);
+        assert_eq!(DomainName::parse(&name254), Err(PunycodeError::NameTooLong(254)));
+        // Token labels are checked before origin labels, and a bad label
+        // anywhere wins over the total length.
+        let long = format!("{name254}.{label64}");
+        assert_eq!(DomainName::parse(&long), Err(PunycodeError::LabelTooLong(64)));
+        let resolve = |token: &str, origin: &str| DomainName::resolve(token, Some(origin));
+        assert_eq!(resolve(&label64, "a..b"), Err(PunycodeError::LabelTooLong(64)));
+        assert_eq!(resolve("a..b", &label64), Err(PunycodeError::EmptyLabel));
+    }
+
+    #[test]
+    fn resolve_into_reuses_its_buffer_and_survives_errors() {
+        let mut name = DomainName::parse("seed.com").unwrap();
+        for (token, origin) in [
+            ("Alpha", "com"),
+            ("..bad..", "com"),
+            ("beta.Net.", "com"),
+            ("@", ""),
+            ("\u{212A}ey", "org"),
+            ("@", "Com."),
+        ] {
+            check_into(&mut name, token, Some(origin), oracle_resolve(token, origin)).unwrap();
+        }
+        assert_eq!(name.as_ascii(), "com");
+        let capacity = name.ascii.capacity();
+        name.resolve_into("short", Some("com")).unwrap();
+        assert_eq!(name.ascii.capacity(), capacity, "an ASCII resolve reallocated");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The resolver makes the oracle's decision on arbitrary strings
+        /// and on a dot-heavy, mixed-case alphabet with `@`, U+212A and
+        /// U+00A0: the same name or the same error, whole or under an
+        /// origin, and an error leaves the reused target as it was.
+        #[test]
+        fn resolver_matches_the_oracle(
+            any_text in "\\PC{0,80}",
+            dotted in "[aB.\u{212A}\u{A0}@-]{0,80}",
+            pick in proptest::prelude::any::<u64>(),
+        ) {
+            let mut name = DomainName::parse("prev.example").unwrap();
+            for token in [any_text.as_str(), dotted.as_str()] {
+                let origin = ORIGINS[pick as usize % ORIGINS.len()];
+                let result = check_into(&mut name, token, None, oracle_parse(token))
+                    .and_then(|()| {
+                        check_into(&mut name, token, Some(origin), oracle_resolve(token, origin))
+                    })
+                    .and_then(|()| {
+                        check_into(&mut name, origin, Some(token), oracle_resolve(origin, token))
+                    });
+                proptest::prop_assert!(result.is_ok(), "{}", result.unwrap_err());
+            }
+        }
+
+        /// Names around the 63-octet label and 253-octet name limits.
+        #[test]
+        fn resolver_matches_the_oracle_at_the_limits(
+            lens in proptest::collection::vec(56usize..66, 1..7),
+            case in proptest::prelude::any::<u64>(),
+            absolute in 0u8..2,
+        ) {
+            let mut name = DomainName::parse("prev.example").unwrap();
+            let mut text = sized_name(&lens, case);
+            if absolute == 1 {
+                text.push('.');
+            }
+            let (token, origin) = text.split_at(text.find('.').unwrap_or(text.len()));
+            let origin = origin.strip_prefix('.').unwrap_or(origin);
+            let result = check_into(&mut name, &text, None, oracle_parse(&text))
+                .and_then(|()| {
+                    check_into(&mut name, token, Some(origin), oracle_resolve(token, origin))
+                });
+            proptest::prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }
 }
