@@ -3,13 +3,14 @@
 //! The paper reports 79.2 s to render, 10.9 h for the pairwise Δ sweep and
 //! 18 s for sparse elimination on its 52K-glyph repertoire (15 cores,
 //! brute force). This bench measures the same three steps on block-scoped
-//! repertoires; `repro table5` reports the full-repertoire wall times.
+//! repertoires, plus Step II over the full ~50K-glyph repertoire, the
+//! partition every start-up pays; `repro table5` reports the
+//! full-repertoire wall times of all three steps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sham_bench::glyphs_for;
-use sham_glyph::{GlyphSource, SynthUnifont};
-use sham_simchar::{build, find_pairs, BuildConfig, Repertoire, Strategy};
-use sham_unicode::CodePoint;
+use sham_glyph::SynthUnifont;
+use sham_simchar::{build, find_pairs, render_repertoire, BuildConfig, Repertoire, Strategy};
 
 fn bench_steps(c: &mut Criterion) {
     let font = SynthUnifont::v12();
@@ -18,18 +19,9 @@ fn bench_steps(c: &mut Criterion) {
 
     // Step I: rendering.
     let blocks = vec!["Basic Latin", "Latin-1 Supplement", "Cyrillic", "Greek and Coptic"];
-    let cps: Vec<u32> = sham_simchar::builder::repertoire_code_points(
-        &font,
-        &Repertoire::Blocks(blocks.clone()),
-    );
+    let repertoire = Repertoire::Blocks(blocks.clone());
     group.bench_function("step1_render_latin_cyrillic", |b| {
-        b.iter(|| {
-            let rendered: Vec<_> = cps
-                .iter()
-                .filter_map(|&v| font.glyph(CodePoint(v)))
-                .collect();
-            std::hint::black_box(rendered.len())
-        })
+        b.iter(|| std::hint::black_box(render_repertoire(&font, &repertoire).len()))
     });
 
     // Step II: pairwise Δ (banded index) on a medium corpus.
@@ -38,6 +30,13 @@ fn bench_steps(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(find_pairs(&glyphs, 4, Strategy::BandedIndex).len())
         })
+    });
+
+    // Step II over the full repertoire at the default θ: the real
+    // row-class partition, blank-margin glyphs and Hangul included.
+    let full = render_repertoire(&font, &Repertoire::Full);
+    group.bench_function("step2_pairwise_full", |b| {
+        b.iter(|| std::hint::black_box(find_pairs(&full, 4, Strategy::BandedIndex).len()))
     });
 
     // Step III: sparse elimination.

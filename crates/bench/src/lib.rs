@@ -5,18 +5,13 @@
 //! numbers live in `repro`, which times the real runs — see
 //! EXPERIMENTS.md).
 
-use sham_glyph::{Bitmap, GlyphSource, SynthUnifont};
-use sham_simchar::{builder::repertoire_code_points, Repertoire};
-use sham_unicode::CodePoint;
+use sham_glyph::{Bitmap, SynthUnifont};
+use sham_simchar::{render_repertoire, Repertoire};
 use std::time::Instant;
 
 /// Renders the PVALID glyphs of the given blocks.
 pub fn glyphs_for(blocks: Vec<&'static str>) -> Vec<(u32, Bitmap)> {
-    let font = SynthUnifont::v12();
-    repertoire_code_points(&font, &Repertoire::Blocks(blocks))
-        .into_iter()
-        .filter_map(|v| font.glyph(CodePoint(v)).map(|g| (v, g)))
-        .collect()
+    render_repertoire(&SynthUnifont::v12(), &Repertoire::Blocks(blocks))
 }
 
 /// A medium corpus: Latin + Cyrillic + Greek + Armenian (~700 glyphs).

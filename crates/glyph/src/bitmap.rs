@@ -4,6 +4,12 @@
 //! (§3.3 Step I) and compares images by counting differing pixels. A
 //! bitmap is stored as one `u32` per row, so the Δ metric is 32 XORs and
 //! popcounts.
+//!
+//! Step II's banded pair index needs a candidate key with no false
+//! negatives: [`Bitmap::row_class_signatures`] hashes θ + 1 interleaved
+//! row classes (every (θ + 1)-th row), and two glyphs with Δ ≤ θ share
+//! at least one of them exactly. At most 32 classes exist, one per row,
+//! so the key supports θ ≤ 31.
 
 use serde::{Deserialize, Serialize};
 
@@ -145,33 +151,32 @@ impl Bitmap {
         out
     }
 
-    /// Splits the bitmap into `n` horizontal bands and hashes each band's
-    /// exact content. If `delta(a, b) <= n - 1`, the pigeonhole principle
-    /// guarantees at least one band with zero differing pixels, i.e. one
-    /// equal hash — the exact-candidate property the banded pair index in
-    /// `sham-simchar` relies on.
-    pub fn band_signatures(&self, n: usize) -> Vec<u64> {
-        assert!((1..=SIZE).contains(&n));
-        let mut out = Vec::with_capacity(n);
-        let base = SIZE / n;
-        let extra = SIZE % n;
-        let mut row = 0usize;
-        for band in 0..n {
-            let height = base + usize::from(band < extra);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-            for _ in 0..height {
-                h ^= self.rows[row] as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                // Mix the row index so an empty band in a different
-                // position hashes differently.
-                h ^= row as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                row += 1;
+    /// Splits the rows into `out.len()` interleaved *row classes* — class
+    /// `k` holds the rows `r` with `r mod n = k` — and writes a hash of
+    /// each class's exact content to `out[k]`. The classes partition the
+    /// 1,024 pixels, so if `delta(a, b) <= n - 1` the pigeonhole
+    /// principle leaves at least one class with no differing pixel, i.e.
+    /// one equal signature — the exact-candidate property the banded pair
+    /// index in `sham-simchar` relies on. Every class samples the whole
+    /// glyph height, so unlike a contiguous band over a blank margin it
+    /// is almost never blank, and glyphs rarely share a signature by
+    /// accident.
+    ///
+    /// # Panics
+    /// Panics unless `out` has between 1 and 32 entries.
+    pub fn row_class_signatures(&self, out: &mut [u64]) {
+        let n = out.len();
+        assert!(
+            (1..=SIZE).contains(&n),
+            "row classes need 1..=32 parts, got {n}"
+        );
+        for (k, sig) in out.iter_mut().enumerate() {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &row in self.rows[k..].iter().step_by(n) {
+                h = (h.rotate_left(29) ^ u64::from(row)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             }
-            out.push(h);
+            *sig = h;
         }
-        debug_assert_eq!(row, SIZE);
-        out
     }
 
     /// Renders the bitmap as ASCII art, `#` for ink (Figures 5–7 output).
@@ -324,9 +329,15 @@ mod tests {
         assert!(!up.get(6, 0));
     }
 
+    fn signatures(b: &Bitmap, parts: usize) -> Vec<u64> {
+        let mut out = vec![0; parts];
+        b.row_class_signatures(&mut out);
+        out
+    }
+
     #[test]
-    fn band_signature_pigeonhole_property() {
-        // If delta <= bands-1, at least one band hash must match.
+    fn row_class_signature_pigeonhole_property() {
+        // If delta <= parts-1, at least one row-class signature must match.
         let mut a = Bitmap::empty();
         for i in 0..40 {
             a.set((i * 3) % 32, (i * 11) % 32, true);
@@ -337,21 +348,30 @@ mod tests {
             b.toggle(i, i * 5 + 1);
         }
         assert!(a.delta(&b) <= 4);
-        let sa = a.band_signatures(5);
-        let sb = b.band_signatures(5);
+        let sa = signatures(&a, 5);
+        let sb = signatures(&b, 5);
         assert!(sa.iter().zip(&sb).any(|(x, y)| x == y));
     }
 
     #[test]
-    fn band_signatures_distinguish_band_position() {
-        let mut a = Bitmap::empty();
-        a.set(0, 0, true);
-        let mut b = Bitmap::empty();
-        b.set(0, 31, true);
-        let sa = a.band_signatures(5);
-        let sb = b.band_signatures(5);
-        assert_ne!(sa[0], sb[0]);
-        assert_ne!(sa[4], sb[4]);
+    fn row_classes_interleave_over_the_whole_height() {
+        // Ink in row r changes exactly class r mod 5, wherever r sits: a
+        // class is every fifth row, not one contiguous band.
+        let blank = signatures(&Bitmap::empty(), 5);
+        for r in [0usize, 4, 5, 17, 27, 31] {
+            let mut b = Bitmap::empty();
+            b.set(3, r, true);
+            let s = signatures(&b, 5);
+            for k in 0..5 {
+                assert_eq!(s[k] == blank[k], k != r % 5, "row {r}, class {k}");
+            }
+        }
+        // Rows 0 and 5 share class 0 but are different rows of it.
+        let mut top = Bitmap::empty();
+        top.set(3, 0, true);
+        let mut lower = Bitmap::empty();
+        lower.set(3, 5, true);
+        assert_ne!(signatures(&top, 5)[0], signatures(&lower, 5)[0]);
     }
 
     #[test]

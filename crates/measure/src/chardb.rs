@@ -24,7 +24,7 @@ pub struct CharDbContext {
 
 impl CharDbContext {
     /// Builds the full context (the expensive part is the SimChar build,
-    /// ~1 s in release mode).
+    /// under 0.1 s in release mode).
     pub fn create() -> Self {
         let font = SynthUnifont::v12();
         let uc = UcDatabase::embedded();

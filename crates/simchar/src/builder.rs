@@ -2,7 +2,7 @@
 //!
 //! * **Step I** — render every character in the build repertoire (the
 //!   IDNA2008 PVALID set intersected with the font's coverage) as a 32×32
-//!   bitmap.
+//!   bitmap, in one parallel pass: [`render_repertoire`].
 //! * **Step II** — find all pairs with pixel difference Δ ≤ θ (default
 //!   θ = 4, validated by the paper's Experiment 1).
 //! * **Step III** — eliminate *sparse* characters: glyphs with fewer than
@@ -15,7 +15,7 @@ use crate::db::SimCharDb;
 use crate::pairs::{find_pairs, Pair, Strategy};
 use rayon::prelude::*;
 use sham_glyph::{Bitmap, GlyphSource};
-use sham_unicode::{block_by_name, is_pvalid, repertoire, CodePoint};
+use sham_unicode::{block_by_name, blocks::BLOCKS, is_pvalid, CodePoint};
 use std::time::{Duration, Instant};
 
 /// Default SimChar threshold θ (paper §3.3, validated in §4.1).
@@ -38,7 +38,10 @@ pub enum Repertoire {
 /// Build configuration.
 #[derive(Debug, Clone)]
 pub struct BuildConfig {
-    /// Pixel-difference threshold θ.
+    /// Pixel-difference threshold θ. The default
+    /// [`Strategy::BandedIndex`] splits each 32-row glyph into θ + 1 row
+    /// classes, so it needs θ + 1 ≤ 32, i.e. θ ≤ [`crate::MAX_THETA`];
+    /// it panics, naming θ, on a larger one.
     pub theta: u32,
     /// Minimum ink for a glyph to be kept in Step III.
     pub sparse_min_pixels: u32,
@@ -85,50 +88,54 @@ pub struct BuildResult {
     pub sparse_chars: Vec<u32>,
 }
 
-/// Collects the repertoire code points for a config.
-pub fn repertoire_code_points(font: &impl GlyphSource, rep: &Repertoire) -> Vec<u32> {
-    match rep {
-        Repertoire::Full => repertoire::pvalid_code_points()
-            .filter(|&cp| font.covers(cp))
-            .map(|cp| cp.0)
-            .collect(),
-        Repertoire::Blocks(names) => {
-            let mut out = Vec::new();
-            for name in names {
+/// Step I's work list: the repertoire as inclusive code-point ranges of
+/// at most `SEGMENT` points, in repertoire order, so the pool can share
+/// out big blocks such as Hangul Syllables.
+fn segments(rep: &Repertoire) -> Vec<(u32, u32)> {
+    const SEGMENT: u32 = 256;
+    let blocks: Vec<(u32, u32)> = match rep {
+        Repertoire::Full => BLOCKS.iter().map(|b| (b.start, b.end)).collect(),
+        Repertoire::Blocks(names) => names
+            .iter()
+            .map(|name| {
                 let block = block_by_name(name)
                     .unwrap_or_else(|| panic!("unknown block {name:?} in repertoire"));
-                for v in block.start..=block.end {
-                    if let Some(cp) = CodePoint::new(v) {
-                        if is_pvalid(cp) && font.covers(cp) {
-                            out.push(v);
-                        }
-                    }
-                }
-            }
-            out
-        }
-        Repertoire::CodePoints(list) => list
-            .iter()
-            .copied()
-            .filter(|&v| {
-                CodePoint::new(v).is_some_and(|cp| is_pvalid(cp) && font.covers(cp))
+                (block.start, block.end)
             })
             .collect(),
-    }
+        Repertoire::CodePoints(list) => return list.iter().map(|&v| (v, v)).collect(),
+    };
+    blocks
+        .into_iter()
+        .flat_map(|(start, end)| {
+            (start..=end)
+                .step_by(SEGMENT as usize)
+                .map(move |lo| (lo, end.min(lo + (SEGMENT - 1))))
+        })
+        .collect()
+}
+
+/// Step I: renders every PVALID code point of `rep` that `font` has a
+/// glyph for, in repertoire order, in one pass on the pool. A code point
+/// the font does not cover has no glyph, so no separate coverage pass
+/// runs first.
+pub fn render_repertoire(font: &(impl GlyphSource + Sync), rep: &Repertoire) -> Vec<(u32, Bitmap)> {
+    segments(rep)
+        .par_iter()
+        .flat_map_iter(|&(lo, hi)| {
+            (lo..=hi).filter_map(|v| {
+                let cp = CodePoint::new(v).filter(|&cp| is_pvalid(cp))?;
+                font.glyph(cp).map(|g| (v, g))
+            })
+        })
+        .collect()
 }
 
 /// Runs the full three-step construction.
 pub fn build(font: &(impl GlyphSource + Sync), config: &BuildConfig) -> BuildResult {
     // Step I: render.
     let t0 = Instant::now();
-    let code_points = repertoire_code_points(font, &config.repertoire);
-    // Rendering one glyph is cheap; keep chunks coarse so the pool's
-    // bookkeeping stays negligible next to the raster work.
-    let glyphs: Vec<(u32, Bitmap)> = code_points
-        .par_iter()
-        .with_min_len(64)
-        .filter_map(|&v| font.glyph(CodePoint(v)).map(|g| (v, g)))
-        .collect();
+    let glyphs = render_repertoire(font, &config.repertoire);
     let render = t0.elapsed();
 
     // Step II: pairwise Δ.
@@ -178,22 +185,20 @@ pub fn update_build(
     config: &BuildConfig,
 ) -> BuildResult {
     let t0 = Instant::now();
-    let old_cps: std::collections::HashSet<u32> =
-        repertoire_code_points(font, previous_repertoire).into_iter().collect();
-    let union_cps = repertoire_code_points(font, &config.repertoire);
-    let added: Vec<u32> =
-        union_cps.iter().copied().filter(|v| !old_cps.contains(v)).collect();
-
-    // Render the union (cheap) and mark which glyphs are new.
-    let glyphs: Vec<(u32, Bitmap)> = union_cps
-        .par_iter()
-        .with_min_len(64)
-        .filter_map(|&v| font.glyph(CodePoint(v)).map(|g| (v, g)))
+    // Render both repertoires (cheap) and mark which glyphs are new.
+    let old_cps: std::collections::HashSet<u32> = render_repertoire(font, previous_repertoire)
+        .into_iter()
+        .map(|(v, _)| v)
         .collect();
+    let glyphs = render_repertoire(font, &config.repertoire);
     let render = t0.elapsed();
 
     let t1 = Instant::now();
-    let added_set: std::collections::HashSet<u32> = added.iter().copied().collect();
+    let added_set: std::collections::HashSet<u32> = glyphs
+        .iter()
+        .map(|&(v, _)| v)
+        .filter(|v| !old_cps.contains(v))
+        .collect();
     let new_glyphs: Vec<(u32, Bitmap)> = glyphs
         .iter()
         .filter(|(v, _)| added_set.contains(v))
@@ -210,8 +215,7 @@ pub fn update_build(
                     // Skip self and de-duplicate new×new (kept once).
                     return None;
                 }
-                let d = g_n.delta(g_o);
-                (d <= config.theta).then(|| {
+                g_n.delta_capped(g_o, config.theta).map(|d| {
                     let (a, b) = if cp_n < cp_o { (cp_n, cp_o) } else { (cp_o, cp_n) };
                     Pair { a, b, delta: d as u8 }
                 })
@@ -264,14 +268,10 @@ pub fn neighbours_at(
     let Some(target_glyph) = font.glyph(CodePoint::from(target)) else {
         return Vec::new();
     };
-    let mut out: Vec<u32> = repertoire_code_points(font, rep)
-        .par_iter()
-        .filter(|&&v| v != target as u32)
-        .filter(|&&v| {
-            font.glyph(CodePoint(v))
-                .is_some_and(|g| g.delta(&target_glyph) == delta)
-        })
-        .copied()
+    let mut out: Vec<u32> = render_repertoire(font, rep)
+        .into_iter()
+        .filter(|&(v, ref g)| v != target as u32 && g.delta(&target_glyph) == delta)
+        .map(|(v, _)| v)
         .collect();
     out.sort_unstable();
     out
@@ -315,7 +315,10 @@ mod tests {
     #[test]
     fn uppercase_is_not_in_repertoire() {
         let font = SynthUnifont::v12();
-        let cps = repertoire_code_points(&font, &Repertoire::Blocks(vec!["Basic Latin"]));
+        let cps: Vec<u32> = render_repertoire(&font, &Repertoire::Blocks(vec!["Basic Latin"]))
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect();
         assert!(cps.contains(&('a' as u32)));
         assert!(cps.contains(&('0' as u32)));
         assert!(!cps.contains(&('A' as u32)));

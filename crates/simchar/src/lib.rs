@@ -37,10 +37,10 @@ pub mod homodb;
 pub mod pairs;
 
 pub use builder::{
-    build, neighbours_at, update_build, BuildConfig, BuildResult, BuildTimings, Repertoire,
-    DEFAULT_THETA, SPARSE_MIN_PIXELS,
+    build, neighbours_at, render_repertoire, update_build, BuildConfig, BuildResult,
+    BuildTimings, Repertoire, DEFAULT_THETA, SPARSE_MIN_PIXELS,
 };
 pub use db::SimCharDb;
 pub use flat::{CharInterner, FlatPairIndex, SnapshotSection, SnapshotStat, SourceFingerprint};
 pub use homodb::{DbSelection, HomoglyphDb, PairSource};
-pub use pairs::{find_pairs, find_pairs_ssim, Pair, Strategy};
+pub use pairs::{find_pairs, find_pairs_ssim, Pair, Strategy, MAX_THETA};

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Expected output (abridged; the full run takes ~1 s in release mode):
+//! Expected output (abridged; the full run takes under 0.1 s in release
+//! mode on 2 vCPUs):
 //!
 //! ```text
 //! building SimChar …
@@ -23,8 +24,8 @@
 use shamfinder::prelude::*;
 
 fn main() {
-    // 1. Build SimChar over the full IDNA ∩ font repertoire (≈1 s in
-    //    release mode) and pair it with the consortium's UC list.
+    // 1. Build SimChar over the full IDNA ∩ font repertoire (well under
+    //    0.1 s in release mode) and pair it with the consortium's UC list.
     println!("building SimChar …");
     let font = SynthUnifont::v12();
     let result = build(&font, &BuildConfig::default());

@@ -28,7 +28,7 @@
 
 use shamfinder::core::{DetectionIndex, IdnTable};
 use shamfinder::prelude::*;
-use shamfinder::simchar::DEFAULT_THETA;
+use shamfinder::simchar::{DEFAULT_THETA, MAX_THETA};
 use shamfinder::unicode::block_of;
 use std::process::ExitCode;
 
@@ -72,13 +72,32 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
         .transpose()
 }
 
-/// [`parse_flag`] for the commands: a malformed value ends the process
-/// with status 2, naming the flag.
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    parse_flag(args, flag).unwrap_or_else(|e| {
+/// A parsed flag for the commands: an error (one naming the flag) ends
+/// the process with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     })
+}
+
+/// [`parse_flag`] for the commands: a malformed value ends the process
+/// with status 2, naming the flag.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    or_exit(parse_flag(args, flag))
+}
+
+/// `--theta`, or [`DEFAULT_THETA`] when absent. A value the pairwise
+/// index cannot take (above [`MAX_THETA`]) is an error naming the flag,
+/// like a malformed one.
+fn parse_theta(args: &[String]) -> Result<u32, String> {
+    match parse_flag(args, "--theta")? {
+        None => Ok(DEFAULT_THETA),
+        Some(theta) if theta <= MAX_THETA => Ok(theta),
+        Some(theta) => Err(format!(
+            "invalid value \"{theta}\" for --theta (θ must be at most {MAX_THETA})"
+        )),
+    }
 }
 
 /// The positional arguments: everything that is neither one of
@@ -143,7 +162,7 @@ fn refs_file(args: &[String]) -> Vec<String> {
 }
 
 fn cmd_build_db(args: &[String]) -> ExitCode {
-    let theta = numeric_flag(args, "--theta").unwrap_or(DEFAULT_THETA);
+    let theta = or_exit(parse_theta(args));
     let db = build_db(theta);
     let sim = db.simchar();
     println!("theta: {}", sim.theta());
@@ -186,7 +205,7 @@ fn cmd_index(args: &[String]) -> ExitCode {
     // The library default, not a literal: a retuned DEFAULT_THETA must
     // keep `index build`/`load` fingerprint-compatible with library
     // builds.
-    let theta = numeric_flag(args, "--theta").unwrap_or(DEFAULT_THETA);
+    let theta = or_exit(parse_theta(args));
     match (action.as_str(), args.get(1)) {
         ("build", _) => {
             let [path] = &positionals(&args[1..], &["--theta", "--refs-file"])[..] else {
@@ -856,7 +875,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flag;
+    use super::{parse_flag, parse_theta, DEFAULT_THETA};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -878,5 +897,17 @@ mod tests {
         // Negative and out-of-range values are malformed too.
         assert!(parse_flag::<u32>(&args(&["--faults", "-1"]), "--faults").is_err());
         assert!(parse_flag::<u64>(&args(&["--mb", "99999999999999999999"]), "--mb").is_err());
+    }
+
+    #[test]
+    fn theta_above_the_row_class_limit_is_refused_by_name() {
+        assert_eq!(parse_theta(&args(&["build-db"])), Ok(DEFAULT_THETA));
+        assert_eq!(parse_theta(&args(&["--theta", "0"])), Ok(0));
+        assert_eq!(parse_theta(&args(&["--theta", "31"])), Ok(31));
+        for bad in ["32", "40", "4294967295"] {
+            let err = parse_theta(&args(&["--theta", bad])).unwrap_err();
+            assert!(err.contains("--theta") && err.contains(bad), "{err}");
+        }
+        assert!(parse_theta(&args(&["--theta", "four"])).is_err());
     }
 }

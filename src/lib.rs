@@ -39,7 +39,7 @@
 //! use shamfinder::prelude::*;
 //!
 //! // Build a homoglyph database over a couple of blocks (the full
-//! // repertoire takes ~1 s in release mode; see examples/quickstart.rs).
+//! // repertoire takes under 0.1 s in release mode; see examples/quickstart.rs).
 //! let font = SynthUnifont::v12();
 //! let simchar = build(&font, &BuildConfig {
 //!     repertoire: Repertoire::Blocks(vec!["Basic Latin", "Cyrillic", "Armenian"]),

@@ -163,3 +163,32 @@ fn theta_sweep_is_monotone() {
     }
     assert!(last > 0);
 }
+
+#[test]
+fn full_build_is_pinned_at_one_and_two_threads() {
+    // The θ = 4 full-repertoire build, counted and fingerprinted on both
+    // executor paths. Step I's repertoire walk and Step II's candidate
+    // index are accelerations of an exact definition, so a change to
+    // either must not gain or lose a glyph, a pair or a sparse character.
+    use shamfinder::simchar::{build, BuildConfig, SourceFingerprint};
+    let font = SynthUnifont::v12();
+    let uc = UcDatabase::embedded();
+    for threads in [1usize, 2] {
+        let _forced = rayon::ThreadOverride::new(threads);
+        let result = build(&font, &BuildConfig::default());
+        let counts = (
+            result.rendered,
+            result.raw_pairs,
+            result.db.pair_count(),
+            result.db.char_count(),
+            result.sparse_chars.len(),
+        );
+        assert_eq!(
+            counts,
+            (50_617, 21_581, 10_955, 10_416, 1_053),
+            "{threads} threads"
+        );
+        let fingerprint = SourceFingerprint::of(&result.db, &uc);
+        assert_eq!(fingerprint.font, 0x4315_3d9e_5095_e590, "{threads} threads");
+    }
+}

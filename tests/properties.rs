@@ -84,14 +84,23 @@ proptest! {
         prop_assert_eq!(a.delta(&p), n);
     }
 
-    /// The banded-signature pigeonhole: Δ ≤ k ⇒ some band of k+1 matches.
+    /// The row-class pigeonhole: toggling at most `parts - 1` pixels
+    /// anywhere (Δ ≤ parts − 1) leaves some row-class signature equal,
+    /// for every part count the 32 rows allow.
     #[test]
-    fn band_signatures_never_miss(a in arb_bitmap(), seed in any::<u64>(), n in 0u32..5) {
-        let b = if n == 0 { a } else { perturb(a, seed, n) };
-        let bands = 5;
-        prop_assert!(a.delta(&b) <= 4);
-        let sa = a.band_signatures(bands);
-        let sb = b.band_signatures(bands);
+    fn row_class_signatures_never_miss(
+        a in arb_bitmap(),
+        parts in 1usize..=32,
+        pixels in proptest::collection::vec(0usize..1024, 31..32),
+    ) {
+        let mut b = a;
+        for &p in pixels.iter().take(parts - 1) {
+            b.toggle(p % 32, p / 32);
+        }
+        prop_assert!((a.delta(&b) as usize) < parts);
+        let (mut sa, mut sb) = (vec![0; parts], vec![0; parts]);
+        a.row_class_signatures(&mut sa);
+        b.row_class_signatures(&mut sb);
         prop_assert!(sa.iter().zip(&sb).any(|(x, y)| x == y));
     }
 
