@@ -94,7 +94,7 @@ pub use ingest::{
 };
 pub use router::{RouterReport, SessionRouter, TldReport};
 pub use scan::{ScanConfig, ScanReport, TldScanStats, ZoneScanner};
-pub use sched::ExecStats;
+pub use sched::{ExecStats, StageStats};
 pub use session::{DetectorSession, DEFAULT_COMPACTION_THRESHOLD};
 pub use highlight::{HighlightedSubstitution, Warning};
 pub use policy::{bypasses_policy, display, Display, Policy};

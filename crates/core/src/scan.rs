@@ -7,14 +7,19 @@
 //! and `serve-feed --zone` give the same bytes the same verdicts:
 //!
 //! ```text
-//!  reader thread          calling thread: the line stage
-//!  ┌───────────┐  full   ┌───────────────────────────────────────┐
-//!  │ chunked   │ ──────▶ │ byte-level line split (SWAR newline)  │
-//!  │ File reads│  chunks │   └▶ ZoneStreamParser::scan_line      │
-//!  │ recycled  │ ◀────── │       └▶ dedup (consecutive + window) │
-//!  │ buffers   │  free   │           └▶ blacklist suffix filter  │
-//!  └───────────┘  buffers│               └▶ SessionRouter lanes  │
-//!                        └───────────────────────────────────────┘
+//!  reader thread        line stage
+//!  ┌───────────┐ full   ┌──────────────────────────────────────────────┐
+//!  │ chunked   │ ─────▶ │ cut the chunk's complete lines at line starts│
+//!  │ File reads│ chunks │ (sched::line_shards_for): head + fork shards │
+//!  │ recycled  │ ◀───── │  calling thread: head, line by line ─┐ in    │
+//!  │ buffers   │ free   │  pool: fork shards → owner slots,    │ para- │
+//!  └───────────┘ buffers│    window hash, blacklist verdict ───┘ llel  │
+//!                       │  calling thread, in stream order: per fork,  │
+//!                       │    re-run up to its first named owner, take  │
+//!                       │    its verdicts, adopt its parser            │
+//!                       │ each line: scan_line → dedup (consecutive +  │
+//!                       │   window) → blacklist → SessionRouter lanes  │
+//!                       └──────────────────────────────────────────────┘
 //! ```
 //!
 //! * **Overlapped I/O** — a reader thread fills large recycled buffers
@@ -22,6 +27,34 @@
 //!   parsing/detection and the parser never waits on a warm file
 //!   (double-buffered: while one chunk is being scanned the next is
 //!   being read).
+//! * **Parsing on every core** — the directive and comment lines that
+//!   open a push (a zone file's header) run first. The push's other
+//!   complete lines are cut at line starts by one fixed rule
+//!   ([`sched`](crate::sched)): at one thread, or for a small push such
+//!   as a feed's 4 KiB read, they all run line by line on the calling
+//!   thread. Otherwise the calling thread runs a head of twice a pool
+//!   worker's share the same way, with the stage's own parser, while
+//!   the pool parses the rest in shards (≈ 4 per other worker, none
+//!   below [`MIN_LINE_SHARD_BYTES`](crate::sched::MIN_LINE_SHARD_BYTES)),
+//!   each with a speculative [`fork`](ZoneStreamParser::fork) of that
+//!   parser (the push's `$ORIGIN` and `$TTL`, no owner history), into
+//!   buffers reused push to push; the calling thread helps if its head
+//!   is done first. Workers copy each new owner into a reused slot and
+//!   compute its window hash and blacklist verdict, both pure. The
+//!   calling thread then merges the forked shards in stream order: one
+//!   window probe and one router push per new owner. The head's larger
+//!   share pays for that merge, so a worker at half the calling
+//!   thread's speed still finishes before the head does.
+//! * **Exact seams** — a fork agrees with the true parser from the end
+//!   of the shard's first well-formed record line that names its owner
+//!   (does not start with a blank). The merge re-runs the shard's lines
+//!   up to that one with the true parser, takes the fork's verdicts for
+//!   the rest, and adopts the fork's parser at the global line count. A
+//!   shard with no such line, or one entered under another `$ORIGIN` or
+//!   `$TTL` than its fork assumed, is re-run whole. So every thread
+//!   count and chunk size gives the same owners in the same order, the
+//!   same quarantined `(line, message)` pairs and the same counters;
+//!   [`StageStats`] records what was split and re-run.
 //! * **Allocation-conscious scanning** — lines are split with a
 //!   word-at-a-time newline scan over the chunk bytes and fed to
 //!   [`ZoneStreamParser::scan_line`], which yields *borrowed* owner
@@ -31,6 +64,9 @@
 //!   and decodes it only if it is an IDN, so no owner is cloned on its
 //!   way to detection. A lane detects its decoded IDNs as one batch
 //!   once it has counted [`ScanConfig::batch_capacity`] owners.
+//! * **Bounded lines** — a line longer than [`MAX_LINE_BYTES`] is
+//!   quarantined whole with one fixed message wherever it falls across
+//!   chunks and shards; the stage buffers at most that much of it.
 //! * **Pre-detection dedup** — zone dumps repeat each owner once per
 //!   record (NS runs, glue); the stage drops consecutive repeats for
 //!   free (the parser's owner cache flags them) and catches
@@ -42,19 +78,29 @@
 //!   tests close the books on it.
 
 use crate::router::{RouterReport, SessionRouter};
+use crate::sched::{line_shards_for, StageStats};
+use rayon::prelude::*;
 use sham_dns::zone::{ZoneError, ZoneScan, ZoneStreamParser};
 use sham_punycode::DomainName;
 use sham_web::Blacklist;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Read};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// Recent owners the out-of-order dedup window remembers by default,
 /// in `scan-zone` and `ZoneTextFeed` alike.
 pub const DEFAULT_DEDUP_WINDOW: usize = 8_192;
+
+/// Lines longer than this many bytes (before the `\n`, a trailing `\r`
+/// included) are quarantined whole, unparsed, with one fixed message.
+/// A valid presentation-form record is shorter: its RDATA is at most
+/// 65,535 octets, `\DDD` escapes at most quadruple that, and the owner,
+/// TTL, class and type fields add well under 256 KiB more.
+pub const MAX_LINE_BYTES: usize = 512 << 10;
 
 /// Read chunks in flight between the reader thread and the parser:
 /// at least two, so the pipeline is double-buffered.
@@ -165,6 +211,8 @@ pub struct ScanReport {
     pub quarantine_samples: Vec<String>,
     /// Files scanned.
     pub files: usize,
+    /// How the line stage split and merged its pushes (observational).
+    pub stage: StageStats,
 }
 
 impl ScanReport {
@@ -284,10 +332,15 @@ impl OwnerWindow {
     /// True if `owner` is in the window; otherwise remembers it,
     /// evicting the oldest owner when the window is full.
     fn seen_or_insert(&mut self, owner: &[u8]) -> bool {
+        self.capacity != 0 && self.seen_or_insert_hashed((self.hash)(owner), owner)
+    }
+
+    /// [`seen_or_insert`](Self::seen_or_insert) for an owner whose hash
+    /// is already known, computed with this window's `hash`.
+    fn seen_or_insert_hashed(&mut self, hash: u64, owner: &[u8]) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        let hash = (self.hash)(owner);
         if !self.heads.is_empty() {
             let (mut at, mut newer) = (self.heads[self.bucket(hash)], u64::MAX);
             while at != NO_SLOT && self.slots[at as usize].seq < newer {
@@ -353,97 +406,186 @@ fn find_newline(haystack: &[u8]) -> Option<usize> {
 /// What the [`LineStage`] hands its caller per line that matters.
 pub(crate) enum StageItem<'a> {
     /// A record owner that survived dedup and the blacklists, borrowed
-    /// from the parser.
+    /// from the parser or a shard's owner slot.
     Owner(&'a DomainName),
-    /// A malformed or non-UTF-8 line.
+    /// A malformed, non-UTF-8 or over-long line.
     Quarantined(ZoneError),
 }
 
-/// The zone-text line stage of [`ZoneScanner`] and
-/// [`ZoneTextFeed`](crate::ZoneTextFeed): splits pushed bytes into
-/// lines, runs each through [`ZoneStreamParser::scan_line`], both
-/// dedups and the blacklists, and counts it in [`TldScanStats`].
-pub(crate) struct LineStage {
-    parser: ZoneStreamParser,
-    /// The unterminated tail of the bytes pushed so far.
-    carry: Vec<u8>,
-    window: OwnerWindow,
-    blacklists: Vec<Blacklist>,
-    /// Counters since the last [`restart`](Self::restart).
-    pub(crate) stats: TldScanStats,
+/// Quarantines a line `parser` never reads: the parser still counts it,
+/// so later line numbers stay in step with the stream.
+fn unread(parser: &mut ZoneStreamParser, message: String) -> ZoneError {
+    let _ = parser.scan_line("");
+    ZoneError {
+        line: parser.lines_seen(),
+        message,
+    }
 }
 
-impl LineStage {
-    /// A stage resolving relative names against `origin`, remembering
-    /// `window` recent owners and dropping owners the blacklists list.
-    pub(crate) fn new(origin: &str, window: usize, blacklists: Vec<Blacklist>) -> Self {
-        LineStage {
-            parser: ZoneStreamParser::new(origin),
-            carry: Vec::new(),
-            window: OwnerWindow::new(window, owner_hash),
-            blacklists,
-            stats: TldScanStats::default(),
-        }
-    }
+/// Quarantines a line longer than [`MAX_LINE_BYTES`].
+fn long_line(parser: &mut ZoneStreamParser) -> ZoneError {
+    unread(parser, format!("line longer than {MAX_LINE_BYTES} bytes"))
+}
 
-    /// Starts a new stream under `origin`: a fresh parser, no carried
-    /// bytes, zeroed counters. The dedup window carries over.
-    pub(crate) fn restart(&mut self, origin: &str) {
-        self.parser = ZoneStreamParser::new(origin);
-        self.carry.clear();
+/// One raw line (without its `\n`) through `parser`: a trailing `\r` is
+/// dropped, and an over-long or non-UTF-8 line is an error the parser
+/// never reads.
+fn scan_raw<'p>(parser: &'p mut ZoneStreamParser, raw: &[u8]) -> Result<ZoneScan<'p>, ZoneError> {
+    if raw.len() > MAX_LINE_BYTES {
+        return Err(long_line(parser));
+    }
+    let raw = match raw.split_last() {
+        Some((b'\r', head)) => head,
+        _ => raw,
+    };
+    match std::str::from_utf8(raw) {
+        Ok(text) => parser.scan_line(text),
+        Err(_) => Err(unread(parser, "invalid UTF-8".to_string())),
+    }
+}
+
+/// Cuts `lines` (complete lines) into a head of about `head` bytes and
+/// `forks` near-equal shards after it: each seam is the first line start
+/// at or after its share, and a seam that would leave an empty shard is
+/// dropped.
+fn cut_at_lines(lines: &[u8], (head, forks): (usize, usize), seams: &mut Vec<usize>) {
+    let rest = lines.len() - head.min(lines.len());
+    for k in 0..forks {
+        let share = (head + rest * k / forks).max(seams.last().map_or(1, |&seam| seam + 1));
+        if share >= lines.len() {
+            break;
+        }
+        let seam =
+            share + find_newline(&lines[share - 1..]).expect("complete lines end in a newline");
+        if seam >= lines.len() {
+            break;
+        }
+        seams.push(seam);
+    }
+}
+
+/// What a forked shard's line came to, in stream order.
+enum ShardItem {
+    /// A new owner, waiting in the shard's next owner slot, with its
+    /// window hash and blacklist verdict.
+    Owner { hash: u64, listed: bool },
+    /// A quarantined line, numbered from the fork's first line.
+    Quarantined(ZoneError),
+}
+
+/// Why the locks of a push are never poisoned: a parse that panics
+/// unwinds out of the push, which drops what they guard.
+const UNPOISONED: &str = "a panicking parse unwinds out of the push";
+
+/// A forked shard of a push, parsed on the pool into buffers that are
+/// reused push to push.
+struct Shard {
+    /// The shard's bytes within the push's complete lines.
+    range: Range<usize>,
+    /// A fork of the stage's parser as the push began.
+    parser: ZoneStreamParser,
+    /// Offset within the shard just past the first line that named its
+    /// owner and parsed, from which the fork agrees with the stage's
+    /// parser; `None` until then.
+    synced: Option<usize>,
+    /// Lines, records, quarantined and consecutive repeats after
+    /// `synced`.
+    stats: TldScanStats,
+    /// New owners after `synced`, in order; slots past `live` are spare
+    /// buffers.
+    owners: Vec<DomainName>,
+    live: usize,
+    items: Vec<ShardItem>,
+}
+
+impl Shard {
+    /// A shard over `range`, read by `parser`, with its buffers kept.
+    fn reset(&mut self, range: Range<usize>, parser: ZoneStreamParser) {
+        self.range = range;
+        self.parser = parser;
+        self.synced = None;
         self.stats = TldScanStats::default();
+        self.live = 0;
+        self.items.clear();
     }
 
-    /// Consumes the next bytes of the stream: every line they complete
-    /// runs through the stage, and a trailing partial line waits for
-    /// the next push.
-    pub(crate) fn push(&mut self, mut bytes: &[u8], sink: &mut impl FnMut(StageItem<'_>)) {
-        self.stats.bytes += bytes.len() as u64;
-        if !self.carry.is_empty() {
-            let Some(nl) = find_newline(bytes) else {
-                self.carry.extend_from_slice(bytes);
-                return;
-            };
-            let mut line = std::mem::take(&mut self.carry);
-            line.extend_from_slice(&bytes[..nl]);
-            self.line(&line, sink);
-            bytes = &bytes[nl + 1..];
+    /// Parses the shard's `lines`, recording every line after the first
+    /// that names its owner and parses. The window hash and blacklist
+    /// verdict of each new owner are pure, so they are computed here;
+    /// the window probe itself waits for the merge.
+    fn parse(&mut self, lines: &[u8], blacklists: &[Blacklist], hash: Option<fn(&[u8]) -> u64>) {
+        let mut at = 0;
+        while let Some(nl) = find_newline(&lines[at..]) {
+            let raw = &lines[at..at + nl];
+            at += nl + 1;
+            let scanned = scan_raw(&mut self.parser, raw);
+            if self.synced.is_none() {
+                let named = !matches!(raw.first(), Some(b' ' | b'\t'));
+                if named && matches!(scanned, Ok(ZoneScan::Record { .. })) {
+                    self.synced = Some(at);
+                }
+                continue;
+            }
+            self.stats.lines += 1;
+            match scanned {
+                Ok(ZoneScan::Skip) => {}
+                Err(error) => {
+                    self.stats.quarantined += 1;
+                    self.items.push(ShardItem::Quarantined(error));
+                }
+                Ok(ZoneScan::Record { owner, new_owner }) => {
+                    self.stats.records += 1;
+                    if !new_owner {
+                        self.stats.dedup_consecutive += 1;
+                        continue;
+                    }
+                    let ascii = owner.as_ascii();
+                    let hash = hash.map_or(0, |hash| hash(ascii.as_bytes()));
+                    let listed = blacklists.iter().any(|bl| bl.contains_suffix(ascii));
+                    match self.owners.get_mut(self.live) {
+                        Some(slot) => slot.clone_from(owner),
+                        None => self.owners.push(owner.clone()),
+                    }
+                    self.live += 1;
+                    self.items.push(ShardItem::Owner { hash, listed });
+                }
+            }
         }
-        while let Some(nl) = find_newline(bytes) {
-            self.line(&bytes[..nl], sink);
-            bytes = &bytes[nl + 1..];
-        }
-        self.carry.extend_from_slice(bytes);
     }
+}
 
-    /// Ends the stream: a final unterminated line still counts.
-    pub(crate) fn finish(&mut self, sink: &mut impl FnMut(StageItem<'_>)) {
-        if !self.carry.is_empty() {
-            let line = std::mem::take(&mut self.carry);
-            self.line(&line, sink);
+/// What lines pass through in stream order: the stage's own parser,
+/// the dedup window and the counters.
+struct Serial {
+    parser: ZoneStreamParser,
+    window: OwnerWindow,
+    /// Counters since the stage's last [`restart`](LineStage::restart).
+    stats: TldScanStats,
+}
+
+impl Serial {
+    /// Complete lines, one by one.
+    fn inline(
+        &mut self,
+        mut lines: &[u8],
+        blacklists: &[Blacklist],
+        sink: &mut (impl FnMut(StageItem<'_>) + Send),
+    ) {
+        while let Some(nl) = find_newline(lines) {
+            self.line(&lines[..nl], blacklists, sink);
+            lines = &lines[nl + 1..];
         }
     }
 
     /// One raw line through scan → dedup → blacklist → sink.
-    fn line(&mut self, raw: &[u8], sink: &mut impl FnMut(StageItem<'_>)) {
+    fn line(
+        &mut self,
+        raw: &[u8],
+        blacklists: &[Blacklist],
+        sink: &mut (impl FnMut(StageItem<'_>) + Send),
+    ) {
         self.stats.lines += 1;
-        let raw = match raw.split_last() {
-            Some((b'\r', head)) => head,
-            _ => raw,
-        };
-        let scanned = match std::str::from_utf8(raw) {
-            Ok(text) => self.parser.scan_line(text),
-            Err(_) => {
-                // Keep the parser's line numbering in step with the
-                // stream even though it never sees this line.
-                let _ = self.parser.scan_line("");
-                let line = self.parser.lines_seen();
-                Err(ZoneError {
-                    line,
-                    message: "invalid UTF-8".to_string(),
-                })
-            }
-        };
+        let scanned = scan_raw(&mut self.parser, raw);
         let stats = &mut self.stats;
         match scanned {
             Ok(ZoneScan::Skip) => {}
@@ -457,8 +599,7 @@ impl LineStage {
                     stats.dedup_consecutive += 1;
                 } else if self.window.seen_or_insert(owner.as_ascii().as_bytes()) {
                     stats.dedup_window += 1;
-                } else if self
-                    .blacklists
+                } else if blacklists
                     .iter()
                     .any(|bl| bl.contains_suffix(owner.as_ascii()))
                 {
@@ -468,6 +609,284 @@ impl LineStage {
                     sink(StageItem::Owner(owner));
                 }
             }
+        }
+    }
+
+    /// Folds a forked shard's recorded lines in: its counters, then its
+    /// items in order through the window and the blacklist verdict to
+    /// the sink. `line_base` turns the fork's error line numbers into
+    /// the stream's.
+    fn merge(
+        &mut self,
+        shard: &mut Shard,
+        line_base: usize,
+        sink: &mut (impl FnMut(StageItem<'_>) + Send),
+    ) {
+        let stats = &mut self.stats;
+        stats.lines += shard.stats.lines;
+        stats.records += shard.stats.records;
+        stats.quarantined += shard.stats.quarantined;
+        stats.dedup_consecutive += shard.stats.dedup_consecutive;
+        let mut owners = shard.owners[..shard.live].iter();
+        for item in shard.items.drain(..) {
+            match item {
+                ShardItem::Owner { hash, listed } => {
+                    let owner = owners.next().expect("one slot per owner item");
+                    if self
+                        .window
+                        .seen_or_insert_hashed(hash, owner.as_ascii().as_bytes())
+                    {
+                        stats.dedup_window += 1;
+                    } else if listed {
+                        stats.blacklisted += 1;
+                    } else {
+                        stats.routed += 1;
+                        sink(StageItem::Owner(owner));
+                    }
+                }
+                ShardItem::Quarantined(mut error) => {
+                    error.line += line_base;
+                    sink(StageItem::Quarantined(error));
+                }
+            }
+        }
+    }
+}
+
+/// The zone-text line stage of [`ZoneScanner`] and
+/// [`ZoneTextFeed`](crate::ZoneTextFeed): splits pushed bytes into
+/// lines, runs each through [`ZoneStreamParser::scan_line`], both
+/// dedups and the blacklists, and counts it in [`TldScanStats`]. A push
+/// large enough to split runs its head on the calling thread while the
+/// pool parses forked shards of the rest, merged after it in stream
+/// order (see the module doc).
+pub(crate) struct LineStage {
+    serial: Serial,
+    blacklists: Vec<Blacklist>,
+    /// The unterminated tail of the bytes pushed so far, up to
+    /// [`MAX_LINE_BYTES`].
+    carry: Vec<u8>,
+    /// The tail outgrew [`MAX_LINE_BYTES`]: its bytes are dropped, and
+    /// the line is quarantined when it ends.
+    carry_long: bool,
+    /// Forked-shard buffers, reused push to push.
+    shards: Vec<Mutex<Shard>>,
+    /// Seams of the current push (reused).
+    seams: Vec<usize>,
+    /// The `$ORIGIN` every fork of the current push starts from
+    /// (reused).
+    fork_origin: String,
+    /// How pushes were split and merged, over the stage's life.
+    record: StageStats,
+}
+
+impl LineStage {
+    /// A stage resolving relative names against `origin`, remembering
+    /// `window` recent owners and dropping owners the blacklists list.
+    pub(crate) fn new(origin: &str, window: usize, blacklists: Vec<Blacklist>) -> Self {
+        LineStage {
+            serial: Serial {
+                parser: ZoneStreamParser::new(origin),
+                window: OwnerWindow::new(window, owner_hash),
+                stats: TldScanStats::default(),
+            },
+            blacklists,
+            carry: Vec::new(),
+            carry_long: false,
+            shards: Vec::new(),
+            seams: Vec::new(),
+            fork_origin: String::new(),
+            record: StageStats::default(),
+        }
+    }
+
+    /// Starts a new stream under `origin`: a fresh parser, no carried
+    /// bytes, zeroed counters. The dedup window carries over.
+    pub(crate) fn restart(&mut self, origin: &str) {
+        self.serial.parser = ZoneStreamParser::new(origin);
+        self.serial.stats = TldScanStats::default();
+        self.carry.clear();
+        self.carry_long = false;
+    }
+
+    /// Consumes the next bytes of the stream: every line they complete
+    /// runs through the stage, and a trailing partial line waits for
+    /// the next push. The complete lines are cut for the pool by
+    /// [`line_shards_for`].
+    pub(crate) fn push(&mut self, bytes: &[u8], sink: &mut (impl FnMut(StageItem<'_>) + Send)) {
+        self.push_cut(bytes, sink, |lines, seams| {
+            let cut = line_shards_for(lines.len(), rayon::current_num_threads());
+            cut_at_lines(lines, cut, seams)
+        });
+    }
+
+    /// [`push`](Self::push) with the seams of the push's complete lines
+    /// chosen by `cut`: offsets of line starts, strictly increasing,
+    /// inside the lines. The lines before the first seam are the head;
+    /// no seams means the calling thread runs every line.
+    fn push_cut(
+        &mut self,
+        mut bytes: &[u8],
+        sink: &mut (impl FnMut(StageItem<'_>) + Send),
+        cut: impl FnOnce(&[u8], &mut Vec<usize>),
+    ) {
+        self.serial.stats.bytes += bytes.len() as u64;
+        self.record.pushes += 1;
+        if !self.carry.is_empty() || self.carry_long {
+            let Some(nl) = find_newline(bytes) else {
+                self.carry_more(bytes);
+                return;
+            };
+            self.carry_more(&bytes[..nl]);
+            self.end_carry(sink);
+            bytes = &bytes[nl + 1..];
+        }
+        let end = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let (mut lines, tail) = bytes.split_at(end);
+        // The directive and comment lines that open a push (a zone
+        // file's `$ORIGIN`/`$TTL` header) run first, so that forks start
+        // from the state they set.
+        let mut head = 0;
+        while matches!(lines.get(head), Some(b'$' | b';')) {
+            head += find_newline(&lines[head..]).expect("complete lines end in a newline") + 1;
+        }
+        if head > 0 {
+            self.serial.inline(&lines[..head], &self.blacklists, sink);
+            lines = &lines[head..];
+        }
+        if !lines.is_empty() {
+            let mut seams = std::mem::take(&mut self.seams);
+            seams.clear();
+            cut(lines, &mut seams);
+            if seams.is_empty() {
+                self.serial.inline(lines, &self.blacklists, sink);
+            } else {
+                self.sharded(lines, &seams, sink);
+            }
+            self.seams = seams;
+        }
+        self.carry_more(tail);
+    }
+
+    /// Ends the stream: a final unterminated line still counts.
+    pub(crate) fn finish(&mut self, sink: &mut (impl FnMut(StageItem<'_>) + Send)) {
+        if !self.carry.is_empty() || self.carry_long {
+            self.end_carry(sink);
+        }
+    }
+
+    /// Appends to the partial line, dropping it once it outgrows
+    /// [`MAX_LINE_BYTES`]; the buffer never grows past that either.
+    fn carry_more(&mut self, bytes: &[u8]) {
+        if self.carry_long {
+            return;
+        }
+        let len = self.carry.len() + bytes.len();
+        if len > MAX_LINE_BYTES {
+            self.carry.clear();
+            self.carry_long = true;
+            return;
+        }
+        if len > self.carry.capacity() {
+            let target = (self.carry.capacity() * 2).clamp(len, MAX_LINE_BYTES);
+            self.carry.reserve_exact(target - self.carry.len());
+        }
+        self.carry.extend_from_slice(bytes);
+    }
+
+    /// Runs the completed partial line through the stage.
+    fn end_carry(&mut self, sink: &mut (impl FnMut(StageItem<'_>) + Send)) {
+        let serial = &mut self.serial;
+        if self.carry_long {
+            serial.stats.lines += 1;
+            serial.stats.quarantined += 1;
+            sink(StageItem::Quarantined(long_line(&mut serial.parser)));
+            self.carry_long = false;
+        } else {
+            serial.line(&self.carry, &self.blacklists, sink);
+            self.carry.clear();
+        }
+    }
+
+    /// Complete lines cut at `seams`. The calling thread runs the head
+    /// (the lines before the first seam) through the serial path while
+    /// the pool parses the shards after it with forks of the parser, and
+    /// helps once the head is done; the shards are then merged in stream
+    /// order with exact seams.
+    fn sharded(
+        &mut self,
+        lines: &[u8],
+        seams: &[usize],
+        sink: &mut (impl FnMut(StageItem<'_>) + Send),
+    ) {
+        let forks = seams.len();
+        self.record.split_pushes += 1;
+        self.record.shards += forks as u64 + 1;
+        if self.shards.len() < forks {
+            self.shards.resize_with(forks, || {
+                Mutex::new(Shard {
+                    range: 0..0,
+                    parser: ZoneStreamParser::new(""),
+                    synced: None,
+                    stats: TldScanStats::default(),
+                    owners: Vec::new(),
+                    live: 0,
+                    items: Vec::new(),
+                })
+            });
+        }
+        let serial = &mut self.serial;
+        let fork_ttl = serial.parser.default_ttl();
+        self.fork_origin.clear();
+        self.fork_origin.push_str(serial.parser.origin());
+        let shards = &mut self.shards[..forks];
+        for (k, cell) in shards.iter_mut().enumerate() {
+            let end = seams.get(k + 1).copied().unwrap_or(lines.len());
+            let shard = cell.get_mut().expect(UNPOISONED);
+            shard.reset(seams[k]..end, serial.parser.fork());
+        }
+
+        // Task 0 is the head, which needs the serial state and the sink;
+        // the calling thread claims it first, but any thread may run it.
+        let hash = (serial.window.capacity > 0).then_some(serial.window.hash);
+        let blacklists = &self.blacklists[..];
+        let head = Mutex::new(Some((&mut *serial, &mut *sink)));
+        let _: Vec<()> = (0..=forks)
+            .into_par_iter()
+            .map(|task| {
+                if task == 0 {
+                    let taken = head.lock().expect(UNPOISONED).take();
+                    let (serial, sink) = taken.expect("the head runs once");
+                    serial.inline(&lines[..seams[0]], blacklists, sink);
+                } else {
+                    let mut shard = shards[task - 1].lock().expect(UNPOISONED);
+                    let range = shard.range.clone();
+                    shard.parse(&lines[range], blacklists, hash);
+                }
+            })
+            .collect();
+
+        for cell in shards.iter_mut() {
+            let shard = cell.get_mut().expect(UNPOISONED);
+            // A fork's verdicts hold only if the stage's parser enters
+            // its shard with the directive state the fork started from.
+            let entered = serial.parser.origin() == self.fork_origin
+                && serial.parser.default_ttl() == fork_ttl;
+            let line_base = serial.parser.lines_seen();
+            let synced = shard.synced.filter(|_| entered);
+            let rerun_end = synced.map_or(shard.range.end, |at| shard.range.start + at);
+            let before = serial.stats.lines;
+            serial.inline(&lines[shard.range.start..rerun_end], blacklists, sink);
+            self.record.lines_rerun += serial.stats.lines - before;
+            if synced.is_none() {
+                self.record.shards_rerun += 1;
+                continue;
+            }
+            serial.merge(shard, line_base, sink);
+            serial.parser.adopt(&mut shard.parser, line_base);
         }
     }
 }
@@ -571,7 +990,7 @@ impl ZoneScanner {
         if result.is_ok() {
             stage.finish(&mut sink);
         }
-        let mut file_stats = stage.stats;
+        let mut file_stats = stage.serial.stats;
         file_stats.elapsed_secs = started.elapsed().as_secs_f64();
         self.stats.entry(tld.to_string()).or_default().merge(&file_stats);
         self.files += 1;
@@ -594,6 +1013,7 @@ impl ZoneScanner {
             per_tld: self.stats,
             quarantine_samples: self.quarantine,
             files: self.files,
+            stage: self.stage.record,
         }
     }
 }
@@ -723,7 +1143,7 @@ mod tests {
                      beta IN A 192.0.2.2\n\
                      alpha IN A 192.0.2.3\n";
         let mut stage = LineStage::new("com", DEFAULT_DEDUP_WINDOW, Vec::new());
-        stage.window = OwnerWindow::new(DEFAULT_DEDUP_WINDOW, |_| 0);
+        stage.serial.window = OwnerWindow::new(DEFAULT_DEDUP_WINDOW, |_| 0);
         let mut routed = Vec::new();
         stage.push(zone, &mut |item| {
             if let StageItem::Owner(owner) = item {
@@ -736,10 +1156,10 @@ mod tests {
             "a colliding hash hid a distinct owner"
         );
         assert_eq!(
-            stage.stats.dedup_window, 1,
+            stage.serial.stats.dedup_window, 1,
             "the true repeat is still caught"
         );
-        assert!(stage.stats.is_accounted());
+        assert!(stage.serial.stats.is_accounted());
     }
 
     #[test]
@@ -830,6 +1250,314 @@ mod tests {
         line.into_bytes()
     }
 
+    /// A stage over the mix's origin, with a blacklist listing
+    /// `listed.com` and a `capacity`-owner window whose hash puts every
+    /// owner in one bucket when `collide` is set.
+    fn mix_stage(capacity: usize, collide: bool) -> LineStage {
+        let mut blacklist = Blacklist::new("mix");
+        blacklist.add("listed.com");
+        let mut stage = LineStage::new("com", capacity, vec![blacklist]);
+        if collide {
+            stage.serial.window = OwnerWindow::new(capacity, |_| 7);
+        }
+        stage
+    }
+
+    /// What a stage's sink saw, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Owner(String),
+        Quarantined(usize, String),
+    }
+
+    /// Chooses the seams of a push's complete lines.
+    type Cut<'a> = &'a dyn Fn(&[u8], &mut Vec<usize>);
+
+    /// One inline shard per push.
+    fn no_seams(_: &[u8], _: &mut Vec<usize>) {}
+
+    /// A seam before every line of a push: 1-line shards.
+    fn every(lines: &[u8], seams: &mut Vec<usize>) {
+        seams.extend(line_starts(lines).map(|(_, at)| at))
+    }
+
+    /// The line starts after the first in `lines`, with the index of
+    /// the line each starts.
+    fn line_starts(lines: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ends = lines
+            .iter()
+            .enumerate()
+            .filter(|&(at, &b)| b == b'\n' && at + 1 < lines.len());
+        ends.map(|(at, _)| at + 1)
+            .enumerate()
+            .map(|(k, at)| (k + 1, at))
+    }
+
+    /// Pushes `bytes` through `stage` in `pieces`-byte pieces (cycled),
+    /// with `cut` choosing each push's seams, and finishes the stream.
+    fn run_cut(stage: &mut LineStage, bytes: &[u8], pieces: &[usize], cut: Cut<'_>) -> Vec<Seen> {
+        let mut seen = Vec::new();
+        let mut sink = |item: StageItem<'_>| {
+            seen.push(match item {
+                StageItem::Owner(owner) => Seen::Owner(owner.as_ascii().to_string()),
+                StageItem::Quarantined(error) => Seen::Quarantined(error.line, error.message),
+            })
+        };
+        let mut rest = bytes;
+        for &step in pieces.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(step.min(rest.len()));
+            stage.push_cut(piece, &mut sink, cut);
+            rest = tail;
+        }
+        stage.finish(&mut sink);
+        seen
+    }
+
+    /// The mix's lines joined into a stream, with a final newline when
+    /// `picks[0]` is even.
+    fn mix_bytes(picks: &[u64]) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let lines: Vec<Vec<u8>> = picks.iter().map(|&p| mix_line(p)).collect();
+        let mut bytes = lines.join(&b'\n');
+        if picks[0].is_multiple_of(2) {
+            bytes.push(b'\n');
+        }
+        (lines, bytes)
+    }
+
+    /// Runs `lines` through fresh stages with seams forced before line
+    /// `at`, before every line, and nowhere, pushed whole and in
+    /// `pieces`, and requires every run to match the single-shard run:
+    /// the same sink items in the same order and the same counters.
+    /// Returns the single-shard stage.
+    fn assert_seams_are_exact(
+        bytes: &[u8],
+        pieces: &[usize],
+        capacity: usize,
+        collide: bool,
+        at: &[usize],
+    ) -> (Vec<Seen>, LineStage) {
+        let mut want_stage = mix_stage(capacity, collide);
+        let want = run_cut(&mut want_stage, bytes, &[bytes.len()], &no_seams);
+        for &line in at {
+            let before = move |lines: &[u8], seams: &mut Vec<usize>| {
+                seams.extend(
+                    line_starts(lines)
+                        .filter(|&(k, _)| k == line)
+                        .map(|(_, at)| at),
+                )
+            };
+            let mut stage = mix_stage(capacity, collide);
+            let seen = run_cut(&mut stage, bytes, &[bytes.len()], &before);
+            assert_eq!(seen, want, "seam before line {line}");
+            assert_eq!(
+                stage.serial.stats, want_stage.serial.stats,
+                "seam before line {line}"
+            );
+        }
+        let whole = [bytes.len()];
+        for (pieces, cut) in [
+            (pieces, &every as Cut<'_>),
+            (&whole, &every),
+            (pieces, &no_seams),
+        ] {
+            let mut stage = mix_stage(capacity, collide);
+            let seen = run_cut(&mut stage, bytes, pieces, cut);
+            assert_eq!(seen, want, "pieces {pieces:?}");
+            assert_eq!(
+                stage.serial.stats, want_stage.serial.stats,
+                "pieces {pieces:?}"
+            );
+        }
+        (want, want_stage)
+    }
+
+    /// Seams just before the lines a fork cannot read on its own, with
+    /// the window hash colliding and not.
+    #[test]
+    fn seams_before_hard_lines_match_the_single_shard_stage() {
+        // (case, lines, the line the seam goes before)
+        let cases: [(&str, &[u8], usize); 7] = [
+            (
+                "continuation",
+                b"alpha IN A 192.0.2.1\n\tIN NS ns.alpha.com.\nbeta IN A 192.0.2.2",
+                1,
+            ),
+            (
+                "owner resolved, then the line failed",
+                b"alpha IN A 192.0.2.1\nbeta IN A nope\nbeta IN A 192.0.2.2\n\tIN NS ns.beta.com.",
+                1,
+            ),
+            (
+                "after an owner resolved and its line failed",
+                b"alpha IN A 192.0.2.1\nbeta IN A nope\n\tIN NS ns.beta.com.\nbeta IN A 192.0.2.2",
+                2,
+            ),
+            (
+                "predecessor switched $ORIGIN",
+                b"alpha IN A 192.0.2.1\n$ORIGIN net.\nalpha IN A 192.0.2.1\n\
+                  alpha IN NS ns.alpha.net.\nbeta IN A 192.0.2.2",
+                2,
+            ),
+            (
+                "invalid UTF-8",
+                b"alpha IN A 192.0.2.1\nalpha\xFF IN A 192.0.2.2\nalpha IN A 192.0.2.3",
+                1,
+            ),
+            (
+                "CRLF",
+                b"alpha IN A 192.0.2.1\r\nalpha IN A 192.0.2.2\r\nbeta IN A 192.0.2.3\r",
+                1,
+            ),
+            (
+                "window repeat",
+                b"foo.com. IN A 192.0.2.1\nfoo IN A 192.0.2.2\nbar IN A 192.0.2.3",
+                1,
+            ),
+        ];
+        for (name, bytes, at) in cases {
+            for collide in [false, true] {
+                let (seen, stage) = assert_seams_are_exact(bytes, &[5, 17], 64, collide, &[at]);
+                let stats = stage.serial.stats;
+                let owners: Vec<&str> = seen
+                    .iter()
+                    .filter_map(|item| match item {
+                        Seen::Owner(owner) => Some(owner.as_str()),
+                        Seen::Quarantined(..) => None,
+                    })
+                    .collect();
+                // Each case's single-shard verdicts, so that no case is
+                // vacuous.
+                match name {
+                    "continuation" => assert_eq!(stats.dedup_consecutive, 1, "{name}"),
+                    "owner resolved, then the line failed" => {
+                        assert_eq!(owners, ["alpha.com", "beta.com"], "{name}");
+                        assert_eq!(
+                            (stats.quarantined, stats.dedup_consecutive),
+                            (1, 1),
+                            "{name}"
+                        );
+                    }
+                    "after an owner resolved and its line failed" => {
+                        assert_eq!(owners, ["alpha.com", "beta.com"], "{name}");
+                        assert_eq!(stats.dedup_consecutive, 1, "{name}");
+                    }
+                    "predecessor switched $ORIGIN" => {
+                        assert_eq!(owners, ["alpha.com", "alpha.net", "beta.net"], "{name}")
+                    }
+                    "invalid UTF-8" => {
+                        assert_eq!(
+                            seen[1],
+                            Seen::Quarantined(2, "invalid UTF-8".into()),
+                            "{name}"
+                        );
+                        assert_eq!(stats.dedup_consecutive, 1, "{name}");
+                    }
+                    "CRLF" => assert_eq!(owners, ["alpha.com", "beta.com"], "{name}"),
+                    _ => {
+                        assert_eq!(
+                            (stats.dedup_window, stats.dedup_consecutive),
+                            (1, 0),
+                            "{name}"
+                        )
+                    }
+                }
+            }
+        }
+        // The opening directive runs inline. Of the three shards after
+        // it, the `$ORIGIN net.` one names no owner and the last was
+        // forked under `com`, so both run whole (1 + 2 lines).
+        let zone = b"$ORIGIN com.\nalpha IN A 192.0.2.1\n$ORIGIN net.\n\
+                     alpha IN A 192.0.2.1\nbeta IN A 192.0.2.2\n";
+        let mut stage = mix_stage(64, false);
+        let seams = |lines: &[u8], seams: &mut Vec<usize>| {
+            seams.extend(
+                line_starts(lines)
+                    .filter(|&(k, _)| k != 3)
+                    .map(|(_, at)| at),
+            )
+        };
+        let seen = run_cut(&mut stage, zone, &[zone.len()], &seams);
+        assert_eq!(seen[1], Seen::Owner("alpha.net".into()));
+        let record = stage.record;
+        let split = (
+            record.split_pushes,
+            record.shards,
+            record.shards_rerun,
+            record.lines_rerun,
+        );
+        assert_eq!(split, (1, 3, 2, 3), "{record:?}");
+    }
+
+    /// A line over [`MAX_LINE_BYTES`] is one quarantined line, and one
+    /// at the limit parses, however the bytes are pushed and cut.
+    #[test]
+    fn over_long_lines_are_quarantined_wherever_they_fall() {
+        let fits = format!("x IN TXT {}", "a".repeat(MAX_LINE_BYTES - 9));
+        assert_eq!(fits.len(), MAX_LINE_BYTES);
+        let long = "b".repeat(MAX_LINE_BYTES + 1);
+        let zone = format!("$ORIGIN com.\n{long}\nok IN A 192.0.2.1\n{fits}\nlast IN A 192.0.2.2");
+        let pieces = [4096, 4099, 1 << 16];
+        let (seen, stage) = assert_seams_are_exact(zone.as_bytes(), &pieces, 64, false, &[1, 2, 3]);
+        let message = format!("line longer than {MAX_LINE_BYTES} bytes");
+        assert_eq!(
+            seen,
+            [
+                Seen::Quarantined(2, message),
+                Seen::Owner("ok.com".into()),
+                Seen::Owner("x.com".into()),
+                Seen::Owner("last.com".into()),
+            ]
+        );
+        assert_eq!(
+            (stage.serial.stats.lines, stage.serial.stats.records),
+            (5, 3)
+        );
+    }
+
+    /// A stream with no newline at all is one line: the stage keeps at
+    /// most [`MAX_LINE_BYTES`] of it, and the scanner and the zone feed
+    /// quarantine it with the same message.
+    #[test]
+    fn a_newline_free_flood_is_one_quarantined_line() {
+        use crate::ingest::{FeedItem, FeedSource};
+
+        let flood = vec![b'a'; 8 * MAX_LINE_BYTES];
+        let mut stage = mix_stage(64, false);
+        for piece in flood.chunks(3_000) {
+            stage.push(piece, &mut |_| panic!("an unfinished line emitted an item"));
+            assert!(
+                stage.carry.capacity() <= MAX_LINE_BYTES,
+                "{}",
+                stage.carry.capacity()
+            );
+        }
+        let message = format!("line longer than {MAX_LINE_BYTES} bytes");
+
+        let router = SessionRouter::new(shared_index(&["google"]));
+        let mut scanner = ZoneScanner::new(router, ScanConfig::default());
+        scanner.scan_reader("com", &flood[..]).unwrap();
+        let report = scanner.finish();
+        let com = report.per_tld["com"];
+        assert_eq!(
+            (com.bytes, com.lines, com.quarantined),
+            (flood.len() as u64, 1, 1)
+        );
+        assert_eq!(report.quarantine_samples, [format!("line 1: {message}")]);
+
+        let mut feed = crate::ZoneTextFeed::new("flood", "com", &flood[..]);
+        let mut malformed = Vec::new();
+        while let Some(item) = feed.next().expect("in-memory feeds never error") {
+            match item {
+                FeedItem::Malformed(why) => malformed.push(why),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(malformed, [format!("zone line 1: {message}")]);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
@@ -845,11 +1573,7 @@ mod tests {
             collide in 0u8..2,
         ) {
             let capacity = [0, 1, 2, 3, 64][window];
-            let lines: Vec<Vec<u8>> = picks.iter().map(|&p| mix_line(p)).collect();
-            let mut bytes = lines.join(&b'\n');
-            if picks[0] % 2 == 0 {
-                bytes.push(b'\n');
-            }
+            let (lines, bytes) = mix_bytes(&picks);
 
             // The oracle: every record owner of a fresh parser's replay
             // of the same lines, with no dedup at all.
@@ -874,12 +1598,7 @@ mod tests {
                 }
             }
 
-            let mut blacklist = Blacklist::new("mix");
-            blacklist.add("listed.com");
-            let mut stage = LineStage::new("com", capacity, vec![blacklist]);
-            if collide == 1 {
-                stage.window = OwnerWindow::new(capacity, |_| 7);
-            }
+            let mut stage = mix_stage(capacity, collide == 1);
             let mut emitted = HashSet::new();
             let mut sink = |item: StageItem<'_>| {
                 if let StageItem::Owner(owner) = item {
@@ -898,12 +1617,39 @@ mod tests {
             stage.finish(&mut sink);
 
             prop_assert_eq!(emitted, expected);
-            let stats = stage.stats;
+            let stats = stage.serial.stats;
             prop_assert!(stats.is_accounted(), "books open: {stats:?}");
             prop_assert_eq!(stats.lines, lines.len() as u64);
             prop_assert_eq!(stats.records, records);
             prop_assert_eq!(stats.quarantined, quarantined);
             prop_assert_eq!(stats.bytes, bytes.len() as u64);
+        }
+
+        /// Exact seams: with shard boundaries forced before each line in
+        /// turn, before random lines and before every line (1-line
+        /// shards), the stage emits what the single-shard stage emits,
+        /// in the same order, and counts the same.
+        #[test]
+        fn forced_seams_match_the_single_shard_stage(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..80),
+            splits in proptest::collection::vec(1usize..96, 1..16),
+            window in 0usize..5,
+            collide in 0u8..2,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let capacity = [0, 1, 2, 3, 64][window];
+            let (lines, bytes) = mix_bytes(&picks);
+            let every: Vec<usize> = (1..lines.len()).collect();
+            let (want, _) = assert_seams_are_exact(&bytes, &splits, capacity, collide == 1, &every);
+            let random = |lines: &[u8], seams: &mut Vec<usize>| {
+                let picked =
+                    |k: usize| (seed ^ k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1;
+                seams.extend(line_starts(lines).filter(|&(k, _)| picked(k)).map(|(_, at)| at))
+            };
+            for pieces in [&splits[..], &[bytes.len()]] {
+                let mut stage = mix_stage(capacity, collide == 1);
+                prop_assert_eq!(&run_cut(&mut stage, &bytes, pieces, &random), &want);
+            }
         }
     }
 }

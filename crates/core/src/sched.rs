@@ -1,30 +1,49 @@
 //! Fixed execution policy + per-call execution statistics.
 //!
-//! `detect_append` splits a batch into shards for the worker pool
-//! (vendored `rayon`). The rule is fixed (`shard_len_for`): one inline
-//! shard at 1 thread, otherwise ≈ 4 shards per worker so every worker
-//! engages and a slow shard cannot serialise the tail. Flushes (router
-//! lanes, the scanner's pre-stage, the ingest drainer) happen at the
-//! configured batch capacity.
+//! Two partitioning rules, both fixed, send work to the worker pool
+//! (vendored `rayon`):
 //!
-//! A fixed rule is enough because there is one detection caller:
+//! * **Detection batches** — `detect_append` splits a batch of IDNs
+//!   into shards of `shard_len_for` IDNs: one inline shard at 1 thread,
+//!   otherwise ≈ 4 shards per worker so every worker engages and a slow
+//!   shard cannot serialise the tail. Flushes (router lanes, the
+//!   scanner's pre-stage, the ingest drainer) happen at the configured
+//!   batch capacity.
+//! * **Zone lines** — the scanner's line stage cuts each pushed span of
+//!   complete lines at line starts by `line_shards_for`. The calling
+//!   thread runs a head of twice a pool worker's share while the pool
+//!   parses the rest in ≈ 4 shards per other worker, none below
+//!   [`MIN_LINE_SHARD_BYTES`]; at 1 thread, or when the rest would not
+//!   fill one such shard (a `ZoneTextFeed` read is 4 KiB), the head is
+//!   everything. The calling thread merges the shards after its head, so
+//!   the larger head lets a worker running at half its speed still
+//!   finish first: a chunk then takes as long as the calling thread's
+//!   part of it, whatever the pool's pace.
+//!
+//! A fixed rule is enough because each scan has one pool caller:
 //! `scan-zone`, `serve-feed`'s drainer and the benchmark workloads all
-//! detect from a single thread, and each parallel call waits for its
-//! own pool jobs before returning, so the pool is idle at every
-//! partitioning decision.
+//! parse and detect from a single thread, and each parallel call waits
+//! for its own pool jobs before returning. The calling thread runs a
+//! chunk's line shards and then the detection batches their owners
+//! fill, in turn; only the detection batches the head's owners fill run
+//! while the pool parses, and their jobs wait for a free worker (the
+//! calling thread meanwhile runs their shards itself). So the pool is
+//! idle at every other partitioning decision.
 //!
 //! # Determinism
 //!
 //! Partitioning never changes what is computed. Shard outputs merge in
-//! corpus order (see `vendor/rayon`'s in-order chunk merge) and
+//! corpus order (see `vendor/rayon`'s in-order chunk merge), line shards
+//! merge in stream order with exact seams (see `crate::scan`), and
 //! streaming detection is partition-invariant (see `crate::session`),
-//! so every thread count and batch capacity yields bit-identical
-//! reports. The equivalence suites pin exactly that.
+//! so every thread count, chunk size and batch capacity yields
+//! bit-identical reports. The equivalence suites pin exactly that.
 //!
 //! What was *chosen* is still observable out of band: [`ExecStats`]
 //! accumulates per-call decisions (batches, shards, shard sizes,
-//! workers engaged) into every report — compared by nothing (report
-//! equality ignores it), printed by ledgers.
+//! workers engaged) into every report, and [`StageStats`] does the same
+//! for the line stage — compared by nothing (report equality ignores
+//! them), printed by ledgers.
 
 use serde::{Deserialize, Serialize};
 
@@ -92,6 +111,49 @@ impl ExecStats {
     }
 }
 
+/// Minimum bytes per forked line shard, each of which costs a parser
+/// fork, a seam re-run and a pool hand-off.
+pub const MIN_LINE_SHARD_BYTES: usize = 64 << 10;
+
+/// What the scanner's line stage did with its pushes: how their lines
+/// were cut for the pool and how much the calling thread re-ran at the
+/// seams, not what they parsed to. Purely observational, like
+/// [`ExecStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageStats {
+    /// Byte spans pushed into the stage (one per read chunk).
+    pub pushes: u64,
+    /// Pushes whose complete lines were cut into shards for the pool.
+    pub split_pushes: u64,
+    /// Shards those split pushes were cut into, heads included.
+    pub shards: u64,
+    /// Shards re-run whole on the calling thread: no line in them named
+    /// an owner and parsed, or `$ORIGIN`/`$TTL` changed before them in
+    /// the same push.
+    pub shards_rerun: u64,
+    /// Lines the calling thread re-ran: each shard's lines up to its
+    /// first named owner, plus every line of a shard re-run whole.
+    pub lines_rerun: u64,
+}
+
+/// How a push of `bytes` bytes of complete lines is cut at `threads`
+/// configured workers, as `(head, forks)`: the calling thread runs the
+/// first `head` bytes itself, while the pool parses the rest in `forks`
+/// shards. The head is two shares of `threads + 1`, twice what each
+/// other worker gets, and the rest is cut ≈ 4 per other worker, none
+/// below [`MIN_LINE_SHARD_BYTES`]. At 1 thread, or when the rest would
+/// not fill one such shard, the head is everything.
+pub(crate) fn line_shards_for(bytes: usize, threads: usize) -> (usize, usize) {
+    if threads <= 1 {
+        return (bytes, 0);
+    }
+    let head = 2 * bytes / (threads + 1);
+    match (bytes - head) / MIN_LINE_SHARD_BYTES {
+        0 => (bytes, 0),
+        forks => (head, forks.min((threads - 1) * 4)),
+    }
+}
+
 /// Shard length for a `len`-IDN batch at `threads` configured workers:
 /// one shard at 1 thread (the caller runs it inline; splitting would
 /// only add merge overhead), otherwise ≈ 4 shards per worker, never
@@ -132,6 +194,24 @@ mod tests {
         // Merging an empty accumulator must not clobber the minimum.
         b.merge(&ExecStats::default());
         assert_eq!(b.min_shard_len, 32);
+    }
+
+    #[test]
+    fn line_shards_follow_the_fixed_rule() {
+        // 1 thread: the calling thread runs the whole push.
+        assert_eq!(line_shards_for(1 << 20, 1), (1 << 20, 0));
+        // A feed's 4 KiB read, or any push whose pool part would not
+        // fill one minimum shard: at 2 threads, under three of them.
+        assert_eq!(line_shards_for(4 << 10, 2), (4 << 10, 0));
+        let min = MIN_LINE_SHARD_BYTES;
+        assert_eq!(line_shards_for(3 * min - 3, 2), (3 * min - 3, 0));
+        assert_eq!(line_shards_for(3 * min, 2), (2 * min, 1));
+        assert_eq!(line_shards_for(5 * min, 4), (2 * min, 3));
+        // A 1 MiB chunk: a head of two shares in threads + 1, ~4 forks
+        // per other worker, none below the minimum.
+        assert_eq!(line_shards_for(1 << 20, 2), (699_050, 4));
+        assert_eq!(line_shards_for(1 << 20, 4), (419_430, 9));
+        assert_eq!(line_shards_for(1 << 20, 8), (233_016, 12));
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl LineParser {
         }
 
         let starts_with_space = line.starts_with(' ') || line.starts_with('\t');
-        let mut tokens = line.split_whitespace().peekable();
+        let mut tokens = Tokens::of(line).peekable();
 
         // Owner: blank-led lines reuse the previous owner, and so does
         // a repeated owner token (the dominant case — records arrive in
@@ -292,6 +292,65 @@ pub enum ZoneScan<'a> {
     Skip,
 }
 
+/// A record line's whitespace-separated tokens, exactly as
+/// [`str::split_whitespace`] yields them. An ASCII line, the common
+/// case, is split byte by byte: for ASCII text that method's whitespace
+/// (the Unicode `White_Space` property) is exactly tab, line feed,
+/// vertical tab, form feed, carriage return and space.
+enum Tokens<'a> {
+    Ascii(&'a str),
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Tokens<'a> {
+    fn of(line: &'a str) -> Self {
+        if line.is_ascii() {
+            Tokens::Ascii(line)
+        } else {
+            Tokens::Unicode(line.split_whitespace())
+        }
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = match self {
+            Tokens::Unicode(tokens) => return tokens.next(),
+            Tokens::Ascii(rest) => rest,
+        };
+        let blank = |b: &u8| matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ');
+        let start = rest.bytes().position(|b| !blank(&b))?;
+        let len = rest.as_bytes()[start..].iter().position(blank);
+        let end = len.map_or(rest.len(), |len| start + len);
+        let token = &rest[start..end];
+        *rest = &rest[end..];
+        Some(token)
+    }
+}
+
+/// True when `bytes` holds none of `;`, `"` and `\`, so there is no
+/// comment to strip. Eight bytes at a time: a byte of `word ^ (LO * b)`
+/// is zero exactly where `word` holds `b`.
+fn plain(bytes: &[u8]) -> bool {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let has_zero = |x: u64| x.wrapping_sub(LO) & !x & HI != 0;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let specials = [b';', b'"', b'\\'];
+        if specials.iter().any(|&b| has_zero(x ^ (LO * b as u64))) {
+            return false;
+        }
+    }
+    !words
+        .remainder()
+        .iter()
+        .any(|b| matches!(b, b';' | b'"' | b'\\'))
+}
+
 fn strip_comment(line: &str) -> &str {
     // A ';' inside a quoted TXT string is data, not a comment, and a
     // backslash escapes the byte after it (RFC 1035 §5.1), so neither
@@ -299,6 +358,9 @@ fn strip_comment(line: &str) -> &str {
     // ASCII, so a byte scan is exact on UTF-8: a skipped byte that starts
     // a multi-byte character leaves only continuation bytes, which never
     // match.
+    if plain(line.as_bytes()) {
+        return line;
+    }
     let bytes = line.as_bytes();
     let mut in_quotes = false;
     let mut idx = 0;
@@ -405,6 +467,34 @@ impl ZoneStreamParser {
                 })
             }
         }
+    }
+
+    /// A speculative parser for the lines that follow this one's: the
+    /// current `$ORIGIN` and `$TTL`, no owner history, and lines counted
+    /// from zero.
+    ///
+    /// Given the same lines, a fork reaches this parser's state at the
+    /// end of the first well-formed record line that names its owner
+    /// (does not start with a blank), provided this parser still has the
+    /// fork's origin and TTL where those lines begin: both then hold that
+    /// line's owner and token, the same directive state and no failure
+    /// mark. Every later line scans the same in both, apart from error
+    /// line numbers, which the fork counts from its first line. The
+    /// zone scanner parses line shards with forks on that basis and
+    /// [`adopt`](Self::adopt)s them.
+    pub fn fork(&self) -> ZoneStreamParser {
+        let mut fork = ZoneStreamParser::new(&self.inner.origin);
+        fork.inner.default_ttl = self.inner.default_ttl;
+        fork
+    }
+
+    /// Continues the stream from `fork`, a [`fork`](Self::fork) that read
+    /// the lines after the stream's first `lines`: this parser takes the
+    /// fork's state and numbers its next line after the fork's last. The
+    /// state it held goes to `fork`.
+    pub fn adopt(&mut self, fork: &mut ZoneStreamParser, lines: usize) {
+        std::mem::swap(self, fork);
+        self.line_no += lines;
     }
 
     /// Lines consumed so far (1-based line number of the last push).
@@ -681,6 +771,117 @@ note IN TXT \"hello; world\"
         assert!(p.scan_line("??? garbage").is_err());
         assert!(new_owner(p.scan_line("gamma IN A 192.0.2.3")));
         assert!(!new_owner(p.scan_line("gamma IN NS ns1.gamma.com.")));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The byte-wise fast paths decide like the plain scans: the
+        /// tokens are `split_whitespace`'s, and a line without `;`, `"`
+        /// or `\` has no comment, over every ASCII byte (vertical tab
+        /// and the separators it is not among), U+00A0 and U+0085.
+        #[test]
+        fn fast_line_scans_match_the_plain_ones(
+            picks in proptest::collection::vec(0usize..12, 0..40),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let line: String = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &pick)| match pick {
+                    0 => ' ',
+                    1 => '\t',
+                    2 => '\u{0B}',
+                    3 => '\u{0C}',
+                    4 => '\r',
+                    5 => '\u{1C}',
+                    6 => '\u{A0}',
+                    7 => '\u{85}',
+                    8 => [';', '"', '\\'][(seed >> (i % 60)) as usize % 3],
+                    _ => char::from(b'a' + ((seed >> (i % 56)) % 26) as u8),
+                })
+                .collect();
+            let tokens: Vec<&str> = Tokens::of(&line).collect();
+            let expected: Vec<&str> = line.split_whitespace().collect();
+            prop_assert_eq!(tokens, expected);
+            let has_special = line.contains([';', '"', '\\']);
+            prop_assert_eq!(plain(line.as_bytes()), !has_special);
+        }
+    }
+
+    #[test]
+    fn every_ascii_byte_splits_like_split_whitespace() {
+        for b in 0u8..128 {
+            let line = format!("a{}b{}", b as char, b as char);
+            let tokens: Vec<&str> = Tokens::of(&line).collect();
+            let expected: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(tokens, expected, "byte {b:#04x}");
+        }
+    }
+
+    #[test]
+    fn a_fork_joins_the_stream_at_its_first_named_owner() {
+        let head = [
+            "$ORIGIN net.",
+            "$TTL 60",
+            "alpha IN A 192.0.2.1",
+            "beta IN A nope",
+        ];
+        let tail = [
+            "\tIN NS ns.beta.net.",
+            "beta IN NS ns.beta.net.",
+            "beta IN A 192.0.2.2",
+            "bad IN A x",
+        ];
+        let mut whole = ZoneStreamParser::new("com");
+        for line in head {
+            let _ = whole.scan_line(line);
+        }
+        let mut fork = whole.fork();
+        assert_eq!(
+            (fork.origin(), fork.default_ttl(), fork.lines_seen()),
+            ("net", 60, 0)
+        );
+        let scans: Vec<_> = tail
+            .iter()
+            .map(|line| {
+                let scan = |p: &mut ZoneStreamParser| match p.scan_line(line) {
+                    Ok(ZoneScan::Record { owner, new_owner }) => {
+                        Ok((owner.as_ascii().to_string(), new_owner))
+                    }
+                    Ok(ZoneScan::Skip) => Err("skip".to_string()),
+                    Err(e) => Err(e.message),
+                };
+                (scan(&mut whole), scan(&mut fork))
+            })
+            .collect();
+        // No owner history: the continuation fails and the first named
+        // owner counts as new; from the next line on the two agree.
+        assert_eq!(
+            scans[0].1,
+            Err("continuation line with no previous owner".into())
+        );
+        assert_eq!(scans[0].0, Ok(("beta.net".into(), true)));
+        assert_eq!(
+            scans[1],
+            (
+                Ok(("beta.net".into(), false)),
+                Ok(("beta.net".into(), true))
+            )
+        );
+        assert_eq!(scans[2].0, scans[2].1);
+        assert_eq!(scans[3].0, scans[3].1);
+        assert_eq!(fork.lines_seen(), tail.len());
+        whole.adopt(&mut fork, head.len());
+        assert_eq!(whole.lines_seen(), head.len() + tail.len());
+        assert_eq!(whole.scan_line("x IN A nope").unwrap_err().line, 9);
+        assert!(matches!(
+            whole.scan_line("\tIN A 192.0.2.3"),
+            Ok(ZoneScan::Record {
+                new_owner: true,
+                ..
+            })
+        ));
     }
 
     #[test]

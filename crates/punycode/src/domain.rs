@@ -15,9 +15,23 @@ use std::str::FromStr;
 pub const MAX_NAME_OCTETS: usize = 253;
 
 /// A validated domain name held in ACE (wire) form.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct DomainName {
     ascii: String,
+}
+
+impl Clone for DomainName {
+    fn clone(&self) -> Self {
+        DomainName {
+            ascii: self.ascii.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer: no allocation once the
+    /// buffer has room (the zone scanner's reused owner slots).
+    fn clone_from(&mut self, source: &Self) {
+        self.ascii.clone_from(&source.ascii);
+    }
 }
 
 impl DomainName {
@@ -397,6 +411,11 @@ mod tests {
         let capacity = name.ascii.capacity();
         name.resolve_into("short", Some("com")).unwrap();
         assert_eq!(name.ascii.capacity(), capacity, "an ASCII resolve reallocated");
+        let mut slot = DomainName::parse("a-longer-name.example").unwrap();
+        let capacity = slot.ascii.capacity();
+        slot.clone_from(&name);
+        assert_eq!(slot, name);
+        assert_eq!(slot.ascii.capacity(), capacity, "clone_from reallocated");
     }
 
     proptest::proptest! {

@@ -16,7 +16,26 @@ pub struct Blacklist {
     /// Feed name (e.g. `hpHosts`).
     pub name: String,
     entries: HashSet<String>,
+    /// A one-bit-per-slot filter over the entries (see [`suffix_hash`]),
+    /// with at least [`FILTER_BITS_PER_ENTRY`] bits per entry: a clear
+    /// bit proves a name unlisted, so most suffix probes skip the set's
+    /// keyed hash. Empty means no filter (a deserialized feed).
+    #[serde(skip)]
+    filter: Vec<u64>,
 }
+
+/// Filter bits per entry: about 6% of unlisted names pass the filter.
+const FILTER_BITS_PER_ENTRY: usize = 16;
+
+/// FNV-1a over the bytes of a name read right to left, so that one pass
+/// over a name yields the hash of each of its label-suffixes in turn.
+/// Only the filter uses it; membership is always the set's.
+fn suffix_hash(hash: u64, byte: u8) -> u64 {
+    (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// The hash a name starts from before its last byte.
+const SUFFIX_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 impl Blacklist {
     /// Empty feed.
@@ -24,12 +43,62 @@ impl Blacklist {
         Blacklist {
             name: name.to_string(),
             entries: HashSet::new(),
+            filter: Vec::new(),
         }
     }
 
     /// Adds a domain (stored lowercased).
     pub fn add(&mut self, domain: &str) {
-        self.entries.insert(domain.to_ascii_lowercase());
+        let domain = domain.to_ascii_lowercase();
+        if self.entries.contains(&domain) {
+            return;
+        }
+        let want = (self.entries.len() + 1) * FILTER_BITS_PER_ENTRY;
+        if self.filter.len() * 64 < want {
+            // Double (or start) the filter and rebuild it from the set.
+            self.filter = vec![0; want.next_power_of_two().max(64) / 64 * 2];
+            let listed: Vec<u64> = self.entries.iter().map(|e| Self::hash(e)).collect();
+            for hash in listed {
+                self.mark(hash);
+            }
+        }
+        self.mark(Self::hash(&domain));
+        self.entries.insert(domain);
+    }
+
+    /// A whole name's [`suffix_hash`].
+    fn hash(name: &str) -> u64 {
+        name.bytes().rev().fold(SUFFIX_HASH_SEED, suffix_hash)
+    }
+
+    /// The filter bit of `hash`: its top bits, after a multiply that
+    /// spreads FNV's low-bit-heavy output.
+    fn slot(&self, hash: u64) -> (usize, u64) {
+        let bits = (self.filter.len() * 64).trailing_zeros();
+        let at = (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        (at / 64, 1 << (at % 64))
+    }
+
+    fn mark(&mut self, hash: u64) {
+        let (word, bit) = self.slot(hash);
+        self.filter[word] |= bit;
+    }
+
+    /// False only when no label-suffix of `domain` can be listed.
+    fn may_list_a_suffix(&self, domain: &str) -> bool {
+        let marked = |hash| {
+            let (word, bit) = self.slot(hash);
+            self.filter[word] & bit != 0
+        };
+        let mut hash = SUFFIX_HASH_SEED;
+        for &byte in domain.as_bytes().iter().rev() {
+            // `hash` now covers the suffix after this dot.
+            if byte == b'.' && marked(hash) {
+                return true;
+            }
+            hash = suffix_hash(hash, byte);
+        }
+        marked(hash)
     }
 
     /// True when the exact domain is listed.
@@ -44,7 +113,8 @@ impl Blacklist {
     ///
     /// Each label-suffix of `domain` is one borrowed `&str` probe of the
     /// entry set, so the cost per call is O(labels), independent of
-    /// feed size — no linear iteration.
+    /// feed size — no linear iteration. The filter usually answers an
+    /// unlisted name first, in one pass over its bytes.
     pub fn contains_suffix(&self, domain: &str) -> bool {
         if self.entries.is_empty() {
             return false;
@@ -58,6 +128,9 @@ impl Blacklist {
         } else {
             domain
         };
+        if !self.filter.is_empty() && !self.may_list_a_suffix(domain) {
+            return false;
+        }
         let mut suffix = domain;
         loop {
             if self.entries.contains(suffix) {
@@ -176,6 +249,45 @@ mod tests {
         let feeds = vec![a, b, c];
         assert_eq!(check_all(&feeds, "x.com"), vec!["hpHosts", "GSB"]);
         assert!(check_all(&feeds, "y.com").is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The filter never hides a listed suffix: `contains_suffix`
+        /// answers like a probe of every suffix, whatever was listed
+        /// (including repeats and mixed case) and whatever is asked,
+        /// through every filter resize, and after a serde round trip
+        /// that drops the filter.
+        #[test]
+        fn suffix_match_equals_probing_every_suffix(
+            listed in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300),
+            asked in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64),
+        ) {
+            let labels = ["com", "net", "evil", "Evil", "a", "b", "xn--80ak6aa92e", ""];
+            let name = |pick: u64| {
+                let n = 1 + (pick % 4) as usize;
+                let label = |i: usize| labels[(pick >> (3 + 3 * i)) as usize % 8];
+                (0..n).map(label).collect::<Vec<_>>().join(".")
+            };
+            let mut bl = Blacklist::new("p");
+            let mut set = HashSet::new();
+            for &pick in &listed {
+                bl.add(&name(pick));
+                set.insert(name(pick).to_ascii_lowercase());
+            }
+            let json = serde_json::to_string(&bl).unwrap();
+            let unfiltered: Blacklist = serde_json::from_str(&json).unwrap();
+            for &pick in asked.iter().chain(&listed) {
+                let domain = name(pick.rotate_left(7) ^ pick);
+                let lowered = domain.to_ascii_lowercase();
+                let mut suffixes = vec![lowered.as_str()];
+                suffixes.extend(lowered.match_indices('.').map(|(at, _)| &lowered[at + 1..]));
+                let expected = suffixes.iter().any(|s| set.contains(*s));
+                let answers = (bl.contains_suffix(&domain), unfiltered.contains_suffix(&domain));
+                proptest::prop_assert_eq!(answers, (expected, expected), "{}", domain);
+            }
+        }
     }
 
     #[test]

@@ -651,12 +651,14 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
 }
 
 /// `scan-zone <FILE...>`: the GB-scale batch pipeline — streaming
-/// chunked reads on a reader thread, allocation-conscious line scan,
+/// chunked reads on a reader thread, allocation-conscious line scan in
+/// shards on the worker pool,
 /// consecutive + windowed owner dedup, blacklist suffix filtering, and
 /// fixed-size batches into the per-TLD router. Prints the
 /// per-TLD accounting table, the `records_accounted` identity and the
-/// scheduling ledger; `--metrics-json` writes the machine-readable
-/// document (same `exec`/`pool`/`per_tld` schema as `serve-feed`).
+/// scheduling ledger (detection batches, line-stage splits, pool);
+/// `--metrics-json` writes the machine-readable document (same
+/// `exec`/`pool`/`per_tld` schema as `serve-feed`, plus `stage`).
 fn cmd_scan_zone(args: &[String]) -> ExitCode {
     use shamfinder::core::scan::{tld_from_path, ScanConfig, ZoneScanner, DEFAULT_DEDUP_WINDOW};
     use shamfinder::core::SessionRouter;
@@ -777,6 +779,11 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         exec.min_shard_len,
         exec.max_shard_len,
         exec.max_workers
+    );
+    let stage = report.stage;
+    println!(
+        "  line stage: {} pushes ({} split), {} shards, {} re-run whole, {} lines re-run at seams",
+        stage.pushes, stage.split_pushes, stage.shards, stage.shards_rerun, stage.lines_rerun
     );
     println!(
         "  pool: {} workers, occupancy {:.0}%",

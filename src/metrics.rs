@@ -5,13 +5,14 @@
 //! (`per_tld`, `exec`, `pool`) are built by the same helpers, so a
 //! dashboard consuming one consumes the other; the top section differs
 //! by workload (`events` + `feeds` + `robustness` for the streaming
-//! ingest service, `scan` for the batch scanner). The schema-pinning
+//! ingest service, `scan` and the line stage's `stage` for the batch
+//! scanner). The schema-pinning
 //! test in this module is the contract: adding or renaming a field is
 //! fine, silently dropping one is not.
 
 use serde::Value;
 use sham_core::scan::{ScanReport, TldScanStats};
-use sham_core::{ExecStats, IngestReport, PoolStats};
+use sham_core::{ExecStats, IngestReport, PoolStats, StageStats};
 use std::collections::BTreeMap;
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
@@ -27,6 +28,18 @@ fn exec_value(exec: &ExecStats) -> Value {
         ("min_shard_len", Value::U64(exec.min_shard_len as u64)),
         ("max_shard_len", Value::U64(exec.max_shard_len as u64)),
         ("max_workers", Value::U64(exec.max_workers as u64)),
+    ])
+}
+
+/// The `stage` section: how the scanner's line stage cut its pushes
+/// for the pool and what it re-ran at the seams.
+fn stage_value(stage: &StageStats) -> Value {
+    map(vec![
+        ("pushes", Value::U64(stage.pushes)),
+        ("split_pushes", Value::U64(stage.split_pushes)),
+        ("shards", Value::U64(stage.shards)),
+        ("shards_rerun", Value::U64(stage.shards_rerun)),
+        ("lines_rerun", Value::U64(stage.lines_rerun)),
     ])
 }
 
@@ -152,8 +165,8 @@ pub fn scan_per_tld(report: &ScanReport) -> BTreeMap<&str, (TldScanStats, (u64, 
 
 /// The `scan-zone` document: run totals with throughput, per-TLD
 /// accounting merged with each lane's detection counts (see
-/// [`scan_per_tld`]), and the same `exec`/`pool` sections `serve-feed`
-/// writes.
+/// [`scan_per_tld`]), the same `exec`/`pool` sections `serve-feed`
+/// writes, and the line stage's `stage` section between them.
 pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
     let totals = report.totals();
     let throughput = |records: u64, bytes: u64, secs: f64| {
@@ -213,6 +226,7 @@ pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
         ),
         ("per_tld", per_tld),
         ("exec", exec_value(&report.router.exec())),
+        ("stage", stage_value(&report.stage)),
         ("pool", pool_value(pool)),
     ]);
     serde_json::to_string(&doc).unwrap_or_default()
@@ -295,6 +309,7 @@ mod tests {
             per_tld,
             quarantine_samples: Vec::new(),
             files: 1,
+            stage: StageStats::default(),
         }
     }
 
@@ -333,7 +348,10 @@ mod tests {
     fn scan_schema_is_pinned_and_shares_sections() {
         let json = scan_metrics_json(&empty_scan_report(), &PoolStats::default());
         let doc: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(keys_of(&doc), vec!["scan", "per_tld", "exec", "pool"]);
+        assert_eq!(
+            keys_of(&doc),
+            vec!["scan", "per_tld", "exec", "stage", "pool"]
+        );
         assert_eq!(
             keys_of(section(&doc, "scan")),
             vec![
@@ -357,6 +375,16 @@ mod tests {
         // The shared sections carry the exact serve-feed key sets.
         assert_eq!(keys_of(section(&doc, "exec")), EXEC_KEYS.to_vec());
         assert_eq!(keys_of(section(&doc, "pool")), POOL_KEYS.to_vec());
+        assert_eq!(
+            keys_of(section(&doc, "stage")),
+            vec![
+                "pushes",
+                "split_pushes",
+                "shards",
+                "shards_rerun",
+                "lines_rerun"
+            ]
+        );
         // A scan per-TLD entry embeds the serve-feed core triple first.
         let com = section(section(&doc, "per_tld"), "com");
         let keys = keys_of(com);

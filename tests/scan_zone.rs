@@ -2,8 +2,10 @@
 //! over a generated multi-TLD zone must be *detection-identical* to an
 //! unchunked line-by-line replay through [`ZoneStreamParser::scan_line`]
 //! plus the same dedup/blacklist pre-stage feeding a plain
-//! [`SessionRouter`] — same router report, same per-TLD accounting —
-//! at every chunk size and thread count. Truncating the input at an
+//! [`SessionRouter`] — same router report, same per-TLD accounting,
+//! same quarantined-line samples — at every chunk size and thread
+//! count, including chunks large enough to be parsed in line shards on
+//! the worker pool. Truncating the input at an
 //! arbitrary byte offset or corrupting a byte mid-stream must never
 //! panic and must keep the `records_accounted` books closed (and the
 //! two models still agree on the damaged input). The ingest service
@@ -11,7 +13,7 @@
 //! bytes, transport faults included.
 
 use proptest::prelude::*;
-use shamfinder::core::scan::DEFAULT_DEDUP_WINDOW;
+use shamfinder::core::scan::{DEFAULT_DEDUP_WINDOW, MAX_LINE_BYTES};
 use shamfinder::core::{
     Backpressure, DetectionIndex, FeedOutcome, IngestConfig, IngestService, RetryPolicy,
     RouterReport, ScanConfig, SessionRouter, TldScanStats, ZoneScanner, ZoneTextFeed,
@@ -22,7 +24,7 @@ use shamfinder::workload::{
     reference_list, write_synthetic_zone, Fault, FaultSchedule, FaultyReader, ZoneGenConfig,
 };
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Reference stems shared by the generator and the detection index, so
@@ -84,20 +86,31 @@ fn byte_lines(data: &[u8]) -> Vec<&[u8]> {
     lines
 }
 
+/// Quarantined-line samples the scanner keeps.
+const QUARANTINE_SAMPLES: usize = 8;
+
 /// The reference model: one unchunked, single-threaded-I/O pass per
 /// file through `scan_line` with the identical dedup-window, blacklist
 /// and accounting rules, feeding the router domain by domain. The
 /// dedup window is keyed by the owner *string* (not its hash), pinning
-/// the intended semantics of the scanner's hash window.
+/// the intended semantics of the scanner's hash window. A line longer
+/// than [`MAX_LINE_BYTES`] is quarantined unread, like a non-UTF-8 one.
+/// Returns the first quarantined lines as the scanner words them too.
 fn replay(
     inputs: &[(&str, &[u8])],
     dedup_window: usize,
     blacklists: &[Blacklist],
-) -> (RouterReport, BTreeMap<String, TldScanStats>) {
+) -> (RouterReport, BTreeMap<String, TldScanStats>, Vec<String>) {
     let mut router = SessionRouter::new(Arc::clone(index())).with_batch_capacity(97);
     let mut per_tld: BTreeMap<String, TldScanStats> = BTreeMap::new();
     let mut window: VecDeque<String> = VecDeque::new();
     let mut window_set: HashSet<String> = HashSet::new();
+    let mut samples = Vec::new();
+    let quarantine = |samples: &mut Vec<String>, line: usize, message: &str| {
+        if samples.len() < QUARANTINE_SAMPLES {
+            samples.push(format!("line {line}: {message}"));
+        }
+    };
 
     for (tld, data) in inputs {
         let stats = per_tld.entry(tld.to_string()).or_default();
@@ -105,21 +118,31 @@ fn replay(
         let mut parser = ZoneStreamParser::new(tld);
         for raw in byte_lines(data) {
             stats.lines += 1;
+            let unread = if raw.len() > MAX_LINE_BYTES {
+                Some(format!("line longer than {MAX_LINE_BYTES} bytes"))
+            } else {
+                None
+            };
             let raw = match raw.split_last() {
                 Some((b'\r', head)) => head,
                 _ => raw,
             };
-            let text = match std::str::from_utf8(raw) {
-                Ok(t) => t,
-                Err(_) => {
+            let text = match (unread, std::str::from_utf8(raw)) {
+                (None, Ok(t)) => t,
+                (unread, _) => {
                     stats.quarantined += 1;
                     let _ = parser.scan_line("");
+                    let message = unread.unwrap_or_else(|| "invalid UTF-8".to_string());
+                    quarantine(&mut samples, parser.lines_seen(), &message);
                     continue;
                 }
             };
             match parser.scan_line(text) {
                 Ok(ZoneScan::Skip) => {}
-                Err(_) => stats.quarantined += 1,
+                Err(error) => {
+                    stats.quarantined += 1;
+                    quarantine(&mut samples, error.line, &error.message);
+                }
                 Ok(ZoneScan::Record { owner, new_owner }) => {
                     stats.records += 1;
                     if !new_owner {
@@ -150,7 +173,7 @@ fn replay(
             }
         }
     }
-    (router.into_report(), per_tld)
+    (router.into_report(), per_tld, samples)
 }
 
 /// Runs the real scanner over the same inputs.
@@ -176,17 +199,25 @@ fn scan(
 }
 
 /// Full-fidelity comparison: router reports equal, every per-TLD
-/// counter equal (elapsed time excepted), books closed on both sides.
+/// counter equal (elapsed time excepted), the same quarantined-line
+/// samples, books closed on both sides.
 fn assert_equivalent(
     report: &shamfinder::core::ScanReport,
-    expected_router: &RouterReport,
-    expected_tld: &BTreeMap<String, TldScanStats>,
+    (expected_router, expected_tld, expected_samples): &(
+        RouterReport,
+        BTreeMap<String, TldScanStats>,
+        Vec<String>,
+    ),
     context: &str,
 ) {
     report
         .verify_accounting()
         .unwrap_or_else(|e| panic!("{context}: {e}"));
     assert_eq!(&report.router, expected_router, "{context}: detections diverged");
+    assert_eq!(
+        &report.quarantine_samples, expected_samples,
+        "{context}: quarantine samples diverged"
+    );
     assert_eq!(
         report.per_tld.len(),
         expected_tld.len(),
@@ -230,9 +261,9 @@ proptest! {
             blacklists.push(bl);
         }
 
-        let (want_router, want_tld) = replay(&inputs, window, &blacklists);
+        let want = replay(&inputs, window, &blacklists);
         let report = scan(&inputs, chunk, window, blacklists);
-        assert_equivalent(&report, &want_router, &want_tld, "generated feed");
+        assert_equivalent(&report, &want, "generated feed");
 
         if blacklist_net == 1 {
             let net_stats = &report.per_tld["net"];
@@ -282,9 +313,9 @@ proptest! {
     ) {
         let data = damage(damage_base(), cut, flip_at, flip_mode);
         let inputs: Vec<(&str, &[u8])> = vec![("com", &data)];
-        let (want_router, want_tld) = replay(&inputs, 64, &[]);
+        let want = replay(&inputs, 64, &[]);
         let report = scan(&inputs, chunk, 64, Vec::new());
-        assert_equivalent(&report, &want_router, &want_tld, "damaged feed");
+        assert_equivalent(&report, &want, "damaged feed");
     }
 }
 
@@ -383,22 +414,30 @@ fn transport_faults_abort_the_scan_with_the_books_closed() {
     }
 }
 
+/// Serialises the tests that force a worker count: the override is
+/// process-wide, and the line stage's split decisions depend on it.
+fn thread_override_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The acceptance-criterion configuration, pinned exactly: a two-TLD
 /// generated feed with planted lookalikes scans to the same report at
 /// 1 and N worker threads, both equal to the unchunked replay, and the
 /// lookalikes are actually detected.
 #[test]
 fn scan_is_thread_count_invariant_and_detects_plants() {
+    let _serial = thread_override_lock();
     let com = gen_zone("com", 11, 128 << 10, 50, 5);
     let net = gen_zone("net", 12, 64 << 10, 50, 5);
     let inputs: Vec<(&str, &[u8])> = vec![("com", &com), ("net", &net)];
 
-    let (want_router, want_tld) = {
+    let want = {
         let _one = rayon::ThreadOverride::new(1);
         replay(&inputs, DEFAULT_DEDUP_WINDOW, &[])
     };
     assert!(
-        want_router.detection_count() > 0,
+        want.0.detection_count() > 0,
         "generated corpus must be detection-rich"
     );
 
@@ -406,12 +445,52 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
     for threads in [1usize, hardware] {
         let _forced = rayon::ThreadOverride::new(threads);
         let report = scan(&inputs, 1 << 16, DEFAULT_DEDUP_WINDOW, Vec::new());
-        assert_equivalent(
-            &report,
-            &want_router,
-            &want_tld,
-            &format!("{threads} thread(s)"),
-        );
+        assert_equivalent(&report, &want, &format!("{threads} thread(s)"));
+    }
+}
+
+/// Chunks that split: a two-TLD input of over 2 MiB at the default
+/// 1 MiB chunk is parsed in line shards on the pool at 2 and 4 threads
+/// and inline at 1, and every thread count gives the replay's report,
+/// accounting and quarantine samples. The `com` file is two generated
+/// zones back to back, so it repeats its `$ORIGIN`/`$TTL` header
+/// mid-file, and that header and the first malformed lines fall in
+/// forked shards of the second chunk (past its head at 2 threads, the
+/// larger one).
+#[test]
+fn split_chunks_match_the_replay_at_1_2_and_4_threads() {
+    let _serial = thread_override_lock();
+    let mut com = gen_zone("com", 21, 1792 << 10, 40, 0);
+    let clean_lines = com.iter().filter(|&&b| b == b'\n').count();
+    com.extend(gen_zone("com", 23, 512 << 10, 40, 8));
+    let net = gen_zone("net", 22, 640 << 10, 40, 6);
+    assert!(com.len() + net.len() >= 2 << 20);
+    let inputs: Vec<(&str, &[u8])> = vec![("com", &com), ("net", &net)];
+    let want = replay(&inputs, DEFAULT_DEDUP_WINDOW, &[]);
+    assert!(want.0.detection_count() > 0);
+    let first = want.2[0]
+        .strip_prefix("line ")
+        .and_then(|s| s.split(':').next());
+    let first: usize = first
+        .and_then(|line| line.parse().ok())
+        .expect("a numbered sample");
+    assert!(first > clean_lines, "{:?}", want.2);
+
+    let chunk = ScanConfig::default().chunk_bytes;
+    for threads in [1usize, 2, 4] {
+        let _forced = rayon::ThreadOverride::new(threads);
+        let report = scan(&inputs, chunk, DEFAULT_DEDUP_WINDOW, Vec::new());
+        assert_equivalent(&report, &want, &format!("{threads} thread(s)"));
+        let stage = report.stage;
+        if threads == 1 {
+            assert_eq!(stage.split_pushes, 0, "{stage:?}");
+        } else {
+            // The three chunks of com and the one of net split, and
+            // each fork re-runs about one line at its seam.
+            assert_eq!(stage.split_pushes, 4, "{stage:?}");
+            assert_eq!(stage.shards_rerun, 0, "{stage:?}");
+            assert!(stage.lines_rerun <= 2 * stage.shards, "{stage:?}");
+        }
     }
 }
 
@@ -420,9 +499,9 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
 #[test]
 fn empty_file_accounts_to_zero()  {
     let inputs: Vec<(&str, &[u8])> = vec![("org", b"")];
-    let (want_router, want_tld) = replay(&inputs, 16, &[]);
+    let want = replay(&inputs, 16, &[]);
     let report = scan(&inputs, 4096, 16, Vec::new());
-    assert_equivalent(&report, &want_router, &want_tld, "empty file");
+    assert_equivalent(&report, &want, "empty file");
     let mut org = report.per_tld["org"];
     org.elapsed_secs = 0.0;
     assert_eq!(org, TldScanStats::default());
