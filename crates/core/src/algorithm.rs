@@ -48,11 +48,14 @@
 //! substitution list — so the rejecting path of the inner test performs
 //! no per-candidate heap allocation; `String`s are only materialised
 //! for actual detections, and even then the reference name is an `Arc`
-//! handle copy, not a clone. Shards are merged in corpus order, so
-//! results are identical to a sequential run at every thread count.
-//! Batches at or below one shard run inline on the calling thread with
-//! caller-provided scratch — the path [`DetectorSession`] takes for
-//! every streamed batch, so streaming pays no spawn/merge overhead.
+//! handle copy, not a clone. A [`DetectorSession`]'s batch holds
+//! undecoded ACE names, and the shard decodes each one straight into
+//! its stem buffer; pre-decoded `(stem, ACE)` pairs take the same path
+//! (`IdnBatch`). Shards are merged in corpus order, so results are
+//! identical to a sequential run at every thread count. Batches at or
+//! below one shard run inline on the calling thread with
+//! caller-provided scratch, so small streamed batches pay no
+//! spawn/merge overhead.
 //! Per-character work is hash-free: component representatives come from
 //! the flat interner (two array reads), and the pairwise
 //! re-verification probes the CSR adjacency (one binary search).
@@ -209,6 +212,83 @@ fn matches_into(
     !subs.is_empty()
 }
 
+/// A batch the detection executor scores: pre-decoded
+/// `(unicode stem, full ACE name)` pairs, or a lane's [`AceBatch`],
+/// whose names the shards decode. Either way every IDN reaches the
+/// same [`detect_shard`].
+pub(crate) trait IdnBatch: Sync {
+    /// IDNs in the batch.
+    fn len(&self) -> usize;
+
+    /// Appends IDN `i`'s Unicode stem to `stem` as code points.
+    fn stem_into(&self, i: usize, stem: &mut Vec<u32>);
+
+    /// IDN `i`'s `(idn_unicode, idn_ascii)` strings for a detection,
+    /// `stem` being what [`stem_into`](Self::stem_into) wrote.
+    fn strings(&self, i: usize, stem: &[u32]) -> (String, String);
+}
+
+impl IdnBatch for [(String, String)] {
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn stem_into(&self, i: usize, stem: &mut Vec<u32>) {
+        stem.extend(self[i].0.chars().map(u32::from));
+    }
+
+    fn strings(&self, i: usize, _stem: &[u32]) -> (String, String) {
+        self[i].clone()
+    }
+}
+
+/// Full ACE names back to back in one reused buffer, with their end
+/// offsets: a lane's IDNs between flushes. Nothing is decoded until a
+/// detection shard reads a name, and only hits get `String`s.
+#[derive(Debug, Default)]
+pub(crate) struct AceBatch {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl AceBatch {
+    /// Appends one full ACE name that has a stem (at least one dot).
+    pub(crate) fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    /// Empties the batch, keeping both buffers.
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// The `i`th name.
+    fn name(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+impl IdnBatch for AceBatch {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn stem_into(&self, i: usize, stem: &mut Vec<u32>) {
+        sham_punycode::domain::unicode_stem_into(self.name(i), stem);
+    }
+
+    fn strings(&self, i: usize, stem: &[u32]) -> (String, String) {
+        let unicode = stem
+            .iter()
+            .map(|&c| char::from_u32(c).unwrap_or('\u{FFFD}'))
+            .collect();
+        (unicode, self.name(i).to_string())
+    }
+}
+
 /// The shared detection executor: scores `idns` against `refs` and
 /// appends detections (in corpus order) to `out`. Batch `detect`,
 /// `Framework::run` and the streaming session all funnel through here,
@@ -218,36 +298,48 @@ fn matches_into(
 /// [`crate::sched`] — partitioning only, the output is bit-identical at
 /// every thread count — and the decision taken is recorded into `exec`.
 #[allow(clippy::too_many_arguments)] // internal funnel: every caller threads the same context
-pub(crate) fn detect_append(
+pub(crate) fn detect_append<B: IdnBatch + ?Sized>(
     db: &HomoglyphDb,
     refs: &ReferenceSet,
-    idns: &[(String, String)],
+    idns: &B,
     selection: DbSelection,
     indexing: Indexing,
     scratch: &mut DetectScratch,
     out: &mut Vec<Detection>,
     exec: &mut ExecStats,
 ) {
-    if idns.is_empty() {
+    let len = idns.len();
+    if len == 0 {
         return;
     }
     let threads = rayon::current_num_threads().max(1);
-    let shard_len = crate::sched::shard_len_for(idns.len(), threads);
-    if idns.len() <= shard_len {
-        exec.record(1, idns.len(), 1);
-        detect_shard(db, refs, idns, selection, indexing, scratch, out);
+    let shard_len = crate::sched::shard_len_for(len, threads);
+    if len <= shard_len {
+        exec.record(1, len, 1);
+        detect_shard(db, refs, idns, 0..len, selection, indexing, scratch, out);
         return;
     }
-    let shard_count = idns.len().div_ceil(shard_len);
+    let shard_count = len.div_ceil(shard_len);
     exec.record(shard_count, shard_len, threads.min(shard_count));
-    // Shard by index range straight over the input slice — no per-call
-    // `Vec<&[_]>` of subslices; only the per-shard outputs allocate.
-    let outs: Vec<Vec<Detection>> = idns
-        .par_chunks(shard_len)
+    // Shards are index ranges over the batch: besides the shard numbers
+    // handed to the pool, only the per-shard outputs allocate.
+    let outs: Vec<Vec<Detection>> = (0..shard_count)
+        .into_par_iter()
         .map(|shard| {
+            let lo = shard * shard_len;
+            let range = lo..(lo + shard_len).min(len);
             let mut scratch = DetectScratch::default();
             let mut hits = Vec::new();
-            detect_shard(db, refs, shard, selection, indexing, &mut scratch, &mut hits);
+            detect_shard(
+                db,
+                refs,
+                idns,
+                range,
+                selection,
+                indexing,
+                &mut scratch,
+                &mut hits,
+            );
             hits
         })
         .collect();
@@ -257,53 +349,41 @@ pub(crate) fn detect_append(
     }
 }
 
-/// Sequential detection over one shard with caller-provided scratch.
-fn detect_shard(
+/// Sequential detection over the IDNs `range` of `idns` with
+/// caller-provided scratch: each stem is written into the reused
+/// scratch stem, decoded there if the batch holds ACE names.
+#[allow(clippy::too_many_arguments)] // internal funnel, as `detect_append`
+fn detect_shard<B: IdnBatch + ?Sized>(
     db: &HomoglyphDb,
     refs: &ReferenceSet,
-    idns: &[(String, String)],
+    idns: &B,
+    range: std::ops::Range<usize>,
     selection: DbSelection,
     indexing: Indexing,
     scratch: &mut DetectScratch,
     out: &mut Vec<Detection>,
 ) {
     let DetectScratch { stem, subs } = scratch;
-    let try_candidate = |ref_idx: u32,
-                             stem: &[u32],
-                             subs: &mut Vec<CharSubstitution>,
-                             unicode: &str,
-                             ace: &str,
-                             out: &mut Vec<Detection>| {
-        let r = refs.stem(ref_idx);
-        if matches_into(db, r, stem, selection, subs) {
-            out.push(Detection {
-                idn_unicode: unicode.to_string(),
-                idn_ascii: ace.to_string(),
-                reference: refs.name(ref_idx),
-                substitutions: subs.clone(),
-            });
-        }
-    };
-    for (unicode, ace) in idns {
+    for i in range {
         stem.clear();
-        stem.extend(unicode.chars().map(|c| c as u32));
+        idns.stem_into(i, stem);
+        let mut try_candidate = |ref_idx: u32| {
+            if matches_into(db, refs.stem(ref_idx), stem, selection, subs) {
+                let (idn_unicode, idn_ascii) = idns.strings(i, stem);
+                out.push(Detection {
+                    idn_unicode,
+                    idn_ascii,
+                    reference: refs.name(ref_idx),
+                    substitutions: subs.clone(),
+                });
+            }
+        };
         match indexing {
-            Indexing::Naive => {
-                for ref_idx in refs.all_indices() {
-                    try_candidate(ref_idx, stem, subs, unicode, ace, out);
-                }
-            }
-            Indexing::LengthBucket => {
-                for ref_idx in refs.len_candidates(stem.len()) {
-                    try_candidate(ref_idx, stem, subs, unicode, ace, out);
-                }
-            }
-            Indexing::CanonicalClosure => {
-                let h = closure_hash(db, stem);
-                for ref_idx in refs.closure_candidates(h) {
-                    try_candidate(ref_idx, stem, subs, unicode, ace, out);
-                }
-            }
+            Indexing::Naive => refs.all_indices().for_each(&mut try_candidate),
+            Indexing::LengthBucket => refs.len_candidates(stem.len()).for_each(&mut try_candidate),
+            Indexing::CanonicalClosure => refs
+                .closure_candidates(closure_hash(db, stem))
+                .for_each(&mut try_candidate),
         }
     }
 }

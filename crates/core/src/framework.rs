@@ -65,16 +65,6 @@ impl FrameworkReport {
     }
 }
 
-/// Step 2 for one name: a name of `tld` with an `xn--` label yields
-/// its `(unicode stem, full ACE name)` pair, any other name `None`.
-pub(crate) fn extract_idn(domain: &DomainName, tld: &str) -> Option<(String, String)> {
-    if domain.tld() != tld || !domain.is_idn() {
-        return None;
-    }
-    let stem = domain.unicode_without_tld()?;
-    Some((stem, domain.as_ascii().to_string()))
-}
-
 /// The configured pipeline.
 pub struct Framework {
     detector: Detector,
@@ -151,14 +141,17 @@ impl Framework {
     }
 
     /// Step 2: extracts the IDNs of this TLD as
-    /// `(unicode stem, full ACE name)` pairs.
+    /// `(unicode stem, full ACE name)` pairs: the names of this TLD with
+    /// an `xn--` label and a stem (a bare TLD has none). A session's
+    /// lanes keep the same names undecoded.
     pub fn extract_idns<'a>(
         &self,
         domains: impl IntoIterator<Item = &'a DomainName>,
     ) -> Vec<(String, String)> {
         domains
             .into_iter()
-            .filter_map(|d| extract_idn(d, &self.tld))
+            .filter(|d| d.tld() == self.tld && d.is_idn())
+            .filter_map(|d| Some((d.unicode_without_tld()?, d.as_ascii().to_string())))
             .collect()
     }
 

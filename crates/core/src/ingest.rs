@@ -773,23 +773,31 @@ fn run_connector(
 /// sight. A full lane blocks (counted once per push attempt) or sheds
 /// per the configured policy.
 fn enqueue(shared: &Shared, config: &IngestConfig, domain: DomainName) {
-    let tld = domain.tld().to_string();
     let mut inner = shared.lock();
     let mut counted_block = false;
     loop {
         let seq = inner.seq;
-        let lane = inner.lanes.entry(tld.clone()).or_insert_with(|| LaneQueue {
-            queue: VecDeque::new(),
-            stats: LaneStats {
-                tld: tld.clone(),
-                enqueued: 0,
-                routed: 0,
-                shed: 0,
-                blocked: 0,
-                panics: 0,
-                folds: 0,
-            },
-        });
+        // `entry` would take an owned key per name: build the TLD's
+        // `String`s only to open its lane.
+        let lane = match inner.lanes.get_mut(domain.tld()) {
+            Some(lane) => lane,
+            None => {
+                let tld = domain.tld().to_string();
+                let stats = LaneStats {
+                    tld: tld.clone(),
+                    enqueued: 0,
+                    routed: 0,
+                    shed: 0,
+                    blocked: 0,
+                    panics: 0,
+                    folds: 0,
+                };
+                inner.lanes.entry(tld).or_insert(LaneQueue {
+                    queue: VecDeque::new(),
+                    stats,
+                })
+            }
+        };
         if lane.queue.len() < config.queue_capacity {
             lane.queue.push_back((seq, domain));
             lane.stats.enqueued += 1;

@@ -11,12 +11,17 @@
 //! list are built once for the whole fleet, never per TLD.
 //!
 //! A lane *is* its TLD's session, and the session is the only buffer:
-//! routing a borrowed name counts it and, if it is an IDN, decodes it
-//! into the session's `(stem, ACE)` batch — no name is cloned. A lane
-//! flushes that batch once it has counted `batch_capacity` owners (or
-//! when a reference diff / report boundary forces it), so even a feed
-//! trickling in single events drives multi-shard batches through the
-//! shared worker pool instead of per-domain detection calls. Because
+//! routing a borrowed name counts it and, if it is an IDN, appends its
+//! ACE bytes to the session's batch — no name is cloned into a `String`
+//! of its own, and the routing thread runs no Punycode. The router
+//! finds a name's TLD with one `rfind('.')` and tries the previous
+//! name's lane before its binary search, since zone files come grouped
+//! by TLD. A lane flushes its batch once it has counted
+//! `batch_capacity` owners (or when a reference diff / report boundary
+//! forces it); the flush's detection shards decode and match the names,
+//! so even a feed trickling in single events drives multi-shard
+//! batches through the shared worker pool instead of per-domain
+//! detection calls. Because
 //! streaming detection is partition-invariant (see `crate::session`),
 //! buffering is unobservable in the results: the router's per-TLD
 //! reports are *identical* to running each TLD's events through its
@@ -149,9 +154,13 @@ impl RouterReport {
 pub struct SessionRouter {
     index: Arc<DetectionIndex>,
     compact_min_dead: usize,
-    /// One session per TLD, sorted by TLD (binary-searched on every
-    /// routed domain).
+    /// One session per TLD, sorted by TLD (binary-searched when a
+    /// routed domain's TLD is not the previous one's).
     lanes: Vec<DetectorSession>,
+    /// Where the previous routed domain's lane was: tried first, and
+    /// only used if that lane's TLD matches (lanes open and close, so
+    /// the index can go stale).
+    last_lane: usize,
     /// When false, a domain whose TLD has no lane is counted as
     /// unrouted instead of opening one — unless the TLD is in
     /// `allowed` (a folded or poisoned lane of the fixed set reopens).
@@ -179,6 +188,7 @@ impl SessionRouter {
             index,
             compact_min_dead: DEFAULT_COMPACTION_THRESHOLD,
             lanes: Vec::new(),
+            last_lane: 0,
             auto_open: true,
             allowed: None,
             folded: Vec::new(),
@@ -279,17 +289,24 @@ impl SessionRouter {
     /// their IDNs as one batch.
     pub fn push_domains<'a>(&mut self, domains: impl IntoIterator<Item = &'a DomainName>) {
         for domain in domains {
-            let at = match self.lane_position(domain.tld()) {
-                Ok(at) => at,
-                Err(at) if self.lane_permitted(domain.tld()) => {
-                    self.lanes.insert(at, self.open_session(domain.tld()));
-                    at
-                }
-                Err(_) => {
-                    self.unrouted += 1;
-                    continue;
+            let tld = domain.tld();
+            let last = self.lanes.get(self.last_lane);
+            let at = if last.is_some_and(|lane| lane.tld() == tld) {
+                self.last_lane
+            } else {
+                match self.lane_position(tld) {
+                    Ok(at) => at,
+                    Err(at) if self.lane_permitted(tld) => {
+                        self.lanes.insert(at, self.open_session(tld));
+                        at
+                    }
+                    Err(_) => {
+                        self.unrouted += 1;
+                        continue;
+                    }
                 }
             };
+            self.last_lane = at;
             let lane = &mut self.lanes[at];
             if lane.buffer(domain) >= self.batch_capacity {
                 lane.flush();

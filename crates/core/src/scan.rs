@@ -61,9 +61,12 @@
 //!   names; nothing is allocated for skipped, deduplicated or
 //!   blacklisted lines. Each surviving owner is pushed, still
 //!   borrowed, straight into the [`SessionRouter`]: its lane counts it
-//!   and decodes it only if it is an IDN, so no owner is cloned on its
-//!   way to detection. A lane detects its decoded IDNs as one batch
-//!   once it has counted [`ScanConfig::batch_capacity`] owners.
+//!   and, only if it is an IDN, appends its ACE bytes to one reused
+//!   buffer, so no owner is cloned on its way to detection and the
+//!   calling thread runs no Punycode. A lane detects those IDNs as one
+//!   batch once it has counted [`ScanConfig::batch_capacity`] owners;
+//!   the batch's shards decode each name, on the pool when there is
+//!   more than one shard.
 //! * **Bounded lines** — a line longer than [`MAX_LINE_BYTES`] is
 //!   quarantined whole with one fixed message wherever it falls across
 //!   chunks and shards; the stage buffers at most that much of it.

@@ -6,9 +6,11 @@
 //! * **Detection batches** — `detect_append` splits a batch of IDNs
 //!   into shards of `shard_len_for` IDNs: one inline shard at 1 thread,
 //!   otherwise ≈ 4 shards per worker so every worker engages and a slow
-//!   shard cannot serialise the tail. Flushes (router lanes, the
-//!   scanner's pre-stage, the ingest drainer) happen at the configured
-//!   batch capacity.
+//!   shard cannot serialise the tail. A lane's batch holds ACE names,
+//!   and each shard Punycode-decodes its own names before matching
+//!   them, so Step 2's decoding is spread the same way. Flushes (router
+//!   lanes, the scanner's pre-stage, the ingest drainer) happen at the
+//!   configured batch capacity.
 //! * **Zone lines** — the scanner's line stage cuts each pushed span of
 //!   complete lines at line starts by `line_shards_for`. The calling
 //!   thread runs a head of twice a pool worker's share while the pool

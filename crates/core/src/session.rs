@@ -12,11 +12,14 @@
 //! `Framework::run` is itself a thin wrapper over a session.
 //!
 //! A session is the only buffer between an owner and detection: it
-//! counts every owner and keeps, from the borrowed name, only the
-//! decoded `(stem, ACE)` pair of an IDN of its TLD. Memory stays
-//! bounded by the IDNs of one batch (one reused pair buffer, one reused
-//! match scratch) plus the accumulated detections — the session never
-//! materialises the corpus.
+//! counts every owner and keeps, from the borrowed name, only the ACE
+//! bytes of an IDN of its TLD, appended to one reused buffer with their
+//! end offsets. Nothing is decoded until the flush: its detection shards
+//! (inline for one shard, on the worker pool otherwise) decode each
+//! name straight into their reused code-point stem, and only a hit gets
+//! `String`s. Memory stays bounded by the IDNs of one batch (one reused
+//! ACE buffer, one reused match scratch) plus the accumulated
+//! detections — the session never materialises the corpus.
 //!
 //! Reference diffs are copy-on-write: the first
 //! [`DetectorSession::apply_reference_diff`] clones the index's
@@ -41,9 +44,9 @@
 //!
 //! [`Framework::run`]: crate::Framework::run
 
-use crate::algorithm::{detect_append, DetectScratch, Indexing};
+use crate::algorithm::{detect_append, AceBatch, DetectScratch, IdnBatch, Indexing};
 use crate::detection::Detection;
-use crate::framework::{extract_idn, FrameworkReport};
+use crate::framework::FrameworkReport;
 use crate::index::{DetectionIndex, ReferenceSet};
 use crate::sched::ExecStats;
 use sham_punycode::DomainName;
@@ -99,9 +102,9 @@ pub struct DetectorSession {
     /// Owners buffered since the last flush: counted into
     /// `total_domains` by a flush, dropped uncounted by a discard.
     buffered: usize,
-    /// The `(stem, ACE)` pairs of the buffered owners that are IDNs of
-    /// this TLD; reused across flushes.
-    batch: Vec<(String, String)>,
+    /// The full ACE names of the buffered owners that are IDNs of this
+    /// TLD, undecoded; reused across flushes.
+    batch: AceBatch,
     /// Reused match scratch — steady-state streaming allocates nothing
     /// on the rejecting path.
     scratch: DetectScratch,
@@ -123,7 +126,7 @@ impl DetectorSession {
             detections: Vec::new(),
             exec: ExecStats::default(),
             buffered: 0,
-            batch: Vec::new(),
+            batch: AceBatch::default(),
             scratch: DetectScratch::default(),
         }
     }
@@ -169,14 +172,19 @@ impl DetectorSession {
 
     /// Feeds one batch of registered domain names (a zone-file diff):
     /// every name counts toward the corpus total, names of this
-    /// session's TLD with an `xn--` label are decoded and matched
-    /// immediately. Steps 1–3 of the pipeline, incrementally.
+    /// session's TLD with an `xn--` label and a stem are decoded and
+    /// matched before the call returns. Steps 1–3 of the pipeline,
+    /// incrementally.
     pub fn push_domains<'a>(
         &mut self,
         domains: impl IntoIterator<Item = &'a DomainName>,
     ) {
         for domain in domains {
-            self.buffer(domain);
+            if domain.tld() == self.tld {
+                self.buffer(domain);
+            } else {
+                self.buffered += 1;
+            }
         }
         self.flush();
     }
@@ -186,11 +194,16 @@ impl DetectorSession {
         &self.tld
     }
 
-    /// Buffers one owner for the next flush, keeping only its decoded
-    /// pair if it is an IDN of this TLD (Step 2 on the borrowed name).
-    /// Returns how many owners are now buffered.
+    /// Buffers one owner of this session's TLD (the caller has matched
+    /// it) for the next flush, keeping only its ACE name if it is an IDN
+    /// (Step 2's predicate on the borrowed name; the flush's detection
+    /// shards decode it). Returns how many owners are now buffered.
     pub(crate) fn buffer(&mut self, domain: &DomainName) -> usize {
-        self.batch.extend(extract_idn(domain, &self.tld));
+        let name = domain.as_ascii();
+        // Longer than its TLD means a stem is left: a bare TLD is no IDN.
+        if name.len() > self.tld.len() && domain.is_idn() {
+            self.batch.push(name);
+        }
         self.buffered += 1;
         self.buffered
     }
@@ -224,7 +237,7 @@ impl DetectorSession {
     }
 
     /// Scores one batch against the session's current reference view.
-    fn detect_batch(&mut self, idns: &[(String, String)]) {
+    fn detect_batch<B: IdnBatch + ?Sized>(&mut self, idns: &B) {
         let refs = match &self.overlay {
             Some(overlay) => overlay,
             None => self.index.refs(),

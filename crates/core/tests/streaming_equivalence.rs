@@ -174,6 +174,97 @@ proptest! {
     }
 }
 
+/// Names that take every branch of Step 2: ASCII names, IDNs of `com`,
+/// of `net` and of the `xn--p1ai` TLD (lookalikes and benign ones),
+/// ASCII stems under `xn--p1ai`, the bare TLDs `xn--p1ai` and `com`,
+/// undecodable and non-canonical `xn--` labels alone or beside good
+/// ones, and uppercase input.
+fn step2_corpus() -> &'static [DomainName] {
+    static CORPUS: OnceLock<Vec<DomainName>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let lookalike = |i: usize| {
+            let target = REFERENCES[i % REFERENCES.len()];
+            let stem = target
+                .replacen('o', "\u{43E}", 1)
+                .replacen('a', "\u{430}", 1);
+            let stem = if stem == target {
+                format!("{target}\u{E9}")
+            } else {
+                stem
+            };
+            sham_punycode::ace::to_ascii(&stem).unwrap()
+        };
+        (0..720usize)
+            .map(|i| {
+                let name = match i % 18 {
+                    0 => format!("plain-{i}.com"),
+                    1 | 2 => format!("{}.com", lookalike(i)),
+                    3 => format!("{}.net", lookalike(i)),
+                    4 => format!("{}.xn--p1ai", lookalike(i)),
+                    5 => format!("shop-{i}.xn--p1ai"),
+                    6 => "xn--p1ai".to_string(),
+                    7 => "com".to_string(),
+                    8 => format!(
+                        "{}-{i}.com",
+                        sham_punycode::ace::to_ascii("münchen").unwrap()
+                    ),
+                    9 => "xn--99999999999.com".to_string(),
+                    10 => "xn---tda.com".to_string(),
+                    11 => format!("xn--abc{i}-.com"),
+                    12 => format!("www.{}.com", lookalike(i)),
+                    13 => format!("{}.xn---tda.com", lookalike(i)),
+                    14 => format!("{}.COM", lookalike(i).to_uppercase()),
+                    15 => format!("WWW.{}.XN--P1AI", lookalike(i).to_uppercase()),
+                    16 => format!("xn--ab_{i}.xn--p1ai"),
+                    _ => format!("plain-{i}.net"),
+                };
+                DomainName::parse(&name).unwrap()
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A lane keeps ACE names and its flush's shards decode them; the
+    /// pre-decoded pairs of `extract_idns` take the other way into the
+    /// same executor. In any batch partition of the Step 2 corpus, at 1
+    /// and 2 threads, for the `com` and `xn--p1ai` sessions, the two give
+    /// the same detections (strings, reference, substitutions, order)
+    /// and the same IDN count.
+    #[test]
+    fn lanes_decoding_in_shards_match_pre_decoded_pairs(
+        cuts in proptest::collection::vec(0usize..200, 0..10),
+        threads_idx in 0usize..2,
+    ) {
+        let _serial = serial();
+        let corpus = step2_corpus();
+        let _threads = rayon::ThreadOverride::new(threads_idx + 1);
+        for tld in ["com", "xn--p1ai"] {
+            let fw = Framework::with_shared_index(framework().shared_index(), tld);
+            let idns = fw.extract_idns(corpus);
+            let mut pre_decoded = fw.session();
+            pre_decoded.push_idns(&idns);
+            let expected = pre_decoded.into_report();
+            prop_assert!(expected.detections.len() > 20, ".{} corpus must detect", tld);
+
+            let mut session = fw.session();
+            let mut rest = corpus;
+            for &cut in &cuts {
+                let (batch, tail) = rest.split_at(cut.min(rest.len()));
+                session.push_domains(batch);
+                rest = tail;
+            }
+            session.push_domains(rest);
+            let streamed = session.into_report();
+            prop_assert_eq!(streamed.total_domains, corpus.len());
+            prop_assert_eq!(streamed.idn_count, idns.len());
+            prop_assert_eq!(&streamed.detections, &expected.detections, ".{}", tld);
+        }
+    }
+}
+
 /// The acceptance-criterion configuration, pinned exactly: the 20k
 /// corpus in 64-domain batches equals `Framework::run`, at 1 and N
 /// worker threads.

@@ -23,26 +23,26 @@ const SKEW: u32 = 38;
 const DAMP: u32 = 700;
 const INITIAL_BIAS: u32 = 72;
 const INITIAL_N: u32 = 0x80;
-const DELIMITER: char = '-';
+const DELIMITER: u8 = b'-';
 
 /// Maps a digit value `0..36` to its lowercase basic code point
 /// (`a..z` = 0..25, `0..9` = 26..35).
-fn encode_digit(d: u32) -> char {
+fn encode_digit(d: u32) -> u8 {
     debug_assert!(d < BASE);
     if d < 26 {
-        (b'a' + d as u8) as char
+        b'a' + d as u8
     } else {
-        (b'0' + (d - 26) as u8) as char
+        b'0' + (d - 26) as u8
     }
 }
 
 /// Maps a basic code point to its digit value, case-insensitively.
-fn decode_digit(c: char) -> Result<u32, PunycodeError> {
-    match c {
-        'a'..='z' => Ok(c as u32 - 'a' as u32),
-        'A'..='Z' => Ok(c as u32 - 'A' as u32),
-        '0'..='9' => Ok(c as u32 - '0' as u32 + 26),
-        _ => Err(PunycodeError::InvalidDigit(c)),
+fn decode_digit(b: u8) -> Option<u32> {
+    match b {
+        b'a'..=b'z' => Some(u32::from(b - b'a')),
+        b'A'..=b'Z' => Some(u32::from(b - b'A')),
+        b'0'..=b'9' => Some(u32::from(b - b'0') + 26),
+        _ => None,
     }
 }
 
@@ -58,24 +58,70 @@ fn adapt(mut delta: u32, num_points: u32, first_time: bool) -> u32 {
     k + (((BASE - TMIN + 1) * delta) / (delta + SKEW))
 }
 
+/// The threshold `t` of digit position `k` under `bias` (RFC 3492 §6).
+fn threshold(k: u32, bias: u32) -> u32 {
+    if k <= bias {
+        TMIN
+    } else if k >= bias + TMAX {
+        TMAX
+    } else {
+        k - bias
+    }
+}
+
 /// Encodes `input` to its Punycode form (RFC 3492 §6.3).
 ///
 /// The output contains only basic code points. Inputs consisting solely of
 /// basic code points are valid and produce `input + "-"`; ACE-level logic
 /// (deciding whether to encode at all) lives in [`crate::ace`].
 pub fn encode(input: &str) -> Result<String, PunycodeError> {
-    let code_points: Vec<u32> = input.chars().map(|c| c as u32).collect();
+    let code_points: Vec<u32> = input.chars().map(u32::from).collect();
     let mut output = String::with_capacity(input.len());
+    encode_into(&code_points, &mut output)?;
+    Ok(output)
+}
 
+/// Encodes the code points `input` to Punycode, appending to `out`:
+/// the allocation-free form of [`encode`] once `out` has room. On error
+/// `out` is left as it was.
+pub fn encode_into(input: &[u32], out: &mut String) -> Result<(), PunycodeError> {
+    let start = out.len();
+    let result = encode_with(input, |b| out.push(char::from(b)));
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
+}
+
+/// Whether `input` encodes to exactly `expected`, read ASCII-lowercased:
+/// the RFC 3492 round-trip check of a decoded ACE label, run without an
+/// output buffer. The encoder always runs to the end, so an encoding
+/// error wins over a mismatch as it would for [`encode`] followed by a
+/// comparison.
+pub(crate) fn encodes_to(input: &[u32], expected: &[u8]) -> Result<bool, PunycodeError> {
+    let mut at = 0;
+    let mut equal = true;
+    encode_with(input, |b| {
+        equal &= expected
+            .get(at)
+            .is_some_and(|e| e.to_ascii_lowercase() == b);
+        at += 1;
+    })?;
+    Ok(equal && at == expected.len())
+}
+
+/// The encoder (RFC 3492 §6.3), handing each output byte to `emit`.
+fn encode_with(input: &[u32], mut emit: impl FnMut(u8)) -> Result<(), PunycodeError> {
     // Copy basic code points, then the delimiter (if any basics were copied).
-    for &cp in &code_points {
+    let mut basic_count: u32 = 0;
+    for &cp in input {
         if cp < INITIAL_N {
-            output.push(char::from_u32(cp).expect("basic code point"));
+            emit(cp as u8);
+            basic_count += 1;
         }
     }
-    let basic_count = output.chars().count() as u32;
     if basic_count > 0 {
-        output.push(DELIMITER);
+        emit(DELIMITER);
     }
 
     let mut n = INITIAL_N;
@@ -83,9 +129,9 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
     let mut bias = INITIAL_BIAS;
     let mut handled = basic_count; // code points encoded/copied so far
 
-    while (handled as usize) < code_points.len() {
+    while (handled as usize) < input.len() {
         // Find the smallest un-handled code point >= n.
-        let m = code_points
+        let m = input
             .iter()
             .copied()
             .filter(|&cp| cp >= n)
@@ -104,7 +150,7 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
             .ok_or(PunycodeError::Overflow)?;
         n = m;
 
-        for &cp in &code_points {
+        for &cp in input {
             if cp < n {
                 delta = delta.checked_add(1).ok_or(PunycodeError::Overflow)?;
             }
@@ -113,21 +159,15 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
                 let mut q = delta;
                 let mut k = BASE;
                 loop {
-                    let t = if k <= bias {
-                        TMIN
-                    } else if k >= bias + TMAX {
-                        TMAX
-                    } else {
-                        k - bias
-                    };
+                    let t = threshold(k, bias);
                     if q < t {
                         break;
                     }
-                    output.push(encode_digit(t + (q - t) % (BASE - t)));
+                    emit(encode_digit(t + (q - t) % (BASE - t)));
                     q = (q - t) / (BASE - t);
                     k += BASE;
                 }
-                output.push(encode_digit(q));
+                emit(encode_digit(q));
                 bias = adapt(delta, handled + 1, handled == basic_count);
                 delta = 0;
                 handled += 1;
@@ -136,49 +176,64 @@ pub fn encode(input: &str) -> Result<String, PunycodeError> {
         delta = delta.checked_add(1).ok_or(PunycodeError::Overflow)?;
         n = n.checked_add(1).ok_or(PunycodeError::Overflow)?;
     }
-
-    Ok(output)
+    Ok(())
 }
 
 /// Decodes a Punycode string back to Unicode (RFC 3492 §6.2).
 pub fn decode(input: &str) -> Result<String, PunycodeError> {
+    let mut code_points = Vec::with_capacity(input.len());
+    decode_into(input, &mut code_points)?;
+    crate::collect_chars(&code_points)
+}
+
+/// Decodes a Punycode string, appending its code points to `out`: the
+/// allocation-free form of [`decode`] once `out` has room. Basic code
+/// points keep their case, and every inserted one is a Unicode scalar
+/// value. On error `out` is left as it was.
+pub fn decode_into(input: &str, out: &mut Vec<u32>) -> Result<(), PunycodeError> {
+    let start = out.len();
+    let result = decode_at(input, out, start);
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
+}
+
+/// [`decode_into`]'s body: the label's code points go to `out[start..]`.
+fn decode_at(input: &str, out: &mut Vec<u32>, start: usize) -> Result<(), PunycodeError> {
     // Split at the last delimiter: everything before is literal basic
     // code points; everything after is the extended part.
-    let (basic_part, extended) = match input.rfind(DELIMITER) {
+    let (basic_part, extended) = match input.rfind(char::from(DELIMITER)) {
         Some(pos) => (&input[..pos], &input[pos + 1..]),
         None => ("", input),
     };
-
-    let mut output: Vec<u32> = Vec::with_capacity(input.len());
-    for c in basic_part.chars() {
-        if !c.is_ascii() {
-            return Err(PunycodeError::NonBasic(c));
-        }
-        output.push(c as u32);
+    if let Some(c) = basic_part.chars().find(|c| !c.is_ascii()) {
+        return Err(PunycodeError::NonBasic(c));
     }
+    out.extend(basic_part.bytes().map(u32::from));
 
     let mut n = INITIAL_N;
     let mut i: u32 = 0;
     let mut bias = INITIAL_BIAS;
 
-    let mut chars = extended.chars().peekable();
-    while chars.peek().is_some() {
+    // Every byte before `pos` was a digit, so `pos` is a char boundary.
+    let digits = extended.as_bytes();
+    let mut pos = 0;
+    while pos < digits.len() {
         let old_i = i;
         let mut w: u32 = 1;
         let mut k = BASE;
         loop {
-            let c = chars.next().ok_or(PunycodeError::Overflow)?;
-            let digit = decode_digit(c)?;
+            let &b = digits.get(pos).ok_or(PunycodeError::Overflow)?;
+            let digit = decode_digit(b).ok_or_else(|| {
+                let c = extended[pos..].chars().next();
+                PunycodeError::InvalidDigit(c.expect("pos is a char boundary below the end"))
+            })?;
+            pos += 1;
             i = i
                 .checked_add(digit.checked_mul(w).ok_or(PunycodeError::Overflow)?)
                 .ok_or(PunycodeError::Overflow)?;
-            let t = if k <= bias {
-                TMIN
-            } else if k >= bias + TMAX {
-                TMAX
-            } else {
-                k - bias
-            };
+            let t = threshold(k, bias);
             if digit < t {
                 break;
             }
@@ -186,7 +241,7 @@ pub fn decode(input: &str) -> Result<String, PunycodeError> {
             k += BASE;
         }
 
-        let len_plus_one = (output.len() as u32)
+        let len_plus_one = ((out.len() - start) as u32)
             .checked_add(1)
             .ok_or(PunycodeError::Overflow)?;
         bias = adapt(i - old_i, len_plus_one, old_i == 0);
@@ -195,17 +250,13 @@ pub fn decode(input: &str) -> Result<String, PunycodeError> {
             .ok_or(PunycodeError::Overflow)?;
         i %= len_plus_one;
 
-        if char::from_u32(n).is_none() || (0xD800..=0xDFFF).contains(&n) {
+        if char::from_u32(n).is_none() {
             return Err(PunycodeError::InvalidCodePoint(n));
         }
-        output.insert(i as usize, n);
+        out.insert(start + i as usize, n);
         i += 1;
     }
-
-    output
-        .into_iter()
-        .map(|v| char::from_u32(v).ok_or(PunycodeError::InvalidCodePoint(v)))
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -246,6 +297,103 @@ mod tests {
         .map(|&v| char::from_u32(v).unwrap())
         .collect();
         assert_eq!(encode(&russian).unwrap(), "b1abfaaepdrnnbgefbadotcwatmq2g4l");
+    }
+
+    /// RFC 3492 §7.1 vectors (mixed-case basic code points included)
+    /// and the paper's 阿里巴巴 through `decode_into`, which appends
+    /// after what the buffer already holds; `encode_into` gives the
+    /// Punycode back.
+    #[test]
+    fn decode_into_appends_the_rfc_vectors() {
+        let vectors: [(&str, &[u32]); 9] = [
+            // (C) Chinese (traditional).
+            (
+                "ihqwctvzc91f659drss3x8bo0yb",
+                &[
+                    0x4ED6, 0x5011, 0x7232, 0x4EC0, 0x9EBD, 0x4E0D, 0x8AAA, 0x4E2D, 0x6587,
+                ],
+            ),
+            // (D) Czech.
+            (
+                "Proprostnemluvesky-uyb24dma41a",
+                &[
+                    0x50, 0x72, 0x6F, 0x10D, 0x70, 0x72, 0x6F, 0x73, 0x74, 0x11B, 0x6E, 0x65, 0x6D,
+                    0x6C, 0x75, 0x76, 0xED, 0x10D, 0x65, 0x73, 0x6B, 0x79,
+                ],
+            ),
+            // (E) Hebrew.
+            (
+                "4dbcagdahymbxekheh6e0a7fei0b",
+                &[
+                    0x5DC, 0x5DE, 0x5D4, 0x5D4, 0x5DD, 0x5E4, 0x5E9, 0x5D5, 0x5D8, 0x5DC, 0x5D0,
+                    0x5DE, 0x5D3, 0x5D1, 0x5E8, 0x5D9, 0x5DD, 0x5E2, 0x5D1, 0x5E8, 0x5D9, 0x5EA,
+                ],
+            ),
+            // (I) Russian (Cyrillic).
+            (
+                "b1abfaaepdrnnbgefbadotcwatmq2g4l",
+                &[
+                    0x43F, 0x43E, 0x447, 0x435, 0x43C, 0x443, 0x436, 0x435, 0x43E, 0x43D, 0x438,
+                    0x43D, 0x435, 0x433, 0x43E, 0x432, 0x43E, 0x440, 0x44F, 0x442, 0x43F, 0x43E,
+                    0x440, 0x443, 0x441, 0x441, 0x43A, 0x438,
+                ],
+            ),
+            // (L) 3<nen>B<gumi><kinpachi><sensei>.
+            (
+                "3B-ww4c5e180e575a65lsy2b",
+                &[0x33, 0x5E74, 0x42, 0x7D44, 0x91D1, 0x516B, 0x5148, 0x751F],
+            ),
+            // (M) <amuro><namie>-with-SUPER-MONKEYS.
+            (
+                "-with-SUPER-MONKEYS-pc58ag80a8qai00g7n9n",
+                &[
+                    0x5B89, 0x5BA4, 0x5948, 0x7F8E, 0x6075, 0x2D, 0x77, 0x69, 0x74, 0x68, 0x2D,
+                    0x53, 0x55, 0x50, 0x45, 0x52, 0x2D, 0x4D, 0x4F, 0x4E, 0x4B, 0x45, 0x59, 0x53,
+                ],
+            ),
+            // (R) <sono><supiido><de>.
+            (
+                "d9juau41awczczp",
+                &[0x305D, 0x306E, 0x30B9, 0x30D4, 0x30FC, 0x30C9, 0x3067],
+            ),
+            // (S) -> $1.00 <-, all basic.
+            (
+                "-> $1.00 <--",
+                &[
+                    0x2D, 0x3E, 0x20, 0x24, 0x31, 0x2E, 0x30, 0x30, 0x20, 0x3C, 0x2D,
+                ],
+            ),
+            // Paper §2.1: 阿里巴巴.
+            ("tsta8290bfzd", &[0x963F, 0x91CC, 0x5DF4, 0x5DF4]),
+        ];
+        let mut out = vec![u32::from('x')];
+        let mut encoded = String::from("x");
+        for (punycode, code_points) in vectors {
+            out.truncate(1);
+            decode_into(punycode, &mut out).unwrap();
+            assert_eq!(&out[1..], code_points, "{punycode}");
+            encoded.truncate(1);
+            encode_into(code_points, &mut encoded).unwrap();
+            assert_eq!(&encoded[1..], punycode);
+        }
+    }
+
+    #[test]
+    fn decode_into_leaves_the_buffer_on_error() {
+        let mut out = vec![1, 2, 3];
+        assert_eq!(
+            decode_into("ab!c", &mut out),
+            Err(PunycodeError::InvalidDigit('!'))
+        );
+        assert_eq!(
+            decode_into("b\u{FC}-kva", &mut out),
+            Err(PunycodeError::NonBasic('\u{FC}'))
+        );
+        assert_eq!(
+            decode_into("abc-99999999", &mut out),
+            Err(PunycodeError::Overflow)
+        );
+        assert_eq!(out, [1, 2, 3]);
     }
 
     #[test]

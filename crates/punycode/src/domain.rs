@@ -119,7 +119,7 @@ impl DomainName {
 
     /// The rightmost label (the TLD), e.g. `com`.
     pub fn tld(&self) -> &str {
-        self.labels().last().expect("validated names have >= 1 label")
+        self.ascii.rfind('.').map_or(&self.ascii, |dot| &self.ascii[dot + 1..])
     }
 
     /// Everything left of the TLD, or `None` for a bare TLD.
@@ -144,29 +144,58 @@ impl DomainName {
     /// True when any label carries the ACE prefix — the framework's IDN
     /// extraction predicate (paper Step 2).
     pub fn is_idn(&self) -> bool {
-        self.labels().any(|l| l.starts_with(ace::ACE_PREFIX))
+        let name = self.ascii.as_bytes();
+        let prefix = ace::ACE_PREFIX.as_bytes();
+        name.starts_with(prefix)
+            || name
+                .windows(prefix.len() + 1)
+                .any(|w| w[0] == b'.' && &w[1..] == prefix)
     }
 
     /// Converts every label to its Unicode form.
     pub fn to_unicode(&self) -> Result<String, PunycodeError> {
-        let mut out = Vec::new();
-        for label in self.labels() {
-            out.push(ace::to_unicode(label)?);
+        let mut code_points = Vec::with_capacity(self.ascii.len());
+        for (i, label) in self.labels().enumerate() {
+            if i > 0 {
+                code_points.push(u32::from('.'));
+            }
+            ace::to_unicode_into(label, &mut code_points)?;
         }
-        Ok(out.join("."))
+        crate::collect_chars(&code_points)
     }
 
     /// Unicode form of the name with the TLD removed — the exact string
     /// Algorithm 1 compares. Falls back to the ACE form for labels that
     /// fail to decode (defensive: zone files contain garbage `xn--` labels).
+    /// A wrapper over [`unicode_stem_into`].
     pub fn unicode_without_tld(&self) -> Option<String> {
-        let stem = self.without_tld()?;
-        let mut out = Vec::new();
-        for label in stem.split('.') {
-            out.push(ace::to_unicode(label).unwrap_or_else(|_| label.to_string()));
+        let mut code_points = Vec::with_capacity(self.ascii.len());
+        if !unicode_stem_into(&self.ascii, &mut code_points) {
+            return None;
         }
-        Some(out.join("."))
+        crate::collect_chars(&code_points).ok()
     }
+}
+
+/// Appends the Unicode stem of the ACE name `ascii` — everything left
+/// of its last dot — to `out` as code points: the allocation-free form
+/// of [`DomainName::unicode_without_tld`] once `out` has room. Each
+/// label goes through [`ace::to_unicode_into`], and a label that fails
+/// to decode is appended in its ACE form; labels are joined with `.`.
+/// Returns `false`, leaving `out` as it was, for a bare TLD (no dot).
+pub fn unicode_stem_into(ascii: &str, out: &mut Vec<u32>) -> bool {
+    let Some(dot) = ascii.rfind('.') else {
+        return false;
+    };
+    for (i, label) in ascii[..dot].split('.').enumerate() {
+        if i > 0 {
+            out.push(u32::from('.'));
+        }
+        if ace::to_unicode_into(label, out).is_err() {
+            out.extend(label.chars().map(u32::from));
+        }
+    }
+    true
 }
 
 /// Appends `labels` in ACE form, dot-separated, to `out[start..]`.
@@ -274,6 +303,13 @@ mod tests {
         let d = DomainName::parse("com").unwrap();
         assert_eq!(d.without_tld(), None);
         assert_eq!(d.sld(), None);
+        assert_eq!(d.tld(), "com");
+        let ace = DomainName::parse("xn--p1ai").unwrap();
+        assert_eq!(ace.tld(), "xn--p1ai");
+        assert!(ace.is_idn());
+        assert_eq!(ace.unicode_without_tld(), None);
+        let inner = DomainName::parse("axn--b.shop-xn--c.com").unwrap();
+        assert!(!inner.is_idn(), "xn-- inside a label is not a prefix");
     }
 
     #[test]
@@ -293,6 +329,28 @@ mod tests {
         if let Ok(d) = d {
             let _ = d.unicode_without_tld();
         }
+    }
+
+    /// A stem's labels decode one by one: a label that fails (a
+    /// non-canonical `ü`, an `xn--` label that decodes to ASCII, an
+    /// overflow) falls back to its ACE form alone, and the good labels
+    /// around it still decode.
+    #[test]
+    fn only_the_bad_label_of_a_stem_falls_back() {
+        let name = "xn--ggle-55da.xn---tda.xn--abc-.xn--99999999999.xn--bcher-kva.com";
+        let d = DomainName::parse(name).unwrap();
+        let stem = "g\u{43E}\u{43E}gle.xn---tda.xn--abc-.xn--99999999999.bücher";
+        assert_eq!(d.unicode_without_tld().unwrap(), stem);
+        let mut out = vec![u32::from('!')];
+        assert!(unicode_stem_into(d.as_ascii(), &mut out));
+        let expected: Vec<u32> = "!".chars().chain(stem.chars()).map(u32::from).collect();
+        assert_eq!(out, expected);
+        assert!(
+            !unicode_stem_into("xn--p1ai", &mut out),
+            "a bare TLD has no stem"
+        );
+        assert_eq!(out, expected);
+        assert_eq!(d.to_unicode(), Err(PunycodeError::NotAcePrefixed));
     }
 
     /// `DomainName::parse` as it was written before the resolver: one
@@ -443,6 +501,19 @@ mod tests {
                     });
                 proptest::prop_assert!(result.is_ok(), "{}", result.unwrap_err());
             }
+        }
+
+        /// `tld()` and `is_idn()` keep their label definitions: the last
+        /// `.`-separated label, and any label starting with `xn--`. The
+        /// alphabet makes `xn--` inside labels, after dots and as a
+        /// bare TLD common.
+        #[test]
+        fn tld_and_is_idn_follow_the_labels(text in "(xn--|xn-|x|n|-|a|0|\\.){1,24}") {
+            let Ok(d) = DomainName::parse(&text) else { return Ok(()) };
+            let labels: Vec<&str> = d.as_ascii().split('.').collect();
+            proptest::prop_assert_eq!(d.tld(), *labels.last().unwrap());
+            let idn = labels.iter().any(|l| l.starts_with(ace::ACE_PREFIX));
+            proptest::prop_assert_eq!(d.is_idn(), idn, "{}", d);
         }
 
         /// Names around the 63-octet label and 253-octet name limits.

@@ -74,3 +74,12 @@ impl fmt::Display for PunycodeError {
 }
 
 impl std::error::Error for PunycodeError {}
+
+/// Collects decoded code points into a string. The decoder emits only
+/// Unicode scalar values, so the error is for code points from elsewhere.
+pub(crate) fn collect_chars(code_points: &[u32]) -> Result<String, PunycodeError> {
+    code_points
+        .iter()
+        .map(|&v| char::from_u32(v).ok_or(PunycodeError::InvalidCodePoint(v)))
+        .collect()
+}
