@@ -17,7 +17,7 @@ use sham_bench::{
     detection_corpus, measure_ops_per_sec, snapshot_samples, snapshot_thread_sweep,
 };
 use sham_confusables::UcDatabase;
-use sham_core::{Detector, Indexing};
+use sham_core::{DetectionIndex, Indexing};
 use sham_glyph::SynthUnifont;
 use sham_simchar::{build, BuildConfig, DbSelection, HomoglyphDb, Repertoire};
 
@@ -48,7 +48,7 @@ fn bench_detection(c: &mut Criterion) {
     for idn_count in [1_000usize, 5_000, 20_000] {
         let (references, idns) = detection_corpus(idn_count);
         let db = HomoglyphDb::new(simchar.clone(), UcDatabase::embedded());
-        let detector = Detector::new(db, references);
+        let detector = DetectionIndex::new(db, references);
         group.throughput(Throughput::Elements(idn_count as u64));
         group.bench_with_input(
             BenchmarkId::new("alexa10k_refs", idn_count),
@@ -75,7 +75,7 @@ fn write_snapshot(simchar: &sham_simchar::SimCharDb) {
     let idn_count = 10_000usize;
     let (references, idns) = detection_corpus(idn_count);
     let db = HomoglyphDb::new(simchar.clone(), UcDatabase::embedded());
-    let detector = Detector::new(db, references);
+    let detector = DetectionIndex::new(db, references);
 
     snapshot_thread_sweep(
         "detection_throughput",

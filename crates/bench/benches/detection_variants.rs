@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sham_bench::detection_corpus;
 use sham_confusables::UcDatabase;
-use sham_core::{Detector, Indexing};
+use sham_core::{DetectionIndex, Indexing};
 use sham_glyph::SynthUnifont;
 use sham_simchar::{build, BuildConfig, DbSelection, HomoglyphDb, Repertoire};
 
@@ -29,7 +29,7 @@ fn bench_variants(c: &mut Criterion) {
     .db;
     let (references, idns) = detection_corpus(2_000);
     let db = HomoglyphDb::new(simchar, UcDatabase::embedded());
-    let detector = Detector::new(db, references);
+    let detector = DetectionIndex::new(db, references);
 
     let mut group = c.benchmark_group("detection_variants");
     group.sample_size(10);

@@ -41,9 +41,10 @@
 //! # Execution
 //!
 //! All index structures live in the shared immutable
-//! [`DetectionIndex`] (see [`crate::index`]), so [`Detector`] is a
-//! cheap handle: `detect` takes `&self` and shards the IDN corpus
-//! across the worker pool (the vendored `rayon` executor). Each shard
+//! [`DetectionIndex`] (see [`crate::index`]), so
+//! [`DetectionIndex::detect`] takes `&self` and any number of callers
+//! score against one `Arc`'d index. It shards the IDN corpus across
+//! the worker pool (the vendored `rayon` executor). Each shard
 //! reuses two scratch buffers — the interned `u32` stem and the
 //! substitution list — so the rejecting path of the inner test performs
 //! no per-candidate heap allocation; `String`s are only materialised
@@ -62,13 +63,12 @@
 //!
 //! [`DetectorSession`]: crate::DetectorSession
 
-use crate::detection::{CharSubstitution, Detection, RefName};
+use crate::detection::{CharSubstitution, Detection};
 use crate::index::{closure_hash, DetectionIndex, ReferenceSet};
 use crate::sched::ExecStats;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use sham_simchar::{DbSelection, HomoglyphDb};
-use std::sync::Arc;
 
 /// Candidate-generation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,63 +82,7 @@ pub enum Indexing {
     CanonicalClosure,
 }
 
-/// The homograph detector: a handle on a shared [`DetectionIndex`]
-/// (homoglyph database + fully-indexed reference list). Detection is
-/// read-only, so one index serves any number of detectors, frameworks
-/// and sessions concurrently.
-#[derive(Clone)]
-pub struct Detector {
-    index: Arc<DetectionIndex>,
-}
-
-impl Detector {
-    /// Builds a detector for `references` (TLD-stripped ASCII stems,
-    /// e.g. `"google"`), constructing a private [`DetectionIndex`].
-    pub fn new(db: HomoglyphDb, references: impl IntoIterator<Item = String>) -> Self {
-        Detector { index: DetectionIndex::shared(db, references) }
-    }
-
-    /// Wraps an existing shared index — the multi-pipeline form: build
-    /// the index once, hand clones of the `Arc` to every detector.
-    pub fn from_index(index: Arc<DetectionIndex>) -> Self {
-        Detector { index }
-    }
-
-    /// The shared index this detector reads.
-    pub fn index(&self) -> &Arc<DetectionIndex> {
-        &self.index
-    }
-
-    /// The underlying homoglyph database.
-    pub fn db(&self) -> &HomoglyphDb {
-        self.index.db()
-    }
-
-    /// Number of references in the index.
-    pub fn reference_count(&self) -> usize {
-        self.index.reference_count()
-    }
-
-    /// Reference `idx`'s name handle (insertion order).
-    pub fn reference(&self, idx: usize) -> RefName {
-        self.index.reference(idx)
-    }
-
-    /// The inner test of Algorithm 1. Returns the substitutions when
-    /// `idn` is a homograph of `reference`. Convenience wrapper around
-    /// the buffer-reusing form the detection loop uses.
-    pub fn matches(
-        &self,
-        reference: &[char],
-        idn: &[char],
-        selection: DbSelection,
-    ) -> Option<Vec<CharSubstitution>> {
-        let r: Vec<u32> = reference.iter().map(|&c| c as u32).collect();
-        let x: Vec<u32> = idn.iter().map(|&c| c as u32).collect();
-        let mut subs = Vec::new();
-        matches_into(self.db(), &r, &x, selection, &mut subs).then_some(subs)
-    }
-
+impl DetectionIndex {
     /// Runs detection over `idns` (Unicode stems, TLD removed) with the
     /// given database selection and indexing strategy. The corpus is
     /// sharded across the worker pool; output order and content are
@@ -154,7 +98,7 @@ impl Detector {
         let mut exec = ExecStats::default();
         detect_append(
             self.db(),
-            self.index.refs(),
+            self.refs(),
             idns,
             selection,
             indexing,
@@ -391,11 +335,13 @@ fn detect_shard<B: IdnBatch + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detection::RefName;
     use sham_confusables::UcDatabase;
     use sham_glyph::SynthUnifont;
     use sham_simchar::{build, BuildConfig, Repertoire};
+    use std::sync::Arc;
 
-    fn detector(refs: &[&str]) -> Detector {
+    fn detector(refs: &[&str]) -> DetectionIndex {
         let font = SynthUnifont::v12();
         let result = build(
             &font,
@@ -411,7 +357,7 @@ mod tests {
             },
         );
         let db = HomoglyphDb::new(result.db, UcDatabase::embedded());
-        Detector::new(db, refs.iter().map(|s| s.to_string()))
+        DetectionIndex::new(db, refs.iter().map(|s| s.to_string()))
     }
 
     fn idn(stem: &str) -> (String, String) {
@@ -532,22 +478,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_wrapper_agrees_with_detect() {
-        let d = detector(&["google"]);
-        let reference: Vec<char> = "google".chars().collect();
-        let lookalike: Vec<char> = "gооgle".chars().collect();
-        let subs = d
-            .matches(&reference, &lookalike, DbSelection::Union)
-            .expect("lookalike must match");
-        assert_eq!(subs.len(), 2);
-        assert!(d.matches(&reference, &reference, DbSelection::Union).is_none());
-    }
-
-    #[test]
     fn detectors_share_one_index() {
-        let d = detector(&["google"]);
-        let d2 = Detector::from_index(Arc::clone(d.index()));
-        assert!(Arc::ptr_eq(d.index(), d2.index()));
+        let d = Arc::new(detector(&["google"]));
+        let d2 = Arc::clone(&d);
         let hits = d2.detect(&[idn("gооgle")], DbSelection::Union, Indexing::CanonicalClosure);
         assert_eq!(hits.len(), 1);
         // The detection's reference name is a handle on the shared

@@ -3,7 +3,7 @@
 //!
 //! These are the "bytes off the wire" half of the ingest front-end
 //! (the other half being replay feeds over pre-parsed
-//! `ZoneEvent`s, e.g. the fault harness in `sham_workload`). Both
+//! [`IngestEvent`]s, e.g. the fault harness in `sham_workload`). Both
 //! feeds share the robustness contract of [`FeedSource`]:
 //!
 //! * a record that fails to *parse* becomes [`FeedItem::Malformed`] —

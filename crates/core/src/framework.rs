@@ -14,7 +14,7 @@
 //! [`Framework::with_shared_index`] instead of each rebuilding (or
 //! cloning) the homoglyph database.
 
-use crate::algorithm::{Detector, Indexing};
+use crate::algorithm::Indexing;
 use crate::detection::Detection;
 use crate::index::DetectionIndex;
 use crate::sched::ExecStats;
@@ -67,7 +67,7 @@ impl FrameworkReport {
 
 /// The configured pipeline.
 pub struct Framework {
-    detector: Detector,
+    index: Arc<DetectionIndex>,
     tld: String,
     selection: DbSelection,
     indexing: Indexing,
@@ -93,7 +93,7 @@ impl Framework {
     /// framework per TLD pipeline.
     pub fn with_shared_index(index: Arc<DetectionIndex>, tld: &str) -> Self {
         Framework {
-            detector: Detector::from_index(index),
+            index,
             tld: tld.to_string(),
             selection: DbSelection::Union,
             indexing: Indexing::CanonicalClosure,
@@ -103,7 +103,7 @@ impl Framework {
     /// An `Arc` handle on this framework's index, for sharing with
     /// further frameworks and sessions.
     pub fn shared_index(&self) -> Arc<DetectionIndex> {
-        Arc::clone(self.detector.index())
+        Arc::clone(&self.index)
     }
 
     /// Opens a streaming [`DetectorSession`] with this framework's TLD,
@@ -133,11 +133,6 @@ impl Framework {
     /// The configured candidate-generation strategy.
     pub fn indexing(&self) -> Indexing {
         self.indexing
-    }
-
-    /// Access to the inner detector (for revert/highlight helpers).
-    pub fn detector(&self) -> &Detector {
-        &self.detector
     }
 
     /// Step 2: extracts the IDNs of this TLD as
@@ -172,17 +167,7 @@ impl Framework {
     /// Runs Step 3 only, on pre-extracted IDNs (used by the timing
     /// benchmark of §4.2 to isolate matching cost).
     pub fn detect_only(&self, idns: &[(String, String)]) -> Vec<Detection> {
-        self.detector.detect(idns, self.selection, self.indexing)
-    }
-
-    /// Runs Step 3 with an explicit database selection, leaving the
-    /// configured default untouched (Tables 8/14 sweep selections).
-    pub fn detect_only_with(
-        &self,
-        idns: &[(String, String)],
-        selection: DbSelection,
-    ) -> Vec<Detection> {
-        self.detector.detect(idns, selection, self.indexing)
+        self.index.detect(idns, self.selection, self.indexing)
     }
 }
 

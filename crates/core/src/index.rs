@@ -20,10 +20,10 @@
 //! the reference section of the one snapshot format, the v3
 //! full-index file, and [`DetectionIndex::from_snapshot_bytes`]
 //! restores it with one checksum pass plus length-prefixed pointer
-//! fixups — no per-entry allocation and no re-hashing, which is what
-//! makes a fleet of workers cold-start in well under a millisecond
-//! instead of rebuilding 10k references each (`detector_10k_refs` vs
-//! `detector_10k_refs_mount` in BENCH_detection.json).
+//! fixups — no per-entry allocation and no re-hashing, so a mount
+//! costs a fraction of building the flat pair index and the reference
+//! set. perfbench's traced run reports both: `index.mount_ms` against
+//! `index.flat_build_ms` plus `index.refset_build_ms`.
 //!
 //! Sessions that need reference-list churn take a copy-on-write clone
 //! of the reference-set half only — the flat character index, by far
@@ -716,12 +716,13 @@ impl<'a> Cursor<'a> {
 
 /// The immutable index layer: one homoglyph database (with its flat
 /// pair index) plus one fully-indexed reference list. Build it once
-/// with [`DetectionIndex::shared`] — or mount it in microseconds with
+/// with [`DetectionIndex::shared`] — or mount it with
 /// [`DetectionIndex::from_snapshot_file`] — and hand the `Arc` to
-/// every [`Framework`](crate::Framework), [`Detector`](crate::Detector)
-/// and [`DetectorSession`](crate::DetectorSession) that scores against
+/// every [`Framework`](crate::Framework) and
+/// [`DetectorSession`](crate::DetectorSession) that scores against
 /// the same references — nothing here is ever mutated after
-/// construction.
+/// construction. [`DetectionIndex::detect`] runs Algorithm 1 on it
+/// directly.
 #[derive(Debug)]
 pub struct DetectionIndex {
     db: HomoglyphDb,

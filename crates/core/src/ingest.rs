@@ -4,7 +4,7 @@
 //! The paper's production story (§5: continuous scanning of newly
 //! registered domains across TLD zone feeds) needs a service that
 //! *degrades* instead of dying. This module runs connector threads —
-//! one per [`FeedSource`] — that pull [`ZoneEvent`]-shaped items off
+//! one per [`FeedSource`] — that pull [`IngestEvent`]s off
 //! feeds and push them into per-TLD bounded queues, while a drainer
 //! thread drives a `SessionRouter` (and through it the persistent
 //! worker pool). Robustness is layered in explicitly:
@@ -42,8 +42,6 @@
 //! sits at exactly the same point of its feed's event order as in a
 //! batch replay. (Events of *other* feeds may cross the barrier —
 //! inter-feed order is undefined by construction.)
-//!
-//! [`ZoneEvent`]: IngestEvent
 
 use crate::router::{RouterReport, SessionRouter, DEFAULT_ROUTER_BATCH};
 use crate::index::DetectionIndex;
@@ -54,9 +52,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// One parsed zone-feed event, the ingest-facing twin of
-/// `sham_workload::ZoneEvent` (kept separate so `sham_core` does not
-/// depend on the workload generator).
+/// One parsed zone-feed event. `sham_workload`'s event streams are
+/// made of these too, so a generated feed replays through an
+/// [`IngestService`] unconverted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestEvent {
     /// A newly registered domain.

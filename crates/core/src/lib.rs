@@ -11,7 +11,8 @@
 //!   last being the exact union-find component index and the default).
 //! * [`index`] — the shared immutable index layer: [`DetectionIndex`]
 //!   (flat pair index + fully-indexed reference list) built once and
-//!   shared behind an `Arc` by every framework, detector and session.
+//!   shared behind an `Arc` by every framework and session; its
+//!   `detect` runs Algorithm 1 over a batch of IDNs.
 //! * [`session`] — the incremental streaming layer:
 //!   [`DetectorSession`] ingests zone-diff batches and reference-list
 //!   churn, folding into the same report as a batch run.
@@ -82,7 +83,7 @@ pub mod scan;
 pub mod sched;
 pub mod session;
 
-pub use algorithm::{Detector, Indexing};
+pub use algorithm::Indexing;
 pub use detection::{CharSubstitution, Detection, RefName};
 pub use feeds::{WireMessageFeed, ZoneTextFeed};
 pub use framework::{Framework, FrameworkReport};

@@ -10,12 +10,12 @@
 
 use proptest::prelude::*;
 use sham_confusables::UcDatabase;
-use sham_core::{Detection, Detector, Indexing};
+use sham_core::{Detection, DetectionIndex, Indexing};
 use sham_simchar::{pairs::Pair, DbSelection, HomoglyphDb, SimCharDb};
 
 /// A detector over an explicit SimChar pair list (UC empty), so tests
 /// control the exact shape of the pair graph.
-fn detector_for(pairs: &[(char, char)], references: &[&str]) -> Detector {
+fn detector_for(pairs: &[(char, char)], references: &[&str]) -> DetectionIndex {
     let simchar = SimCharDb::from_pairs(
         pairs
             .iter()
@@ -23,7 +23,7 @@ fn detector_for(pairs: &[(char, char)], references: &[&str]) -> Detector {
             .collect(),
         4,
     );
-    Detector::new(
+    DetectionIndex::new(
         HomoglyphDb::new(simchar, UcDatabase::default()),
         references.iter().map(|s| s.to_string()),
     )
@@ -66,7 +66,7 @@ fn uc_prototype_chains_are_closed_too() {
     let uc = UcDatabase::from_mappings(
         sham_confusables::parse("0062 ; 0061 ; MA\n0063 ; 0062 ; MA\n").unwrap(),
     );
-    let d = Detector::new(
+    let d = DetectionIndex::new(
         HomoglyphDb::new(SimCharDb::from_pairs(vec![], 4), uc),
         vec!["cc".to_string()],
     );

@@ -1,15 +1,15 @@
 //! Parallel detection must be indistinguishable from sequential
-//! detection: `Detector::detect` shards the IDN corpus across the
+//! detection: `DetectionIndex::detect` shards the IDN corpus across the
 //! worker pool, and this suite pins the contract that every
 //! (`Indexing`, thread count) combination produces the same detections
 //! in the same order.
 
 use sham_confusables::UcDatabase;
-use sham_core::{Detection, Detector, Indexing};
+use sham_core::{Detection, DetectionIndex, Indexing};
 use sham_glyph::SynthUnifont;
 use sham_simchar::{build, BuildConfig, DbSelection, HomoglyphDb, Repertoire};
 
-fn detector(references: Vec<String>) -> Detector {
+fn detector(references: Vec<String>) -> DetectionIndex {
     let font = SynthUnifont::v12();
     let result = build(
         &font,
@@ -23,7 +23,7 @@ fn detector(references: Vec<String>) -> Detector {
             ..BuildConfig::default()
         },
     );
-    Detector::new(HomoglyphDb::new(result.db, UcDatabase::embedded()), references)
+    DetectionIndex::new(HomoglyphDb::new(result.db, UcDatabase::embedded()), references)
 }
 
 /// A deterministic mixed corpus: lookalikes of the references (Cyrillic

@@ -121,19 +121,21 @@ impl Study {
             "com",
         );
         let idns = fw.extract_idns(&domains);
+        let shared_index = fw.shared_index();
+        let detect = |selection| shared_index.detect(&idns, selection, fw.indexing());
 
         let mut detected_by = BTreeMap::new();
         for (name, selection) in [
             ("UC", DbSelection::UcOnly),
             ("SimChar", DbSelection::SimCharOnly),
         ] {
-            let hits = fw.detect_only_with(&idns, selection);
+            let hits = detect(selection);
             let unique: HashSet<&String> = hits.iter().map(|d| &d.idn_ascii).collect();
             detected_by.insert(name, unique.len());
         }
 
         let t0 = Instant::now();
-        let detections = fw.detect_only_with(&idns, DbSelection::Union);
+        let detections = detect(DbSelection::Union);
         let detection_seconds = t0.elapsed().as_secs_f64();
         let detection_threads = rayon::current_num_threads();
         let detection_indexing = format!("{:?}", fw.indexing());
@@ -151,7 +153,7 @@ impl Study {
             detection_seconds,
             detection_threads,
             detection_indexing,
-            shared_index: fw.shared_index(),
+            shared_index,
         }
     }
 

@@ -129,20 +129,9 @@ impl HomoglyphDb {
         &self.simchar
     }
 
-    /// The SimChar component's shared handle — clone this to mount
-    /// further snapshots without copying the database.
-    pub fn simchar_shared(&self) -> Arc<SimCharDb> {
-        Arc::clone(&self.simchar)
-    }
-
     /// The UC component.
     pub fn uc(&self) -> &UcDatabase {
         &self.uc
-    }
-
-    /// The UC component's shared handle.
-    pub fn uc_shared(&self) -> Arc<UcDatabase> {
-        Arc::clone(&self.uc)
     }
 
     /// The flat pair index over the union universe.

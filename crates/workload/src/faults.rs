@@ -9,8 +9,8 @@
 //! * [`FaultSchedule`] — a map from event position to [`Fault`], plus
 //!   `(lane, flush-ordinal)` coordinates for forced worker panics;
 //!   built explicitly or sampled with [`FaultSchedule::seeded`].
-//! * [`FaultyZoneFeed`] — a [`FeedSource`] replaying a
-//!   [`ZoneEvent`] stream (e.g. from [`crate::stream`]) through the
+//! * [`FaultyZoneFeed`] — a [`FeedSource`] replaying an
+//!   [`IngestEvent`] stream (e.g. from [`crate::stream`]) through the
 //!   schedule: a `Corrupt` position swallows the record and delivers
 //!   [`FeedItem::Malformed`]; `Stall`/`Disconnect` positions fail the
 //!   pull once and deliver the event on the post-backoff retry, so no
@@ -25,7 +25,6 @@
 //! and delivered, so a test can hold the ground truth after the feed
 //! has been boxed and consumed by the service.
 
-use crate::stream::ZoneEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sham_core::ingest::{FeedError, FeedItem, FeedSource, IngestEvent};
@@ -129,23 +128,13 @@ impl FeedStats {
     }
 }
 
-/// Converts a workload [`ZoneEvent`] into the core's [`IngestEvent`].
-pub fn ingest_event(event: ZoneEvent) -> IngestEvent {
-    match event {
-        ZoneEvent::Registered(name) => IngestEvent::Registered(name),
-        ZoneEvent::ReferenceChurn { added, removed } => {
-            IngestEvent::ReferenceChurn { added, removed }
-        }
-    }
-}
-
 /// A replay [`FeedSource`] over a pre-generated event stream, filtered
 /// through a [`FaultSchedule`]. Stalls and disconnects fail the pull
 /// *once* and resume (the event is delivered on retry); corruption
 /// swallows the record and delivers it malformed.
 pub struct FaultyZoneFeed {
     name: String,
-    events: Vec<ZoneEvent>,
+    events: Vec<IngestEvent>,
     schedule: FaultSchedule,
     position: usize,
     /// Whether the fault at the current position already fired (a
@@ -159,7 +148,7 @@ impl FaultyZoneFeed {
     /// reporting into `stats`.
     pub fn new(
         name: impl Into<String>,
-        events: Vec<ZoneEvent>,
+        events: Vec<IngestEvent>,
         schedule: FaultSchedule,
         stats: Arc<FeedStats>,
     ) -> Self {
@@ -204,7 +193,7 @@ impl FeedSource for FaultyZoneFeed {
         self.injected = false;
         let event = self.events[self.position].clone();
         self.position += 1;
-        if let (Some(Fault::Corrupt), ZoneEvent::Registered(name)) =
+        if let (Some(Fault::Corrupt), IngestEvent::Registered(name)) =
             (self.schedule.fault_at(position), &event)
         {
             FeedStats::bump(&self.stats.corrupted);
@@ -214,10 +203,10 @@ impl FeedSource for FaultyZoneFeed {
             ))));
         }
         match &event {
-            ZoneEvent::Registered(_) => FeedStats::bump(&self.stats.registrations),
-            ZoneEvent::ReferenceChurn { .. } => FeedStats::bump(&self.stats.churns),
+            IngestEvent::Registered(_) => FeedStats::bump(&self.stats.registrations),
+            IngestEvent::ReferenceChurn { .. } => FeedStats::bump(&self.stats.churns),
         }
-        Ok(Some(FeedItem::Event(ingest_event(event))))
+        Ok(Some(FeedItem::Event(event)))
     }
 }
 
@@ -296,8 +285,8 @@ mod tests {
     use super::*;
     use sham_punycode::DomainName;
 
-    fn reg(s: &str) -> ZoneEvent {
-        ZoneEvent::Registered(DomainName::parse(s).expect("test domain literal must parse"))
+    fn reg(s: &str) -> IngestEvent {
+        IngestEvent::Registered(DomainName::parse(s).expect("test domain literal must parse"))
     }
 
     /// Drains a feed, retrying errors immediately (the connector's

@@ -32,12 +32,9 @@ pub mod zonegen;
 
 pub use attacker::{plant, substitutes, HomographPlan, PlantedHomograph, SubClass};
 pub use domains::{benign_corpus, popularity_weight, reference_list, LANGUAGE_MIX};
-pub use faults::{
-    ingest_event, lane_panic_hook, Fault, FaultSchedule, FaultyReader, FaultyZoneFeed,
-    FeedStats,
-};
+pub use faults::{lane_panic_hook, Fault, FaultSchedule, FaultyReader, FaultyZoneFeed, FeedStats};
 pub use stream::{
-    event_stream, multi_tld_event_stream, union_corpus, MultiTldConfig, StreamConfig, ZoneEvent,
+    event_stream, multi_tld_event_stream, union_corpus, MultiTldConfig, StreamConfig,
 };
 pub use webgen::{
     assign, domain_list_text, plant_resolution_stars, zone_text, FunnelPlan, GroundTruth,

@@ -5,10 +5,11 @@
 //! publishes zone-file diffs (newly-registered names trickling in),
 //! and the popularity reference list itself churns as brands trend in
 //! and out. This module turns a generated [`Workload`] into exactly
-//! that feed: a deterministic, time-ordered sequence of [`ZoneEvent`]s
-//! — registration events over the full corpus (both Table 6 exports,
-//! unioned) interleaved with reference-churn events — to be replayed
-//! into a `sham_core` `DetectorSession`.
+//! that feed: a deterministic, time-ordered sequence of
+//! [`IngestEvent`]s — registration events over the full corpus (both
+//! Table 6 exports, unioned) interleaved with reference-churn events —
+//! to be replayed into a `sham_core` `DetectorSession`, or through an
+//! `IngestService` feed.
 //!
 //! The registration *order* is a seeded shuffle of the sorted union
 //! corpus: zone diffs arrive in registration order, not alphabetical
@@ -18,22 +19,8 @@
 use crate::{reference_list, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sham_core::IngestEvent;
 use sham_punycode::DomainName;
-
-/// One event of a production ingest feed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ZoneEvent {
-    /// A name appeared in the zone diff: a new registration.
-    Registered(DomainName),
-    /// The reference list churned: `added` stems are trending in,
-    /// `removed` stems fell out of the popularity window.
-    ReferenceChurn {
-        /// Stems entering the reference list.
-        added: Vec<String>,
-        /// Stems leaving it.
-        removed: Vec<String>,
-    },
-}
 
 /// Shape of the generated feed.
 #[derive(Debug, Clone)]
@@ -69,13 +56,13 @@ pub fn union_corpus(workload: &Workload) -> Vec<DomainName> {
 }
 
 /// Generates the event feed: every union-corpus name exactly once as a
-/// [`ZoneEvent::Registered`] (in seeded-shuffle order), with a
-/// [`ZoneEvent::ReferenceChurn`] every `churn_every` registrations.
+/// [`IngestEvent::Registered`] (in seeded-shuffle order), with a
+/// [`IngestEvent::ReferenceChurn`] every `churn_every` registrations.
 /// Churn event `k` rotates in `churn_size` fresh trending stems (drawn
 /// from beyond the workload's reference window, so they are brand-new
 /// to the detector) and rotates out the stems event `k − 1` added —
 /// a sliding trending window over an otherwise stable list.
-pub fn event_stream(workload: &Workload, config: &StreamConfig) -> Vec<ZoneEvent> {
+pub fn event_stream(workload: &Workload, config: &StreamConfig) -> Vec<IngestEvent> {
     let mut corpus = union_corpus(workload);
     let mut rng = StdRng::seed_from_u64(config.seed);
     // Fisher–Yates: registration order, not alphabetical order.
@@ -103,13 +90,13 @@ pub fn event_stream(workload: &Workload, config: &StreamConfig) -> Vec<ZoneEvent
         if config.churn_every > 0 && i > 0 && i % config.churn_every == 0 {
             let k = i / config.churn_every - 1;
             let added = &pool[k * config.churn_size..(k + 1) * config.churn_size];
-            events.push(ZoneEvent::ReferenceChurn {
+            events.push(IngestEvent::ReferenceChurn {
                 added: added.to_vec(),
                 removed: previous.to_vec(),
             });
             previous = added;
         }
-        events.push(ZoneEvent::Registered(name));
+        events.push(IngestEvent::Registered(name));
     }
     events
 }
@@ -150,14 +137,14 @@ impl Default for MultiTldConfig {
 pub fn multi_tld_event_stream(
     workload: &Workload,
     config: &MultiTldConfig,
-) -> Vec<ZoneEvent> {
+) -> Vec<IngestEvent> {
     assert!(!config.tlds.is_empty(), "a feed needs at least one TLD");
     let mut rng = StdRng::seed_from_u64(config.base.seed ^ 0x71D5_F00D);
     event_stream(workload, &config.base)
         .into_iter()
         .map(|event| match event {
-            ZoneEvent::ReferenceChurn { .. } => event,
-            ZoneEvent::Registered(name) => {
+            IngestEvent::ReferenceChurn { .. } => event,
+            IngestEvent::Registered(name) => {
                 // Index 0 is drawn with probability exactly 1/2 (zone
                 // skew), the remaining TLDs uniformly with 1/(2(k−1)).
                 let tld = if config.tlds.len() == 1 {
@@ -174,7 +161,7 @@ pub fn multi_tld_event_stream(
                 let stem = name.without_tld().expect("corpus names have a TLD");
                 let rehomed = DomainName::parse(&format!("{stem}.{tld}"))
                     .expect("re-homing a valid name onto a valid TLD stays valid");
-                ZoneEvent::Registered(rehomed)
+                IngestEvent::Registered(rehomed)
             }
         })
         .collect()
@@ -197,8 +184,8 @@ mod tests {
         let mut replayed: Vec<DomainName> = events
             .iter()
             .filter_map(|e| match e {
-                ZoneEvent::Registered(d) => Some(d.clone()),
-                ZoneEvent::ReferenceChurn { .. } => None,
+                IngestEvent::Registered(d) => Some(d.clone()),
+                IngestEvent::ReferenceChurn { .. } => None,
             })
             .collect();
         replayed.sort();
@@ -221,10 +208,10 @@ mod tests {
         let churns: Vec<(&[String], &[String])> = events
             .iter()
             .filter_map(|e| match e {
-                ZoneEvent::ReferenceChurn { added, removed } => {
+                IngestEvent::ReferenceChurn { added, removed } => {
                     Some((added.as_slice(), removed.as_slice()))
                 }
-                ZoneEvent::Registered(_) => None,
+                IngestEvent::Registered(_) => None,
             })
             .collect();
         assert!(churns.len() >= 2, "test corpus must produce churn");
@@ -244,7 +231,7 @@ mod tests {
         let quiet = event_stream(&w, &StreamConfig { churn_every: 0, churn_size: 0, seed: 9 });
         assert!(quiet
             .iter()
-            .all(|e| matches!(e, ZoneEvent::Registered(_))));
+            .all(|e| matches!(e, IngestEvent::Registered(_))));
     }
 
     #[test]
@@ -261,7 +248,7 @@ mod tests {
         let mut seen_tlds: std::collections::BTreeSet<String> =
             std::collections::BTreeSet::new();
         for event in &events {
-            if let ZoneEvent::Registered(d) = event {
+            if let IngestEvent::Registered(d) = event {
                 stems.push(d.without_tld().unwrap().to_string());
                 seen_tlds.insert(d.tld().to_string());
             }
@@ -278,10 +265,10 @@ mod tests {
         assert_eq!(seen_tlds, expected);
 
         // Churn events ride through untouched (same cadence + windows).
-        let churn_of = |events: &[ZoneEvent]| {
+        let churn_of = |events: &[IngestEvent]| {
             events
                 .iter()
-                .filter(|e| matches!(e, ZoneEvent::ReferenceChurn { .. }))
+                .filter(|e| matches!(e, IngestEvent::ReferenceChurn { .. }))
                 .cloned()
                 .collect::<Vec<_>>()
         };

@@ -49,13 +49,11 @@
 //! equivalence the router refactor pins (see
 //! `crates/core/tests/router_equivalence.rs`).
 
-use shamfinder::core::{DetectionIndex, Framework, SessionRouter};
+use shamfinder::core::{DetectionIndex, Framework, IngestEvent, SessionRouter};
 use shamfinder::measure::{thousands, CharDbContext, TextTable};
 use shamfinder::punycode::DomainName;
 use shamfinder::simchar::HomoglyphDb;
-use shamfinder::workload::{
-    multi_tld_event_stream, MultiTldConfig, Workload, WorkloadConfig, ZoneEvent,
-};
+use shamfinder::workload::{multi_tld_event_stream, MultiTldConfig, Workload, WorkloadConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,10 +105,10 @@ fn main() {
     let mut churn_events = 0usize;
     for event in &events {
         match event {
-            ZoneEvent::Registered(name) => {
+            IngestEvent::Registered(name) => {
                 router.push_domains(std::iter::once(name));
             }
-            ZoneEvent::ReferenceChurn { added, removed } => {
+            IngestEvent::ReferenceChurn { added, removed } => {
                 // Global churn: flushes every lane (pending names were
                 // observed under the pre-churn list), then edits every
                 // session's overlay.
@@ -178,7 +176,7 @@ fn main() {
     let mut quiet = SessionRouter::new(Arc::clone(&index)).with_batch_capacity(BATCH);
     let mut per_tld_corpus: HashMap<&str, Vec<DomainName>> = HashMap::new();
     for event in &events {
-        if let ZoneEvent::Registered(name) = event {
+        if let IngestEvent::Registered(name) = event {
             quiet.push_domains(std::iter::once(name));
             per_tld_corpus.entry(name.tld()).or_default().push(name.clone());
         }

@@ -351,9 +351,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         SessionRouter::new(DetectionIndex::shared(build_db(DEFAULT_THETA), refs))
             .with_tlds([tld.clone()])
     };
-    // Accept either a zone file or a flat domain list.
-    let contains = |needle: &[u8]| bytes.windows(needle.len()).any(|w| w == needle);
-    let report = if contains(b"$ORIGIN") || contains(b" IN ") {
+    let report = if is_zone_file(&bytes) {
         // The scan-zone line stage: a malformed or non-UTF-8 line is
         // quarantined alone.
         let mut scanner = ZoneScanner::new(router(), ScanConfig::default());
@@ -400,6 +398,25 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+/// Whether `scan`'s input is a zone file rather than a flat domain
+/// list, decided by its first line that is not blank and not a `;` or
+/// `#` comment. In a zone that line starts with a `$` directive or
+/// holds a record (two or more fields before any `#`); in a list it
+/// holds one name.
+fn is_zone_file(bytes: &[u8]) -> bool {
+    let first = bytes
+        .split(|&b| b == b'\n')
+        .map(<[u8]>::trim_ascii)
+        .find(|line| !line.is_empty() && !line.starts_with(b";") && !line.starts_with(b"#"));
+    first.is_some_and(|line| {
+        let before_note = line.split(|&b| b == b'#').next().unwrap_or(line);
+        let fields = before_note
+            .split(u8::is_ascii_whitespace)
+            .filter(|f| !f.is_empty());
+        line.starts_with(b"$") || fields.count() >= 2
+    })
 }
 
 fn cmd_revert(args: &[String]) -> ExitCode {
@@ -882,7 +899,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_flag, parse_theta, DEFAULT_THETA};
+    use super::{is_zone_file, parse_flag, parse_theta, DEFAULT_THETA};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -916,5 +933,31 @@ mod tests {
             assert!(err.contains("--theta") && err.contains(bad), "{err}");
         }
         assert!(parse_theta(&args(&["--theta", "four"])).is_err());
+    }
+
+    #[test]
+    fn scan_reads_a_zone_file_as_a_zone() {
+        let zones: [&[u8]; 6] = [
+            b"$ORIGIN com.\ngoogle 3600 IN NS ns1.google.com.\n",
+            b"google 3600 IN NS ns1.google.com.\n",
+            b"xn--ggle-55da.com.\t3600\tIN\tNS\tns1.example.net.\n",
+            b"xn--ggle-55da.com.\t3600\tin\tns\tns1.example.net.\n",
+            b";delegations\n\nxn--ggle-55da.com.\t3600\tin\tns\tns1.example.net.\n",
+            b"#dump\nxn--ggle-55da.com.\t3600\tin\tns\tns1.example.net.\n",
+        ];
+        let misread: Vec<_> = zones
+            .iter()
+            .filter(|zone| !is_zone_file(zone))
+            .map(|zone| String::from_utf8_lossy(zone))
+            .collect();
+        assert!(misread.is_empty(), "read as domain lists: {misread:?}");
+    }
+
+    #[test]
+    fn scan_reads_a_domain_list_as_a_list() {
+        let list = b"# brands and lookalikes\n\ngoogle.com\nxn--ggle-55da.com  # Cyrillic o\n";
+        assert!(!is_zone_file(list));
+        assert!(!is_zone_file(b"xn--ggle-55da.com # note\npaypal.com\n"));
+        assert!(!is_zone_file(b""));
     }
 }

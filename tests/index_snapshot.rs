@@ -351,7 +351,7 @@ proptest! {
 
 #[test]
 fn mounted_index_detects_bit_identically_at_scale() {
-    use shamfinder::core::{DbSelection, Detector, DetectorSession, Indexing};
+    use shamfinder::core::{DbSelection, DetectorSession, Indexing};
     use std::sync::Arc;
 
     // The acceptance corpus: the 10k-stem reference list and a 20k-IDN
@@ -415,11 +415,9 @@ fn mounted_index_detects_bit_identically_at_scale() {
         let _force = rayon::ThreadOverride::new(threads);
 
         // Batch detection: bit-identical reports, all strategies.
-        let d_built = Detector::from_index(Arc::clone(&built));
-        let d_mounted = Detector::from_index(Arc::clone(&mounted));
         for indexing in [Indexing::CanonicalClosure, Indexing::LengthBucket] {
-            let a = d_built.detect(&corpus, DbSelection::Union, indexing);
-            let b = d_mounted.detect(&corpus, DbSelection::Union, indexing);
+            let a = built.detect(&corpus, DbSelection::Union, indexing);
+            let b = mounted.detect(&corpus, DbSelection::Union, indexing);
             assert!(!a.is_empty(), "corpus must produce detections");
             assert_eq!(a, b, "threads {threads}, {indexing:?}");
         }

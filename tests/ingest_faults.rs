@@ -22,20 +22,20 @@
 
 use shamfinder::core::{
     Backpressure, DetectionIndex, FeedError, FeedItem, FeedOutcome, FeedSource,
-    IngestConfig, IngestService, RetryPolicy, SessionRouter,
+    IngestConfig, IngestEvent, IngestService, RetryPolicy, SessionRouter,
 };
 use shamfinder::simchar::{build, BuildConfig, HomoglyphDb, Repertoire};
 use shamfinder::workload::{
     lane_panic_hook, multi_tld_event_stream, Fault, FaultSchedule, FaultyZoneFeed,
-    FeedStats, MultiTldConfig, StreamConfig, Workload, WorkloadConfig, ZoneEvent,
+    FeedStats, MultiTldConfig, StreamConfig, Workload, WorkloadConfig,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// A small but detection-rich 3-TLD world, built once.
-fn world() -> &'static (Arc<DetectionIndex>, Vec<ZoneEvent>) {
-    static WORLD: OnceLock<(Arc<DetectionIndex>, Vec<ZoneEvent>)> = OnceLock::new();
+fn world() -> &'static (Arc<DetectionIndex>, Vec<IngestEvent>) {
+    static WORLD: OnceLock<(Arc<DetectionIndex>, Vec<IngestEvent>)> = OnceLock::new();
     WORLD.get_or_init(|| {
         let workload = Workload::generate(WorkloadConfig {
             benign_ascii: 3_000,
@@ -75,14 +75,14 @@ fn world() -> &'static (Arc<DetectionIndex>, Vec<ZoneEvent>) {
 /// them.
 fn batch_replay(
     index: &Arc<DetectionIndex>,
-    events: &[ZoneEvent],
+    events: &[IngestEvent],
     batch: usize,
 ) -> shamfinder::core::RouterReport {
     let mut router = SessionRouter::new(Arc::clone(index)).with_batch_capacity(batch);
     for event in events {
         match event {
-            ZoneEvent::Registered(name) => router.push_domains(std::iter::once(name)),
-            ZoneEvent::ReferenceChurn { added, removed } => {
+            IngestEvent::Registered(name) => router.push_domains(std::iter::once(name)),
+            IngestEvent::ReferenceChurn { added, removed } => {
                 router.apply_reference_diff(added, removed)
             }
         }
@@ -212,9 +212,9 @@ fn seeded_fault_schedule_accounts_every_event_exactly_once() {
 #[test]
 fn shed_backpressure_bounds_the_queue_and_counts_drops() {
     let (index, events) = world();
-    let registrations: Vec<ZoneEvent> = events
+    let registrations: Vec<IngestEvent> = events
         .iter()
-        .filter(|e| matches!(e, ZoneEvent::Registered(n) if n.tld() == "com"))
+        .filter(|e| matches!(e, IngestEvent::Registered(n) if n.tld() == "com"))
         .take(200)
         .cloned()
         .collect();
@@ -312,9 +312,9 @@ fn repeated_failures_open_the_circuit() {
 #[test]
 fn quarantine_ring_is_bounded_but_counts_everything() {
     let (index, events) = world();
-    let registrations: Vec<ZoneEvent> = events
+    let registrations: Vec<IngestEvent> = events
         .iter()
-        .filter(|e| matches!(e, ZoneEvent::Registered(_)))
+        .filter(|e| matches!(e, IngestEvent::Registered(_)))
         .take(50)
         .cloned()
         .collect();
@@ -361,7 +361,7 @@ fn fixed_lane_set_counts_foreign_tlds_as_unrouted() {
 
     let org_events = events
         .iter()
-        .filter(|e| matches!(e, ZoneEvent::Registered(n) if n.tld() == "org"))
+        .filter(|e| matches!(e, IngestEvent::Registered(n) if n.tld() == "org"))
         .count();
     assert!(org_events > 0);
     assert_eq!(report.router.unrouted_domains, org_events);
@@ -379,10 +379,10 @@ fn idle_lanes_fold_and_reopen_without_touching_the_report() {
     // .com sits idle and folds), then .com again (the folded lane
     // reopens). Queue capacity 4 forces connector/drainer lockstep so
     // the idle clock actually advances between bursts.
-    let mut com: Vec<ZoneEvent> = Vec::new();
-    let mut net: Vec<ZoneEvent> = Vec::new();
+    let mut com: Vec<IngestEvent> = Vec::new();
+    let mut net: Vec<IngestEvent> = Vec::new();
     for event in events.iter() {
-        if let ZoneEvent::Registered(name) = event {
+        if let IngestEvent::Registered(name) = event {
             match name.tld() {
                 "com" if com.len() < 80 => com.push(event.clone()),
                 "net" if net.len() < 40 => net.push(event.clone()),
@@ -390,7 +390,7 @@ fn idle_lanes_fold_and_reopen_without_touching_the_report() {
             }
         }
     }
-    let bursty: Vec<ZoneEvent> = com[..40]
+    let bursty: Vec<IngestEvent> = com[..40]
         .iter()
         .chain(net.iter())
         .chain(com[40..].iter())
@@ -424,9 +424,9 @@ fn idle_lanes_fold_and_reopen_without_touching_the_report() {
 fn single_feed_churn_never_loses_its_wakeup() {
     const CHURNS: usize = 200_000;
     let (index, events) = world();
-    let names: Vec<&ZoneEvent> = events
+    let names: Vec<&IngestEvent> = events
         .iter()
-        .filter(|e| matches!(e, ZoneEvent::Registered(_)))
+        .filter(|e| matches!(e, IngestEvent::Registered(_)))
         .collect();
     // A registration before every churn gives each barrier a flush to
     // wait for. Empty diffs keep the drainer's apply short, so its
@@ -434,7 +434,7 @@ fn single_feed_churn_never_loses_its_wakeup() {
     let mut feed_events = Vec::with_capacity(2 * CHURNS);
     for i in 0..CHURNS {
         feed_events.push(names[i % names.len()].clone());
-        feed_events.push(ZoneEvent::ReferenceChurn { added: Vec::new(), removed: Vec::new() });
+        feed_events.push(IngestEvent::ReferenceChurn { added: Vec::new(), removed: Vec::new() });
     }
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -460,9 +460,9 @@ fn single_feed_churn_never_loses_its_wakeup() {
 #[test]
 fn multiple_concurrent_feeds_merge_and_account() {
     let (index, events) = world();
-    let registrations: Vec<ZoneEvent> = events
+    let registrations: Vec<IngestEvent> = events
         .iter()
-        .filter(|e| matches!(e, ZoneEvent::Registered(_)))
+        .filter(|e| matches!(e, IngestEvent::Registered(_)))
         .cloned()
         .collect();
     let half = registrations.len() / 2;

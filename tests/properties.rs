@@ -227,8 +227,8 @@ proptest! {
         let det = &report.detections[0];
         prop_assert_eq!(det.idn_unicode.chars().count(), stem.chars().count());
 
-        let db = fw.detector().db();
-        let reverted = shamfinder::core::revert_stem(db, &det.idn_unicode);
+        let index = fw.shared_index();
+        let reverted = shamfinder::core::revert_stem(index.db(), &det.idn_unicode);
         prop_assert_eq!(reverted.stem(), stem.as_str());
     }
 
@@ -273,7 +273,7 @@ proptest! {
         }
 
         let fw = small_framework(stems.clone());
-        let d = fw.detector();
+        let d = fw.shared_index();
         let key = |v: Vec<Detection>| {
             let mut k: Vec<(String, String)> = v
                 .into_iter()
