@@ -26,17 +26,6 @@ pub fn medium_glyph_corpus() -> Vec<(u32, Bitmap)> {
     ])
 }
 
-/// A large corpus including Hangul (~12k glyphs) — the block that
-/// dominates the paper's pairwise cost.
-pub fn large_glyph_corpus() -> Vec<(u32, Bitmap)> {
-    glyphs_for(vec![
-        "Basic Latin",
-        "Latin-1 Supplement",
-        "Cyrillic",
-        "Hangul Syllables",
-    ])
-}
-
 /// Deterministic IDN stems for detection benches: `count` lookalikes of
 /// reference stems (every one detectable) mixed 1:1 with benign IDNs.
 pub fn detection_corpus(count: usize) -> (Vec<String>, Vec<(String, String)>) {

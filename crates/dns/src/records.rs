@@ -32,19 +32,18 @@ impl RecordType {
 
     /// Parses a presentation-format type name (case-insensitive,
     /// allocation-free — this runs once per line in the zone scanner).
+    /// The length picks the one name to compare.
     pub fn parse(s: &str) -> Option<Self> {
-        const NAMES: [(&str, RecordType); 6] = [
-            ("A", RecordType::A),
-            ("AAAA", RecordType::Aaaa),
-            ("NS", RecordType::Ns),
-            ("MX", RecordType::Mx),
-            ("CNAME", RecordType::Cname),
-            ("TXT", RecordType::Txt),
-        ];
-        NAMES
-            .iter()
-            .find(|(name, _)| s.eq_ignore_ascii_case(name))
-            .map(|&(_, t)| t)
+        let t = match (s.len(), s.as_bytes().first()) {
+            (1, _) => RecordType::A,
+            (2, Some(b'N' | b'n')) => RecordType::Ns,
+            (2, _) => RecordType::Mx,
+            (3, _) => RecordType::Txt,
+            (4, _) => RecordType::Aaaa,
+            (5, _) => RecordType::Cname,
+            _ => return None,
+        };
+        s.eq_ignore_ascii_case(t.as_str()).then_some(t)
     }
 }
 
@@ -144,6 +143,14 @@ mod tests {
         }
         assert_eq!(RecordType::parse("SOA"), None);
         assert_eq!(RecordType::parse("a"), Some(RecordType::A));
+        // Each length has one candidate name (two for length 2).
+        let cases = [("ns", RecordType::Ns), ("mX", RecordType::Mx), ("cName", RecordType::Cname)];
+        for (text, t) in cases {
+            assert_eq!(RecordType::parse(text), Some(t));
+        }
+        for text in ["", "B", "NX", "MS", "AAA", "AAAAA", "TXTS", "CNAMES"] {
+            assert_eq!(RecordType::parse(text), None, "{text:?}");
+        }
     }
 
     #[test]

@@ -3,10 +3,19 @@
 //! The measurement's Step 1 ingests the `.com` zone file (paper §5.2,
 //! Verisign's published zone). This module implements the subset of
 //! RFC 1035 master-file syntax such zone dumps use: `$ORIGIN` (exactly
-//! one name) and `$TTL` directives, `;` comments (not inside quotes or
-//! after a `\` escape), `@` for the origin, relative and absolute owner
-//! names, optional TTL/class fields, and the record types of
-//! [`crate::records`].
+//! one name) and `$TTL` (exactly one value) directives, `;` comments
+//! (not inside quotes or after a `\` escape), `@` for the origin,
+//! relative and absolute owner names, optional TTL/class fields, and the
+//! record types of [`crate::records`].
+//!
+//! A line is read once before its fields are known: one pass, eight
+//! bytes at a time, finds whether it is ASCII, whether it holds `;`, `"`
+//! or `\` (only then is a comment stripped), and where its blank bytes
+//! are. An ASCII line's tokens are then walked on that blank mask with
+//! `trailing_zeros`; only a non-ASCII line is split with
+//! `split_whitespace`. The owner and any NS/CNAME/MX target resolve into
+//! reused names ([`DomainName::resolve_into`]), an all-ASCII name with
+//! one check and one write, so a line of ASCII names allocates nothing.
 //!
 //! [`parse`] is strict (first error wins); [`parse_lenient`] skips bad
 //! lines and reports them — zone dumps in the wild contain garbage, and
@@ -124,10 +133,10 @@ impl LineParser {
         Ok(self.target.as_ref().expect("a resolved target is stored"))
     }
 
-    /// Parses one data line (comments/blank already stripped). Returns
-    /// `Ok(None)` for directives.
-    fn parse_line(&mut self, line: &str, no: usize) -> Result<Option<ResourceRecord>, ZoneError> {
-        match self.scan_line(line, no, true)? {
+    /// Parses one raw line. Returns `Ok(None)` for directives, comments
+    /// and blank lines.
+    fn parse_line(&mut self, raw: &str, no: usize) -> Result<Option<ResourceRecord>, ZoneError> {
+        match self.scan_line(raw, no, true)? {
             None => Ok(None),
             Some((_, ttl, data)) => Ok(Some(ResourceRecord {
                 name: self
@@ -145,28 +154,45 @@ impl LineParser {
     /// like a full parse (same accept/reject decisions, same error
     /// messages) and tracks the owner state, but materialises
     /// [`RecordData`] only when `want_data` is set. Returns `None` for
-    /// directives and `Some((owner_changed, ttl, data))` for records;
-    /// the resolved owner is left in `self.last_owner`. Owners and
-    /// targets resolve into reused names, so with `want_data` unset a
-    /// line of ASCII names allocates nothing.
+    /// directives, comments and blank lines and `Some((owner_changed,
+    /// ttl, data))` for records; the resolved owner is left in
+    /// `self.last_owner`. Owners and targets resolve into reused names,
+    /// so with `want_data` unset a line of ASCII names allocates nothing.
     fn scan_line(
         &mut self,
-        line: &str,
+        raw: &str,
         no: usize,
         want_data: bool,
     ) -> Result<Option<(bool, u32, Option<RecordData>)>, ZoneError> {
-        // `$ORIGIN` is the whole first token: `$ORIGINAL x` is a record
-        // line (with an unknown type), not a directive.
-        let origin_args = line
-            .strip_prefix("$ORIGIN")
-            .filter(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace));
-        if let Some(rest) = origin_args {
-            let mut names = rest.split_whitespace();
-            let token = names.next().map_or("", |name| name.trim_end_matches('.'));
+        let class = classify(raw.as_bytes());
+        let (line, mut tokens) = if class.plain {
+            (raw, Tokens::classified(raw, &class))
+        } else {
+            let line = strip_comment(raw);
+            (line, Tokens::of(line))
+        };
+        let Some(first) = tokens.next() else {
+            return Ok(None);
+        };
+
+        // A directive is the whole first token of a line that starts
+        // with it: `$ORIGINAL x` and `$TTL3600` are record lines (with
+        // an unknown type), not directives. Each takes one value.
+        if line.starts_with('$') && matches!(first, "$ORIGIN" | "$TTL") {
+            let value = tokens.next().unwrap_or("");
+            let extra = tokens.next();
+            if first == "$TTL" {
+                if let Some(extra) = extra {
+                    return Err(err(no, format!("$TTL takes one value, found extra {extra:?}")));
+                }
+                self.default_ttl = value.parse().map_err(|e| err(no, format!("bad $TTL: {e}")))?;
+                return Ok(None);
+            }
+            let token = value.trim_end_matches('.');
             if token.is_empty() {
                 return Err(err(no, "$ORIGIN requires a name"));
             }
-            if let Some(extra) = names.next() {
+            if let Some(extra) = extra {
                 return Err(err(no, format!("$ORIGIN takes one name, found extra {extra:?}")));
             }
             if token != self.origin {
@@ -178,50 +204,38 @@ impl LineParser {
             }
             return Ok(None);
         }
-        if let Some(rest) = line.strip_prefix("$TTL") {
-            self.default_ttl = rest
-                .trim()
-                .parse()
-                .map_err(|e| err(no, format!("bad $TTL: {e}")))?;
-            return Ok(None);
-        }
-
-        let starts_with_space = line.starts_with(' ') || line.starts_with('\t');
-        let mut tokens = Tokens::of(line).peekable();
 
         // Owner: blank-led lines reuse the previous owner, and so does
         // a repeated owner token (the dominant case — records arrive in
         // per-owner runs); a new token resolves into the reused owner.
-        let owner_changed = if starts_with_space {
+        // `tok` is the first token after the owner.
+        let (owner_changed, mut tok) = if line.starts_with([' ', '\t']) {
             if self.last_owner.is_none() {
                 return Err(err(no, "continuation line with no previous owner"));
             }
-            false
+            (false, Some(first))
+        } else if self.last_owner.is_some() && first == self.last_owner_token {
+            (false, tokens.next())
         } else {
-            let tok = tokens.next().ok_or_else(|| err(no, "empty record line"))?;
-            if self.last_owner.is_some() && tok == self.last_owner_token {
-                false
-            } else {
-                resolve_into(&mut self.last_owner, tok, &self.origin, no)?;
-                self.last_owner_token.clear();
-                self.last_owner_token.push_str(tok);
-                true
-            }
+            resolve_into(&mut self.last_owner, first, &self.origin, no)?;
+            self.last_owner_token.clear();
+            self.last_owner_token.push_str(first);
+            (true, tokens.next())
         };
 
-        // Optional TTL and class.
+        // Optional TTL and class. Only a token that starts with a digit
+        // or `+` can parse as a `u32`.
         let mut ttl = self.default_ttl;
-        if let Some(tok) = tokens.peek() {
-            if let Ok(v) = tok.parse::<u32>() {
-                ttl = v;
-                tokens.next();
-            }
+        let numeric = |t: &&str| matches!(t.as_bytes()[0], b'0'..=b'9' | b'+');
+        if let Some(v) = tok.filter(numeric).and_then(|t| t.parse().ok()) {
+            ttl = v;
+            tok = tokens.next();
         }
-        if tokens.peek().is_some_and(|t| t.eq_ignore_ascii_case("IN")) {
-            tokens.next();
+        if tok.is_some_and(|t| t.eq_ignore_ascii_case("IN")) {
+            tok = tokens.next();
         }
 
-        let type_tok = tokens.next().ok_or_else(|| err(no, "missing record type"))?;
+        let type_tok = tok.ok_or_else(|| err(no, "missing record type"))?;
         let rtype = RecordType::parse(type_tok)
             .ok_or_else(|| err(no, format!("unsupported record type {type_tok:?}")))?;
 
@@ -292,20 +306,182 @@ pub enum ZoneScan<'a> {
     Skip,
 }
 
+/// Eight copies of the byte 0x01, and of 0x80.
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// Calls `f` with the index and value of each little-endian eight-byte
+/// word of `bytes`; the last one is padded with zero bytes, which are
+/// ASCII, not blank and not special.
+fn for_words(bytes: &[u8], mut f: impl FnMut(usize, u64)) {
+    let load = |word: &[u8]| u64::from_le_bytes(word.try_into().expect("eight bytes"));
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        f(i, load(word));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        // Reread the last eight bytes and shift out the ones seen.
+        let x = match bytes.len().checked_sub(8) {
+            Some(at) => load(&bytes[at..]) >> (8 * (8 - tail.len())),
+            None => tail.iter().rev().fold(0, |x, &b| x << 8 | u64::from(b)),
+        };
+        f(bytes.len() / 8, x);
+    }
+}
+
+/// 0x80 in each blank byte of `x`, a word of ASCII bytes: tab, line
+/// feed, vertical tab, form feed, carriage return (0x09..=0x0D) and
+/// space, exactly the ASCII bytes `char::is_whitespace` (the Unicode
+/// `White_Space` property) accepts. Each sum stays inside its byte, so
+/// the marks are exact; a byte of 0x80 or above may carry into the
+/// next, which is why only an ASCII line's mask is ever read.
+fn blank_bytes(x: u64) -> u64 {
+    let control = x.wrapping_add(LO * (0x80 - 0x09)) & !x.wrapping_add(LO * (0x80 - 0x0E));
+    let space = !(x ^ (LO * u64::from(b' '))).wrapping_add(LO * 0x7F);
+    (control | space) & HI
+}
+
+/// Gathers the high bits of the eight bytes of `x` into bit 0..8.
+fn gather(x: u64) -> u64 {
+    (x >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// The blank mask of up to 64 bytes: bit `i` is set when byte `i` is
+/// blank or lies past the end of `block`.
+fn blank_mask(block: &[u8]) -> u64 {
+    let mut mask = past_end(block.len());
+    for_words(block, |i, x| mask |= gather(blank_bytes(x)) << (8 * i));
+    mask
+}
+
+/// The bits of a 64-bit mask at or past `len`.
+fn past_end(len: usize) -> u64 {
+    if len < 64 {
+        !0 << len
+    } else {
+        0
+    }
+}
+
+/// What one pass over a raw line found, eight bytes at a time.
+struct LineClass {
+    /// No byte is 0x80 or above.
+    ascii: bool,
+    /// No `;`, `"` or `\`, so there is no comment to strip.
+    plain: bool,
+    /// The blank bytes among the first 64: bit `i` for byte `i`.
+    blanks: u64,
+}
+
+/// Reads a raw line once, eight bytes at a time.
+fn classify(bytes: &[u8]) -> LineClass {
+    // `y` has a zero byte exactly when `y.wrapping_sub(LO) & !y & HI` is
+    // not zero; the borrow may mark a byte above a zero one too.
+    let has = |x: u64, b: u8| {
+        let y = x ^ (LO * u64::from(b));
+        y.wrapping_sub(LO) & !y
+    };
+    let (mut high, mut special, mut blanks) = (0, 0, 0);
+    for_words(bytes, |i, x| {
+        high |= x;
+        special |= has(x, b';') | has(x, b'"') | has(x, b'\\');
+        if i < 8 {
+            blanks |= gather(blank_bytes(x)) << (8 * i);
+        }
+    });
+    LineClass { ascii: high & HI == 0, plain: special & HI == 0, blanks }
+}
+
 /// A record line's whitespace-separated tokens, exactly as
 /// [`str::split_whitespace`] yields them. An ASCII line, the common
-/// case, is split byte by byte: for ASCII text that method's whitespace
-/// (the Unicode `White_Space` property) is exactly tab, line feed,
-/// vertical tab, form feed, carriage return and space.
+/// case, is walked on its blank mask, one `u64` per 64 bytes: in ASCII
+/// text `split_whitespace` splits at exactly the bytes [`blank_bytes`]
+/// marks. The first 64 bytes' mask comes from the line's [`classify`]
+/// pass, and the walk builds each later block's when it gets there.
 enum Tokens<'a> {
-    Ascii(&'a str),
+    Ascii(BlankWalk<'a>),
     Unicode(std::str::SplitWhitespace<'a>),
 }
 
+/// The walk over an ASCII line's blank mask. Each token starts at a
+/// non-blank byte after a blank one (or at the line's start) and ends at
+/// the next blank byte (or at the line's end), so `trailing_zeros` on
+/// the block's start and end masks finds both.
+struct BlankWalk<'a> {
+    line: &'a str,
+    /// The blank mask of the 64-byte block at `base`, with the bits past
+    /// the line's end set.
+    blanks: u64,
+    /// The block's token starts and ends not yet walked past.
+    starts: u64,
+    ends: u64,
+    base: usize,
+}
+
+impl<'a> BlankWalk<'a> {
+    /// A walk over `line`, whose first 64 bytes' blank mask is `blanks`.
+    fn new(line: &'a str, blanks: u64) -> Self {
+        // The line's start counts as coming after a blank.
+        let mut walk = BlankWalk { line, blanks: !0, starts: 0, ends: 0, base: 0 };
+        walk.load(blanks | past_end(line.len()));
+        walk
+    }
+
+    /// Takes `blanks` as the mask of the block at `base`, which follows
+    /// the block whose mask `self.blanks` is.
+    fn load(&mut self, blanks: u64) {
+        let after_blank = blanks << 1 | self.blanks >> 63;
+        self.blanks = blanks;
+        self.starts = !blanks & after_blank;
+        self.ends = blanks & !after_blank;
+    }
+
+    /// The next token.
+    #[inline]
+    fn next_token(&mut self) -> Option<&'a str> {
+        while self.starts == 0 {
+            if !self.advance() {
+                return None;
+            }
+        }
+        let start = self.base + self.starts.trailing_zeros() as usize;
+        self.starts &= self.starts - 1;
+        // A token that reaches past its block ends in a later one.
+        while self.ends == 0 {
+            if !self.advance() {
+                return Some(&self.line[start..]);
+            }
+        }
+        let end = self.base + self.ends.trailing_zeros() as usize;
+        self.ends &= self.ends - 1;
+        Some(&self.line[start..end])
+    }
+
+    /// Moves on to the next 64-byte block; false at the line's end.
+    #[cold]
+    fn advance(&mut self) -> bool {
+        let len = self.line.len();
+        if len - self.base <= 64 {
+            return false;
+        }
+        self.base += 64;
+        let block = &self.line.as_bytes()[self.base..len.min(self.base + 64)];
+        self.load(blank_mask(block));
+        true
+    }
+}
+
 impl<'a> Tokens<'a> {
+    /// The tokens of `line`, classified here.
     fn of(line: &'a str) -> Self {
-        if line.is_ascii() {
-            Tokens::Ascii(line)
+        Self::classified(line, &classify(line.as_bytes()))
+    }
+
+    /// The tokens of `line`, which `class` describes.
+    fn classified(line: &'a str, class: &LineClass) -> Self {
+        if class.ascii {
+            Tokens::Ascii(BlankWalk::new(line, class.blanks))
         } else {
             Tokens::Unicode(line.split_whitespace())
         }
@@ -315,42 +491,23 @@ impl<'a> Tokens<'a> {
 impl<'a> Iterator for Tokens<'a> {
     type Item = &'a str;
 
+    #[inline]
     fn next(&mut self) -> Option<&'a str> {
-        let rest = match self {
-            Tokens::Unicode(tokens) => return tokens.next(),
-            Tokens::Ascii(rest) => rest,
-        };
-        let blank = |b: &u8| matches!(b, b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ');
-        let start = rest.bytes().position(|b| !blank(&b))?;
-        let len = rest.as_bytes()[start..].iter().position(blank);
-        let end = len.map_or(rest.len(), |len| start + len);
-        let token = &rest[start..end];
-        *rest = &rest[end..];
-        Some(token)
-    }
-}
-
-/// True when `bytes` holds none of `;`, `"` and `\`, so there is no
-/// comment to strip. Eight bytes at a time: a byte of `word ^ (LO * b)`
-/// is zero exactly where `word` holds `b`.
-fn plain(bytes: &[u8]) -> bool {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let has_zero = |x: u64| x.wrapping_sub(LO) & !x & HI != 0;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        let x = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-        let specials = [b';', b'"', b'\\'];
-        if specials.iter().any(|&b| has_zero(x ^ (LO * b as u64))) {
-            return false;
+        match self {
+            Tokens::Ascii(walk) => walk.next_token(),
+            Tokens::Unicode(tokens) => unicode_token(tokens),
         }
     }
-    !words
-        .remainder()
-        .iter()
-        .any(|b| matches!(b, b';' | b'"' | b'\\'))
 }
 
+/// The next token of a non-ASCII line, kept out of line: the ASCII walk
+/// is the hot path.
+#[inline(never)]
+fn unicode_token<'a>(tokens: &mut std::str::SplitWhitespace<'a>) -> Option<&'a str> {
+    tokens.next()
+}
+
+/// Cuts a line that is not [`LineClass::plain`] at its comment.
 fn strip_comment(line: &str) -> &str {
     // A ';' inside a quoted TXT string is data, not a comment, and a
     // backslash escapes the byte after it (RFC 1035 §5.1), so neither
@@ -358,9 +515,6 @@ fn strip_comment(line: &str) -> &str {
     // ASCII, so a byte scan is exact on UTF-8: a skipped byte that starts
     // a multi-byte character leaves only continuation bytes, which never
     // match.
-    if plain(line.as_bytes()) {
-        return line;
-    }
     let bytes = line.as_bytes();
     let mut in_quotes = false;
     let mut idx = 0;
@@ -425,11 +579,7 @@ impl ZoneStreamParser {
     /// malformed line — after which the parser remains usable.
     pub fn push_line(&mut self, raw: &str) -> Result<Option<ResourceRecord>, ZoneError> {
         self.line_no += 1;
-        let line = strip_comment(raw);
-        if line.trim().is_empty() {
-            return Ok(None);
-        }
-        self.inner.parse_line(line, self.line_no)
+        self.inner.parse_line(raw, self.line_no)
     }
 
     /// Consumes one raw line like [`push_line`](Self::push_line) but
@@ -445,11 +595,7 @@ impl ZoneStreamParser {
     /// label takes the Punycode path.
     pub fn scan_line(&mut self, raw: &str) -> Result<ZoneScan<'_>, ZoneError> {
         self.line_no += 1;
-        let line = strip_comment(raw);
-        if line.trim().is_empty() {
-            return Ok(ZoneScan::Skip);
-        }
-        match self.inner.scan_line(line, self.line_no, false) {
+        match self.inner.scan_line(raw, self.line_no, false) {
             Err(error) => {
                 self.failed_since_record = true;
                 Err(error)
@@ -707,21 +853,50 @@ note IN TXT \"hello; world\"
 
     #[test]
     fn scan_line_classifies_like_push_line() {
-        let noisy = "$ORIGIN com.\n\
-                     $TTL 3600\n\
-                     ; comment\n\
-                     good IN A 192.0.2.1\n\
-                     good IN NS ns1.good.com.\n\
-                     \tIN NS ns2.good.com.\n\
-                     broken IN A nope\n\
-                     ??? garbage line\n\
-                     other IN MX 10 mx.other.com.\n\
-                     note IN TXT \"x; y\"\n\
-                     bad IN MX ten mx.bad.com.\n";
+        // Lines of exactly 64 and 65 bytes: the first one's last token
+        // ends on the mask word's boundary, the second one's crosses it.
+        let target = " IN NS ns1.good.com.";
+        let at_64 = format!("{}{target}", "w".repeat(64 - target.len()));
+        let at_65 = format!("{}{target}", "x".repeat(65 - target.len()));
+        let (owner_64, owner_65) =
+            (format!("{}.com", &at_64[..44]), format!("{}.com", &at_65[..45]));
+        // Each line, with what both must make of it: a record's owner and
+        // TTL, `None` for nothing to detect on, or the error message.
+        let cases = [
+            ("$ORIGIN com.", Ok(None)),
+            ("$TTL 3600", Ok(None)),
+            ("; comment", Ok(None)),
+            (" \t\u{0B}\u{0C}\r ", Ok(None)),
+            ("good IN A 192.0.2.1", Ok(Some(("good.com", 3600)))),
+            ("good IN NS ns1.good.com.", Ok(Some(("good.com", 3600)))),
+            ("\tIN NS ns2.good.com.", Ok(Some(("good.com", 3600)))),
+            ("broken IN A nope", Err("bad IPv4: invalid IPv4 address syntax")),
+            ("??? garbage line", Err("unsupported record type \"garbage\"")),
+            ("other IN MX 10 mx.other.com.", Ok(Some(("other.com", 3600)))),
+            ("note IN TXT \"x; y\"", Ok(Some(("note.com", 3600)))),
+            ("bad IN MX ten mx.bad.com.", Err("bad MX preference: invalid digit found in string")),
+            // `u32::from_str` takes a leading `+`; 2^32 is no TTL, so it
+            // is read as the type.
+            ("$TTL 60", Ok(None)),
+            ("plus +3600 IN A 192.0.2.2", Ok(Some(("plus.com", 3600)))),
+            ("big 4294967296 IN A 192.0.2.3", Err("unsupported record type \"4294967296\"")),
+            ("lower 120 in ns ns1.lower.com.", Ok(Some(("lower.com", 120)))),
+            // The comment cuts the address token short of `;`.
+            ("cut IN A 192.0.2.4;5", Ok(Some(("cut.com", 60)))),
+            ("cut IN A;AAAA ::1", Err("A record missing address")),
+            (at_64.as_str(), Ok(Some((owner_64.as_str(), 60)))),
+            (at_65.as_str(), Ok(Some((owner_65.as_str(), 60)))),
+        ];
+        assert_eq!((at_64.len(), at_65.len()), (64, 65));
         let mut pusher = ZoneStreamParser::new("com");
         let mut scanner = ZoneStreamParser::new("com");
-        for raw in noisy.lines() {
+        for (raw, expected) in cases {
             let pushed = pusher.push_line(raw);
+            let got = match &pushed {
+                Ok(rr) => Ok(rr.as_ref().map(|rr| (rr.name.as_ascii(), rr.ttl))),
+                Err(e) => Err(e.message.as_str()),
+            };
+            assert_eq!(got, expected, "push_line on {raw:?}");
             let scanned = scanner.scan_line(raw);
             match (pushed, scanned) {
                 (Ok(Some(rr)), Ok(ZoneScan::Record { owner, .. })) => {
@@ -776,15 +951,21 @@ note IN TXT \"hello; world\"
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// The byte-wise fast paths decide like the plain scans: the
-        /// tokens are `split_whitespace`'s, and a line without `;`, `"`
-        /// or `\` has no comment, over every ASCII byte (vertical tab
-        /// and the separators it is not among), U+00A0 and U+0085.
+        /// The classifier and the blank-mask walk decide like the plain
+        /// scans: `ascii` is `is_ascii`, `plain` is the absence of `;`,
+        /// `"` and `\`, and the tokens are `split_whitespace`'s, over
+        /// every ASCII blank, a control byte that is not blank, U+00A0
+        /// and U+0085, on lines long enough to span one, two and three
+        /// 64-byte mask words.
         #[test]
         fn fast_line_scans_match_the_plain_ones(
-            picks in proptest::collection::vec(0usize..12, 0..40),
+            picks in proptest::collection::vec(0usize..12, 0..160),
             seed in proptest::prelude::any::<u64>(),
         ) {
+            // The top two bits of `seed` let a line hold non-ASCII
+            // characters and special bytes, so that long lines without
+            // them come up too.
+            let (unicode, special) = (seed >> 63 == 1, seed >> 62 & 1 == 1);
             let line: String = picks
                 .iter()
                 .enumerate()
@@ -795,17 +976,19 @@ note IN TXT \"hello; world\"
                     3 => '\u{0C}',
                     4 => '\r',
                     5 => '\u{1C}',
-                    6 => '\u{A0}',
-                    7 => '\u{85}',
-                    8 => [';', '"', '\\'][(seed >> (i % 60)) as usize % 3],
+                    6 if unicode => '\u{A0}',
+                    7 if unicode => '\u{85}',
+                    8 if special => [';', '"', '\\'][(seed >> (i % 60)) as usize % 3],
                     _ => char::from(b'a' + ((seed >> (i % 56)) % 26) as u8),
                 })
                 .collect();
+            let class = classify(line.as_bytes());
+            prop_assert_eq!(class.ascii, line.is_ascii());
+            let has_special = line.contains([';', '"', '\\']);
+            prop_assert_eq!(class.plain, !has_special);
             let tokens: Vec<&str> = Tokens::of(&line).collect();
             let expected: Vec<&str> = line.split_whitespace().collect();
             prop_assert_eq!(tokens, expected);
-            let has_special = line.contains([';', '"', '\\']);
-            prop_assert_eq!(plain(line.as_bytes()), !has_special);
         }
     }
 
@@ -932,6 +1115,35 @@ note IN TXT \"hello; world\"
         let rr = p.push_line("shop IN A 192.0.2.1").unwrap().unwrap();
         assert_eq!(rr.name.as_ascii(), "shop.net");
         assert_eq!(p.push_line("$ORIGIN").unwrap_err().message, "$ORIGIN requires a name");
+    }
+
+    #[test]
+    fn ttl_directive_takes_exactly_one_value() {
+        let text = "$TTL3600\n\
+                    $TTL 60 junk\n\
+                    foo IN A 192.0.2.1\n\
+                    $TTL\t120\n\
+                    bar IN A 192.0.2.2\n";
+        let (zone, errors) = parse_lenient(text, "com");
+        let records: Vec<(&str, u32)> =
+            zone.records.iter().map(|r| (r.name.as_ascii(), r.ttl)).collect();
+        assert_eq!(records, [("foo.com", 86_400), ("bar.com", 120)]);
+        assert_eq!(zone.default_ttl, 120);
+        // `$TTL3600` is no directive: it parses as a record line whose
+        // owner is `$TTL3600` and which has no type.
+        assert_eq!(errors.len(), 2);
+        assert_eq!((errors[0].line, errors[0].message.as_str()), (1, "missing record type"));
+        assert_eq!(errors[1].line, 2);
+        assert_eq!(errors[1].message, "$TTL takes one value, found extra \"junk\"");
+
+        let mut p = ZoneStreamParser::new("com");
+        assert!(p.push_line("$TTL 60 70").is_err());
+        assert_eq!(p.default_ttl(), 86_400);
+        assert!(p.push_line("$TTL 60 ; a comment").unwrap().is_none());
+        assert_eq!(p.default_ttl(), 60);
+        let missing = p.push_line("$TTL").unwrap_err().message;
+        assert_eq!(missing, "bad $TTL: cannot parse integer from empty string");
+        assert!(p.push_line("$TTL x").unwrap_err().message.starts_with("bad $TTL: invalid digit"));
     }
 
     #[test]

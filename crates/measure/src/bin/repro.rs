@@ -8,7 +8,9 @@
 //! ```
 //!
 //! Experiments: `table1..table14`, `fig5`, `fig6`, `fig7`, `fig9`,
-//! `fig10`, `fig11`, `timing`, `revert`.
+//! `fig10`, `fig11`, `timing`, `revert`, `policy`, and the extensions
+//! `context`, `fonts` and `components`. An unknown experiment or scale
+//! is a usage error (exit 2).
 
 use sham_measure::{humanstudy, CharDbContext, Study};
 use sham_perception::ExperimentConfig;
@@ -21,6 +23,15 @@ struct Args {
     experiments: Vec<String>,
 }
 
+const USAGE: &str = "usage: repro [--scale test|repro] [--out DIR] <experiment>...\n\
+     experiments: table1..table14 fig5 fig6 fig7 fig9 fig10 fig11 timing revert policy context fonts components all";
+
+/// Prints `message` and the usage, and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut scale = "repro".to_string();
     let mut out_dir = None;
@@ -28,16 +39,27 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => scale = args.next().unwrap_or_else(|| "repro".into()),
-            "--out" => out_dir = args.next(),
+            "--scale" => match args.next() {
+                Some(value) if value == "test" || value == "repro" => scale = value,
+                Some(value) => usage_error(&format!("invalid value {value:?} for --scale")),
+                None => usage_error("--scale needs a value"),
+            },
+            "--out" => match args.next() {
+                Some(dir) => out_dir = Some(dir),
+                None => usage_error("--out needs a directory"),
+            },
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--scale test|repro] [--out DIR] <experiment>...\n\
-                     experiments: table1..table14 fig5 fig6 fig7 fig9 fig10 fig11 timing revert policy context fonts components all"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other => experiments.push(other.to_string()),
+            other => {
+                let known =
+                    [CHARDB_EXPERIMENTS, STUDY_EXPERIMENTS, EXTENSION_EXPERIMENTS, &["all"]];
+                if !known.iter().any(|names| names.contains(&other)) {
+                    usage_error(&format!("unknown experiment {other:?}"));
+                }
+                experiments.push(other.to_string());
+            }
         }
     }
     if experiments.is_empty() {

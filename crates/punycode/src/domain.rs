@@ -64,11 +64,12 @@ impl DomainName {
     /// resulting name is then dropped, and the labels are checked left to
     /// right before the total length.
     ///
-    /// ASCII labels are length-checked and lowercased in place; only
-    /// non-ASCII labels go through [`ace::to_ascii`]. The new name is
-    /// written after the old one, so resolving an ASCII name allocates
-    /// nothing once the buffer has room for both. On error `self` is left
-    /// as it was.
+    /// An all-ASCII name, the common case, is checked in one pass and
+    /// then written in place, lowercased; resolving it allocates nothing
+    /// once the buffer has room for it. A name with a non-ASCII label
+    /// takes that label through [`ace::to_ascii`] and is written after
+    /// the old name, which is then shifted out. Either way, on error
+    /// `self` is left as it was.
     pub fn resolve_into(&mut self, token: &str, origin: Option<&str>) -> Result<(), PunycodeError> {
         // The name is `head`, or `head.tail` for a relative token under
         // a non-empty origin.
@@ -85,6 +86,20 @@ impl DomainName {
         };
         if head.is_empty() && tail.is_none() {
             return Err(PunycodeError::EmptyLabel);
+        }
+        if ascii_labels(head)? && tail.map_or(Ok(true), ascii_labels)? {
+            let len = head.len() + tail.map_or(0, |tail| tail.len() + 1);
+            if len > MAX_NAME_OCTETS {
+                return Err(PunycodeError::NameTooLong(len));
+            }
+            self.ascii.clear();
+            self.ascii.push_str(head);
+            if let Some(tail) = tail {
+                self.ascii.push('.');
+                self.ascii.push_str(tail);
+            }
+            self.ascii.make_ascii_lowercase();
+            return Ok(());
         }
         // Write after the current name, so an error can truncate back to
         // it; on success the old name is shifted out.
@@ -198,6 +213,35 @@ pub fn unicode_stem_into(ascii: &str, out: &mut Vec<u32>) -> bool {
     true
 }
 
+/// Checks the labels of `part` left to right as [`push_labels`] checks
+/// ASCII labels: `Ok(true)` when all of them are ASCII and valid, and
+/// `Ok(false)` when a non-ASCII byte turns up before any error, so that
+/// `push_labels` must decide.
+fn ascii_labels(part: &str) -> Result<bool, PunycodeError> {
+    let mut label = 0;
+    for &b in part.as_bytes() {
+        if b == b'.' {
+            ascii_label_len(label)?;
+            label = 0;
+        } else if b.is_ascii() {
+            label += 1;
+        } else {
+            return Ok(false);
+        }
+    }
+    ascii_label_len(label)?;
+    Ok(true)
+}
+
+/// The length rule for an ASCII label: 1 to 63 octets.
+fn ascii_label_len(len: usize) -> Result<(), PunycodeError> {
+    match len {
+        0 => Err(PunycodeError::EmptyLabel),
+        1..=ace::MAX_LABEL_OCTETS => Ok(()),
+        _ => Err(PunycodeError::LabelTooLong(len)),
+    }
+}
+
 /// Appends `labels` in ACE form, dot-separated, to `out[start..]`.
 ///
 /// Stops writing once the name is over [`MAX_NAME_OCTETS`] but keeps
@@ -212,12 +256,7 @@ fn push_labels<'a>(
     for label in labels {
         let encoded;
         let ace = if label.is_ascii() {
-            if label.is_empty() {
-                return Err(PunycodeError::EmptyLabel);
-            }
-            if label.len() > ace::MAX_LABEL_OCTETS {
-                return Err(PunycodeError::LabelTooLong(label.len()));
-            }
+            ascii_label_len(label.len())?;
             label
         } else {
             encoded = ace::to_ascii(label)?;

@@ -30,6 +30,7 @@ use shamfinder::core::{DetectionIndex, IdnTable};
 use shamfinder::prelude::*;
 use shamfinder::simchar::{DEFAULT_THETA, MAX_THETA};
 use shamfinder::unicode::block_of;
+use std::io::{BufRead, Read};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -338,24 +339,31 @@ fn cmd_scan(args: &[String]) -> ExitCode {
 
     let Some(path) = args.first() else { return usage() };
     let tld = flag_value(args, "--tld").unwrap_or_else(|| "com".into());
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+    // Only the head up to the first significant line decides the format;
+    // a zone then streams through the line stage from the head on.
+    let mut input = match std::fs::File::open(path) {
+        Ok(file) => std::io::BufReader::new(file),
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let mut head = Vec::new();
+    if let Err(e) = read_to_first_significant_line(&mut input, &mut head) {
+        eprintln!("error: cannot read {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     let refs = refs_file(args);
     // Only `--tld` owners are detected.
     let router = || {
         SessionRouter::new(DetectionIndex::shared(build_db(DEFAULT_THETA), refs))
             .with_tlds([tld.clone()])
     };
-    let report = if is_zone_file(&bytes) {
+    let report = if is_zone_file(&head) {
         // The scan-zone line stage: a malformed or non-UTF-8 line is
         // quarantined alone.
         let mut scanner = ZoneScanner::new(router(), ScanConfig::default());
-        if let Err(e) = scanner.scan_reader(&tld, bytes.as_slice()) {
+        if let Err(e) = scanner.scan_reader(&tld, head.as_slice().chain(input)) {
             eprintln!("error: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -366,7 +374,11 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         }
         report.router
     } else {
-        let text = match String::from_utf8(bytes) {
+        if let Err(e) = input.read_to_end(&mut head) {
+            eprintln!("error: cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        let text = match String::from_utf8(head) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: cannot read {path}: {e}");
@@ -400,16 +412,33 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Whether a line decides `scan`'s input format: it is not blank and
+/// not a `;` or `#` comment.
+fn significant(line: &[u8]) -> bool {
+    let line = line.trim_ascii();
+    !line.is_empty() && !line.starts_with(b";") && !line.starts_with(b"#")
+}
+
+/// Appends `input`'s lines to `head` up to the end of its first
+/// significant line, or to its end.
+fn read_to_first_significant_line(
+    input: &mut impl BufRead,
+    head: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    loop {
+        let start = head.len();
+        if input.read_until(b'\n', head)? == 0 || significant(&head[start..]) {
+            return Ok(());
+        }
+    }
+}
+
 /// Whether `scan`'s input is a zone file rather than a flat domain
-/// list, decided by its first line that is not blank and not a `;` or
-/// `#` comment. In a zone that line starts with a `$` directive or
-/// holds a record (two or more fields before any `#`); in a list it
-/// holds one name.
+/// list, decided by its first [`significant`] line. In a zone that line
+/// starts with a `$` directive or holds a record (two or more fields
+/// before any `#`); in a list it holds one name.
 fn is_zone_file(bytes: &[u8]) -> bool {
-    let first = bytes
-        .split(|&b| b == b'\n')
-        .map(<[u8]>::trim_ascii)
-        .find(|line| !line.is_empty() && !line.starts_with(b";") && !line.starts_with(b"#"));
+    let first = bytes.split(|&b| b == b'\n').find(|line| significant(line)).map(<[u8]>::trim_ascii);
     first.is_some_and(|line| {
         let before_note = line.split(|&b| b == b'#').next().unwrap_or(line);
         let fields = before_note
@@ -899,7 +928,9 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{is_zone_file, parse_flag, parse_theta, DEFAULT_THETA};
+    use super::{
+        is_zone_file, parse_flag, parse_theta, read_to_first_significant_line, DEFAULT_THETA,
+    };
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -951,6 +982,19 @@ mod tests {
             .map(|zone| String::from_utf8_lossy(zone))
             .collect();
         assert!(misread.is_empty(), "read as domain lists: {misread:?}");
+    }
+
+    #[test]
+    fn scan_reads_the_head_up_to_its_first_significant_line() {
+        let (first, rest) =
+            (&b";delegations\n\n#dump\ngoogle IN NS ns1.google.com.\n"[..], b"more IN NS ns.\n");
+        let text = [first, rest].concat();
+        let (mut input, mut head) = (text.as_slice(), Vec::new());
+        read_to_first_significant_line(&mut input, &mut head).unwrap();
+        assert_eq!((head.as_slice(), input), (first, &rest[..]));
+        let (mut input, mut head): (&[u8], _) = (b"; only\nlast", Vec::new());
+        read_to_first_significant_line(&mut input, &mut head).unwrap();
+        assert_eq!((head.as_slice(), input), (&b"; only\nlast"[..], &b""[..]));
     }
 
     #[test]
