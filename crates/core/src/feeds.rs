@@ -1,15 +1,14 @@
-//! Byte-stream [`FeedSource`]s: zone master-file text and DNS
-//! wire-format frames, straight off a `Read` transport.
+//! The byte-stream [`FeedSource`]: zone master-file text straight off
+//! a `Read` transport.
 //!
-//! These are the "bytes off the wire" half of the ingest front-end
-//! (the other half being replay feeds over pre-parsed
-//! [`IngestEvent`]s, e.g. the fault harness in `sham_workload`). Both
-//! feeds share the robustness contract of [`FeedSource`]:
+//! This is the "bytes off the wire" half of the ingest front-end (the
+//! other half being replay feeds over pre-parsed [`IngestEvent`]s, e.g.
+//! the fault harness in `sham_workload`). It keeps the robustness
+//! contract of [`FeedSource`]:
 //!
 //! * a record that fails to *parse* becomes [`FeedItem::Malformed`] —
 //!   quarantined by the connector, never fatal, and never
-//!   desynchronising (line framing and length-prefix framing both
-//!   survive a bad payload);
+//!   desynchronising (line framing survives a bad payload);
 //! * an I/O error becomes a typed [`FeedError`]
 //!   ([`std::io::ErrorKind::WouldBlock`]/`TimedOut` → [`FeedError::Stall`],
 //!   reset/aborted/broken-pipe/unexpected-EOF → [`FeedError::Disconnect`],
@@ -22,12 +21,10 @@
 //! reads it: one [`IngestEvent::Registered`] per owner that survives
 //! the consecutive and window dedup (zone files list each newly
 //! registered name as a run of records, and the detection pipeline
-//! wants names, not records). [`WireMessageFeed`] collapses
-//! consecutive duplicate owners.
+//! wants names, not records).
 
 use crate::ingest::{FeedError, FeedItem, FeedSource, IngestEvent};
 use crate::scan::{LineStage, StageItem, DEFAULT_DEDUP_WINDOW};
-use sham_dns::wire;
 use std::collections::VecDeque;
 use std::io::Read;
 
@@ -113,113 +110,9 @@ impl<R: Read + Send> FeedSource for ZoneTextFeed<R> {
     }
 }
 
-/// A DNS wire-format feed over any byte transport: two-byte
-/// big-endian length-prefixed messages (RFC 1035 §4.2.2 TCP framing,
-/// the shape an AXFR-style zone transfer delivers), decoded with
-/// [`sham_dns::wire::decode`]. Each answer record's owner name
-/// becomes a registration (consecutive duplicates collapsed).
-///
-/// A frame that fails to decode is quarantined whole — the length
-/// prefix is trusted for framing even when the payload is garbage, so
-/// one corrupt message never desynchronises the stream.
-pub struct WireMessageFeed<R> {
-    name: String,
-    reader: R,
-    carry: Vec<u8>,
-    pending: VecDeque<FeedItem>,
-    last_owner: Option<String>,
-    frames: u64,
-    eof: bool,
-}
-
-impl<R: Read + Send> WireMessageFeed<R> {
-    /// A feed named `name` over `reader`.
-    pub fn new(name: impl Into<String>, reader: R) -> Self {
-        WireMessageFeed {
-            name: name.into(),
-            reader,
-            carry: Vec::new(),
-            pending: VecDeque::new(),
-            last_owner: None,
-            frames: 0,
-            eof: false,
-        }
-    }
-
-    /// Decodes every complete frame sitting in the carry buffer.
-    fn drain_carry_frames(&mut self) {
-        loop {
-            if self.carry.len() < 2 {
-                return;
-            }
-            let len = u16::from_be_bytes([self.carry[0], self.carry[1]]) as usize;
-            if self.carry.len() < 2 + len {
-                return;
-            }
-            let frame: Vec<u8> = self.carry.drain(..2 + len).skip(2).collect();
-            self.frames += 1;
-            match wire::decode(&frame) {
-                Ok(message) => {
-                    for answer in message.answers {
-                        let owner = answer.name.as_ascii().to_string();
-                        if self.last_owner.as_deref() != Some(owner.as_str()) {
-                            self.last_owner = Some(owner);
-                            self.pending.push_back(FeedItem::Event(
-                                IngestEvent::Registered(answer.name),
-                            ));
-                        }
-                    }
-                }
-                Err(error) => self.pending.push_back(FeedItem::Malformed(format!(
-                    "frame {}: {error:?}",
-                    self.frames
-                ))),
-            }
-        }
-    }
-}
-
-impl<R: Read + Send> FeedSource for WireMessageFeed<R> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next(&mut self) -> Result<Option<FeedItem>, FeedError> {
-        loop {
-            if let Some(item) = self.pending.pop_front() {
-                return Ok(Some(item));
-            }
-            if self.eof {
-                return Ok(None);
-            }
-            let mut chunk = [0u8; READ_CHUNK];
-            match self.reader.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    if !self.carry.is_empty() {
-                        // EOF inside a frame: quarantine the stub.
-                        let dropped = self.carry.len();
-                        self.carry.clear();
-                        self.pending.push_back(FeedItem::Malformed(format!(
-                            "truncated frame at end of stream ({dropped} bytes)"
-                        )));
-                    }
-                }
-                Ok(n) => {
-                    self.carry.extend_from_slice(&chunk[..n]);
-                    self.drain_carry_frames();
-                }
-                Err(error) => return Err(map_io(&error)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sham_dns::records::{RecordData, RecordType};
-    use sham_punycode::DomainName;
 
     fn names(feed: &mut dyn FeedSource) -> (Vec<String>, Vec<String>) {
         let mut registered = Vec::new();
@@ -310,39 +203,5 @@ mod tests {
         assert_eq!(registered, ["alpha.com", "beta.com", "gamma.com"]);
         assert_eq!(malformed, ["zone line 5: invalid UTF-8"]);
         assert_eq!(stalls, text.len().div_ceil(3) + 1);
-    }
-
-    #[test]
-    fn wire_feed_decodes_frames_and_quarantines_garbage() {
-        let answer = |name: &str| wire::Message {
-            id: 1,
-            response: true,
-            rcode: wire::Rcode::NoError,
-            questions: vec![],
-            answers: vec![wire::WireAnswer {
-                name: DomainName::parse(name).unwrap(),
-                rtype: RecordType::A,
-                ttl: 60,
-                data: RecordData::A("192.0.2.9".parse().unwrap()),
-            }],
-        };
-        let mut stream = Vec::new();
-        for msg in [answer("alpha.com"), answer("beta.net")] {
-            let bytes = wire::encode(&msg);
-            stream.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-            stream.extend_from_slice(&bytes);
-        }
-        // A framed garbage payload, then a frame truncated by EOF.
-        stream.extend_from_slice(&5u16.to_be_bytes());
-        stream.extend_from_slice(b"junk!");
-        stream.extend_from_slice(&40u16.to_be_bytes());
-        stream.extend_from_slice(b"cut");
-
-        let mut feed = WireMessageFeed::new("axfr", &stream[..]);
-        let (registered, malformed) = names(&mut feed);
-        assert_eq!(registered, ["alpha.com", "beta.net"]);
-        assert_eq!(malformed.len(), 2, "{malformed:?}");
-        assert!(malformed[0].contains("frame 3"));
-        assert!(malformed[1].contains("truncated frame"));
     }
 }

@@ -26,9 +26,8 @@
 //!   errors, worker-panic isolation and idle-lane folding — draining
 //!   into a `SessionRouter` whose no-fault output is bit-identical to
 //!   a batch replay.
-//! * [`feeds`] — byte-stream feed sources: master-file text
-//!   ([`ZoneTextFeed`]) and length-prefixed DNS wire frames
-//!   ([`WireMessageFeed`]) off any `Read` transport.
+//! * [`feeds`] — the byte-stream feed source: master-file text
+//!   ([`ZoneTextFeed`]) off any `Read` transport.
 //! * [`sched`] — the fixed execution policy: how a detection batch is
 //!   sharded across the worker pool (partitioning only — outputs stay
 //!   bit-identical), with [`ExecStats`] recording the decisions into
@@ -85,7 +84,7 @@ pub mod session;
 
 pub use algorithm::Indexing;
 pub use detection::{CharSubstitution, Detection, RefName};
-pub use feeds::{WireMessageFeed, ZoneTextFeed};
+pub use feeds::ZoneTextFeed;
 pub use framework::{Framework, FrameworkReport};
 pub use index::{reference_digest, reference_section_summary, DetectionIndex, ReferenceSet};
 pub use ingest::{

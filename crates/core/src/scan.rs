@@ -1004,11 +1004,6 @@ impl ZoneScanner {
         result
     }
 
-    /// Per-TLD accounting so far (books may still be open).
-    pub fn stats(&self) -> &BTreeMap<String, TldScanStats> {
-        &self.stats
-    }
-
     /// Flushes every lane and closes the books.
     pub fn finish(self) -> ScanReport {
         ScanReport {

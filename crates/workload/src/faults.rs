@@ -229,8 +229,8 @@ pub fn lane_panic_hook(
 /// A `Read` adapter injecting transport faults by read-call ordinal:
 /// `Stall` → `WouldBlock` once, `Disconnect` → `ConnectionReset`
 /// once, `Corrupt` → the read succeeds but every byte is flipped.
-/// Drives the byte-stream feeds (`ZoneTextFeed`, `WireMessageFeed`)
-/// through the same taxonomy the replay feed exercises.
+/// Drives the byte-stream readers (`ZoneTextFeed`, the zone scanner's
+/// `scan_reader`) through the same taxonomy the replay feed exercises.
 pub struct FaultyReader<R> {
     inner: R,
     schedule: FaultSchedule,

@@ -23,15 +23,22 @@
 //!                                                  generate a synthetic zone file
 //! shamfinder revert <idn>                          map an IDN back to LDH
 //! shamfinder homoglyphs <char-or-hex>              list a character's twins
-//! shamfinder surface <label> [--tld com|jp|de]     registrable homograph count
+//! shamfinder surface <label> [--tld com|jp|de|kr|rf]
+//!                                                  registrable homograph count
 //! ```
+//!
+//! Every command parses its arguments once, with [`Args::parse`]: flags
+//! and positionals come in any order, and an unknown flag, a flag with no
+//! value, a wrong number of positionals or a malformed flag value exits 2
+//! naming it, before any database is built.
 
-use shamfinder::core::{DetectionIndex, IdnTable};
+use shamfinder::core::{DetectionIndex, ExecStats, IdnTable};
 use shamfinder::prelude::*;
-use shamfinder::simchar::{DEFAULT_THETA, MAX_THETA};
+use shamfinder::simchar::{SimCharDb, DEFAULT_THETA, MAX_THETA};
 use shamfinder::unicode::block_of;
 use std::io::{BufRead, Read};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -50,49 +57,98 @@ fn usage() -> ExitCode {
 [--malformed PERMILLE] [--homographs PERMILLE]\n  \
          shamfinder revert <idn-or-stem>\n  \
          shamfinder homoglyphs <char-or-hex>\n  \
-         shamfinder surface <label> [--tld com|jp|de|kr]"
+         shamfinder surface <label> [--tld com|jp|de|kr|rf]"
     );
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// What a command returns: its exit status, or a usage error, which
+/// `main` prints with the usage before it exits with status 2.
+type Outcome = Result<ExitCode, String>;
+
+/// A failure after the arguments parsed: the error line, then status 1.
+fn failed(error: impl std::fmt::Display) -> Outcome {
+    eprintln!("error: {error}");
+    Ok(ExitCode::FAILURE)
 }
 
-/// The parsed value of a numeric flag, `None` when the flag is absent,
-/// or an error naming the flag and a value that does not parse.
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    flag_value(args, flag)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value {v:?} for {flag}"))
-        })
-        .transpose()
+/// The one flag a command may be given more than once.
+const REPEATABLE: &str = "--blacklist";
+
+/// A command's arguments, parsed once: its positionals in order and the
+/// value of each flag it was given.
+#[derive(Debug)]
+struct Args {
+    positionals: Vec<String>,
+    flags: Vec<(String, String)>,
 }
 
-/// A parsed flag for the commands: an error (one naming the flag) ends
-/// the process with status 2.
-fn or_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
-}
+impl Args {
+    /// Parses `args` against the value flags a command reads and the
+    /// names of its positionals, where a last name ending in `...>` takes
+    /// one or more. Flags and positionals may come in any order. A flag's
+    /// value is the next argument unless that starts with `--`, so `-1`
+    /// is a value. An unknown flag, a repeated one other than
+    /// [`REPEATABLE`], a flag with no value, and a missing or extra
+    /// positional are errors naming the argument.
+    fn parse(args: &[String], flags: &[&str], names: &[&str]) -> Result<Args, String> {
+        let mut parsed = Args { positionals: Vec::new(), flags: Vec::new() };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                parsed.positionals.push(arg.clone());
+            } else if !flags.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg:?}"));
+            } else if arg != REPEATABLE && parsed.value(arg).is_some() {
+                return Err(format!("{arg} given twice"));
+            } else {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        parsed.flags.push((arg.clone(), value.clone()))
+                    }
+                    _ => return Err(format!("{arg} needs a value")),
+                }
+            }
+        }
+        let given = parsed.positionals.len();
+        let variadic = names.last().is_some_and(|name| name.ends_with("...>"));
+        if given < names.len() {
+            return Err(format!("missing {}", names[given]));
+        }
+        if given > names.len() && !variadic {
+            return Err(format!("unexpected argument {:?}", parsed.positionals[names.len()]));
+        }
+        Ok(parsed)
+    }
 
-/// [`parse_flag`] for the commands: a malformed value ends the process
-/// with status 2, naming the flag.
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    or_exit(parse_flag(args, flag))
+    /// The value of `flag`, when it was given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// Every value of `flag`, in the order given.
+    fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags.iter().filter(move |(f, _)| f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// The parsed value of a numeric flag, `None` when the flag is
+    /// absent, or an error naming the flag and a value that does not
+    /// parse.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value {v:?} for {flag}"))
+            })
+            .transpose()
+    }
 }
 
 /// `--theta`, or [`DEFAULT_THETA`] when absent. A value the pairwise
 /// index cannot take (above [`MAX_THETA`]) is an error naming the flag,
 /// like a malformed one.
-fn parse_theta(args: &[String]) -> Result<u32, String> {
-    match parse_flag(args, "--theta")? {
+fn parse_theta(args: &Args) -> Result<u32, String> {
+    match args.number("--theta")? {
         None => Ok(DEFAULT_THETA),
         Some(theta) if theta <= MAX_THETA => Ok(theta),
         Some(theta) => Err(format!(
@@ -101,70 +157,81 @@ fn parse_theta(args: &[String]) -> Result<u32, String> {
     }
 }
 
-/// The positional arguments: everything that is neither one of
-/// `value_flags` nor such a flag's value. Any other `--flag` ends the
-/// process with status 2, naming it, so a mistyped or retired flag is
-/// never silently ignored.
-fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
-    let mut found = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if value_flags.contains(&a.as_str()) {
-            i += 2;
-        } else if a.starts_with("--") {
-            eprintln!("error: unknown flag {a:?}");
-            usage();
-            std::process::exit(2)
-        } else {
-            found.push(a.clone());
-            i += 1;
-        }
-    }
-    found
+fn build_simchar(theta: u32) -> SimCharDb {
+    eprintln!("[shamfinder] building SimChar (θ = {theta}) …");
+    let font = SynthUnifont::v12();
+    let db = build(&font, &BuildConfig { theta, ..BuildConfig::default() }).db;
+    eprintln!(
+        "[shamfinder] {} pairs over {} characters",
+        db.pair_count(),
+        db.char_count()
+    );
+    db
 }
 
 fn build_db(theta: u32) -> HomoglyphDb {
-    eprintln!("[shamfinder] building SimChar (θ = {theta}) …");
-    let font = SynthUnifont::v12();
-    let result = build(&font, &BuildConfig { theta, ..BuildConfig::default() });
-    eprintln!(
-        "[shamfinder] {} pairs over {} characters",
-        result.db.pair_count(),
-        result.db.char_count()
-    );
-    HomoglyphDb::new(result.db, UcDatabase::embedded())
+    HomoglyphDb::new(build_simchar(theta), UcDatabase::embedded())
 }
 
-fn default_refs() -> Vec<String> {
-    shamfinder::workload::reference_list(10_000)
-}
-
-/// The reference list of a scanning command: the trimmed non-empty
-/// lines of `--refs-file`, or the default 10k list when the flag is
-/// absent. An unreadable file ends the process with status 1, naming
-/// the file.
-fn refs_file(args: &[String]) -> Vec<String> {
-    let Some(path) = flag_value(args, "--refs-file") else {
-        return default_refs();
-    };
-    match std::fs::read_to_string(&path) {
-        Ok(text) => text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(String::from)
-            .collect(),
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(1)
+/// The detection index of `check`, `scan`, `serve-feed`, `scan-zone`
+/// and `index build`: SimChar at `theta` over the command's reference
+/// list — `check`'s comma-separated `--refs`, the trimmed non-empty
+/// lines of `--refs-file`, or the default 10k list. An unreadable
+/// `--refs-file` ends the process with status 1, naming the file.
+fn open_index(args: &Args, theta: u32) -> Arc<DetectionIndex> {
+    let refs: Vec<String> = if let Some(list) = args.value("--refs") {
+        list.split(',').map(|s| s.trim().to_string()).collect()
+    } else if let Some(path) = args.value("--refs-file") {
+        match std::fs::read_to_string(path) {
+            Ok(text) => text
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty())
+                .map(String::from)
+                .collect(),
+            Err(e) => {
+                eprintln!("error: cannot read {path}: {e}");
+                std::process::exit(1)
+            }
         }
-    }
+    } else {
+        shamfinder::workload::reference_list(10_000)
+    };
+    let db = build_db(theta);
+    eprintln!("[shamfinder] indexing {} references …", refs.len());
+    DetectionIndex::shared(db, refs)
 }
 
-fn cmd_build_db(args: &[String]) -> ExitCode {
-    let theta = or_exit(parse_theta(args));
-    let db = build_db(theta);
+/// Writes the `--metrics-json` document, when the flag was given.
+fn write_metrics(args: &Args, json: impl FnOnce() -> String) -> Outcome {
+    let Some(path) = args.value("--metrics-json") else {
+        return Ok(ExitCode::SUCCESS);
+    };
+    if let Err(e) = std::fs::write(path, json() + "\n") {
+        return failed(format!("cannot write {path}: {e}"));
+    }
+    eprintln!("[shamfinder] wrote metrics to {path}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The head of the `-- scheduling --` block: the detection batches'
+/// ledger.
+fn print_detect_batches(exec: &ExecStats) {
+    println!("-- scheduling --");
+    println!(
+        "  detect batches: {} ({} inline), {} shards, shard len {}..{}, ≤ {} workers",
+        exec.batches,
+        exec.inline_batches,
+        exec.shards,
+        exec.min_shard_len,
+        exec.max_shard_len,
+        exec.max_workers
+    );
+}
+
+fn cmd_build_db(args: &[String]) -> Outcome {
+    let args = Args::parse(args, &["--theta", "--out"], &[])?;
+    let db = build_db(parse_theta(&args)?);
     let sim = db.simchar();
     println!("theta: {}", sim.theta());
     println!("pairs: {}", sim.pair_count());
@@ -177,14 +244,13 @@ fn cmd_build_db(args: &[String]) -> ExitCode {
     for (block, count) in sim.block_profile().into_iter().take(5) {
         println!("  {block}: {count}");
     }
-    if let Some(path) = flag_value(args, "--out") {
-        if let Err(e) = std::fs::write(&path, sim.to_text()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+    if let Some(path) = args.value("--out") {
+        if let Err(e) = std::fs::write(path, sim.to_text()) {
+            return failed(format!("cannot write {path}: {e}"));
         }
         println!("exported to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `index build <out>` / `index load <path>` / `index stat <path>`:
@@ -199,61 +265,53 @@ fn cmd_build_db(args: &[String]) -> ExitCode {
 /// mismatch error instead of trusted. `stat` inspects the file without
 /// rebuilding anything: version, per-section sizes, checksums and both
 /// staleness digests.
-fn cmd_index(args: &[String]) -> ExitCode {
-    let Some(action) = args.first() else {
-        return usage();
+fn cmd_index(args: &[String]) -> Outcome {
+    let Some((action, rest)) = args.split_first() else {
+        return Err("missing <build|load|stat>".into());
     };
-    // The library default, not a literal: a retuned DEFAULT_THETA must
-    // keep `index build`/`load` fingerprint-compatible with library
-    // builds.
-    let theta = or_exit(parse_theta(args));
-    match (action.as_str(), args.get(1)) {
-        ("build", _) => {
-            let [path] = &positionals(&args[1..], &["--theta", "--refs-file"])[..] else {
-                return usage();
-            };
-            let refs = refs_file(args);
-            let db = build_db(theta);
-            eprintln!("[shamfinder] indexing {} references …", refs.len());
-            let index = DetectionIndex::new(db, refs);
+    // `--theta` defaults to the library's θ, not a literal: a retuned
+    // DEFAULT_THETA must keep `index build`/`load` fingerprint-compatible
+    // with library builds.
+    match action.as_str() {
+        "build" => {
+            let args = Args::parse(rest, &["--theta", "--refs-file"], &["<out>"])?;
+            let theta = parse_theta(&args)?;
+            let path = &args.positionals[0];
+            let index = open_index(&args, theta);
             if let Err(e) = index.write_snapshot_file(path) {
-                eprintln!("error: cannot write snapshot: {e}");
-                return ExitCode::FAILURE;
+                return failed(format!("cannot write snapshot: {e}"));
             }
             let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             println!("snapshot: {path} ({bytes} bytes, full index)");
             print_index(&index);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        ("load", Some(path)) => {
+        "load" => {
+            let args = Args::parse(rest, &["--theta"], &["<path>"])?;
+            let theta = parse_theta(&args)?;
+            let path = &args.positionals[0];
             // Mounting validates the recorded fingerprint against the
             // databases this binary would build (same θ ⇒ same pairs);
             // every rejection out of the loader names the file and, for
             // structural damage, the offending section.
-            eprintln!("[shamfinder] rebuilding component databases for verification …");
-            let font = SynthUnifont::v12();
-            let result = build(&font, &BuildConfig { theta, ..BuildConfig::default() });
-            match DetectionIndex::from_snapshot_file(path, result.db, UcDatabase::embedded()) {
+            let simchar = build_simchar(theta);
+            match DetectionIndex::from_snapshot_file(path, simchar, UcDatabase::embedded()) {
                 Ok(index) => {
                     println!("snapshot {path}: ok (full index mounted, fingerprint verified)");
                     print_index(&index);
-                    ExitCode::SUCCESS
+                    Ok(ExitCode::SUCCESS)
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => failed(e),
             }
         }
-        ("stat", Some(path)) => {
+        "stat" => {
+            let args = Args::parse(rest, &[], &["<path>"])?;
+            let path = &args.positionals[0];
             // Pure file inspection: no database rebuild, readable
             // errors on old, section-less or corrupt files.
             let stat = match shamfinder::simchar::FlatPairIndex::snapshot_stat_path(path) {
                 Ok(stat) => stat,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return failed(e),
             };
             println!("snapshot: {path}");
             println!("version: {}", stat.version);
@@ -279,15 +337,12 @@ fn cmd_index(args: &[String]) -> ExitCode {
                 Ok((digest, count)) => {
                     println!("  references: {count}");
                     println!("  list digest: {digest:#018x}");
-                    ExitCode::SUCCESS
+                    Ok(ExitCode::SUCCESS)
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => failed(e),
             }
         }
-        _ => usage(),
+        other => Err(format!("unknown index action {other:?}")),
     }
 }
 
@@ -306,66 +361,51 @@ fn print_index(index: &DetectionIndex) {
     println!("reference digest: {:#018x}", index.reference_digest());
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(domain) = args.first() else { return usage() };
-    let domain = match DomainName::parse(domain) {
+fn cmd_check(args: &[String]) -> Outcome {
+    let args = Args::parse(args, &["--refs"], &["<domain>"])?;
+    let domain = match DomainName::parse(&args.positionals[0]) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: invalid domain: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failed(format!("invalid domain: {e}")),
     };
-    let refs: Vec<String> = match flag_value(args, "--refs") {
-        Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
-        None => default_refs(),
-    };
-    let db = build_db(DEFAULT_THETA);
     let tld = domain.tld().to_string();
-    let fw = Framework::with_shared_index(DetectionIndex::shared(db, refs), &tld);
+    let fw = Framework::with_shared_index(open_index(&args, DEFAULT_THETA), &tld);
     let report = fw.run(std::slice::from_ref(&domain));
     if report.detections.is_empty() {
         println!("{}: no homograph detected", domain.as_ascii());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     for det in &report.detections {
         let warning = Warning::from_detection(det, &tld);
         print!("{}", warning.render_text());
     }
-    ExitCode::from(1)
+    Ok(ExitCode::from(1))
 }
 
-fn cmd_scan(args: &[String]) -> ExitCode {
+fn cmd_scan(args: &[String]) -> Outcome {
     use shamfinder::core::{ScanConfig, SessionRouter, ZoneScanner};
 
-    let Some(path) = args.first() else { return usage() };
-    let tld = flag_value(args, "--tld").unwrap_or_else(|| "com".into());
+    let args = Args::parse(args, &["--tld", "--refs-file"], &["<zone-file>"])?;
+    let path = &args.positionals[0];
+    let tld = args.value("--tld").unwrap_or("com");
     // Only the head up to the first significant line decides the format;
     // a zone then streams through the line stage from the head on.
     let mut input = match std::fs::File::open(path) {
         Ok(file) => std::io::BufReader::new(file),
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failed(format!("cannot read {path}: {e}")),
     };
     let mut head = Vec::new();
     if let Err(e) = read_to_first_significant_line(&mut input, &mut head) {
-        eprintln!("error: cannot read {path}: {e}");
-        return ExitCode::FAILURE;
+        return failed(format!("cannot read {path}: {e}"));
     }
-    let refs = refs_file(args);
     // Only `--tld` owners are detected.
-    let router = || {
-        SessionRouter::new(DetectionIndex::shared(build_db(DEFAULT_THETA), refs))
-            .with_tlds([tld.clone()])
-    };
+    let router =
+        || SessionRouter::new(open_index(&args, DEFAULT_THETA)).with_tlds([tld.to_string()]);
     let report = if is_zone_file(&head) {
         // The scan-zone line stage: a malformed or non-UTF-8 line is
         // quarantined alone.
         let mut scanner = ZoneScanner::new(router(), ScanConfig::default());
-        if let Err(e) = scanner.scan_reader(&tld, head.as_slice().chain(input)) {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+        if let Err(e) = scanner.scan_reader(tld, head.as_slice().chain(input)) {
+            return failed(format!("cannot read {path}: {e}"));
         }
         let report = scanner.finish();
         let quarantined = report.totals().quarantined;
@@ -375,15 +415,11 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         report.router
     } else {
         if let Err(e) = input.read_to_end(&mut head) {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return failed(format!("cannot read {path}: {e}"));
         }
         let text = match String::from_utf8(head) {
             Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failed(format!("cannot read {path}: {e}")),
         };
         let (names, bad) = shamfinder::dns::parse_domain_list(&text);
         if bad > 0 {
@@ -409,7 +445,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
             if det.substitutions.len() == 1 { "" } else { "s" }
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Whether a line decides `scan`'s input format: it is not blank and
@@ -448,8 +484,9 @@ fn is_zone_file(bytes: &[u8]) -> bool {
     })
 }
 
-fn cmd_revert(args: &[String]) -> ExitCode {
-    let Some(input) = args.first() else { return usage() };
+fn cmd_revert(args: &[String]) -> Outcome {
+    let args = Args::parse(args, &[], &["<idn-or-stem>"])?;
+    let input = &args.positionals[0];
     // Accept either a stem or a full (possibly ACE) domain.
     let stem = match DomainName::parse(input) {
         Ok(d) if d.label_count() > 1 => d.unicode_without_tld().unwrap_or_default(),
@@ -460,29 +497,27 @@ fn cmd_revert(args: &[String]) -> ExitCode {
     match revert_stem(&db, &stem) {
         Reverted::Original(original) => {
             println!("{stem} -> {original}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Reverted::Partial(partial, failed) => {
             println!("{stem} -> {partial} (unresolved: {failed:?})");
-            ExitCode::from(1)
+            Ok(ExitCode::from(1))
         }
     }
 }
 
-fn cmd_homoglyphs(args: &[String]) -> ExitCode {
-    let Some(input) = args.first() else { return usage() };
+fn cmd_homoglyphs(args: &[String]) -> Outcome {
+    let args = Args::parse(args, &[], &["<char-or-hex>"])?;
+    let input = &args.positionals[0];
     let target: char = if let Some(hex) = input.strip_prefix("U+").or_else(|| input.strip_prefix("u+")) {
         match u32::from_str_radix(hex, 16).ok().and_then(char::from_u32) {
             Some(c) => c,
-            None => {
-                eprintln!("error: bad code point {input:?}");
-                return ExitCode::FAILURE;
-            }
+            None => return failed(format!("bad code point {input:?}")),
         }
     } else {
         match input.chars().next() {
             Some(c) => c,
-            None => return usage(),
+            None => return Err("empty <char-or-hex>".into()),
         }
     };
     let db = build_db(DEFAULT_THETA);
@@ -502,17 +537,21 @@ fn cmd_homoglyphs(args: &[String]) -> ExitCode {
             });
         println!("  '{c}' U+{cp:04X}  {block}{source}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_surface(args: &[String]) -> ExitCode {
-    let Some(label) = args.first() else { return usage() };
-    let table = match flag_value(args, "--tld").as_deref() {
+fn cmd_surface(args: &[String]) -> Outcome {
+    let args = Args::parse(args, &["--tld"], &["<label>"])?;
+    let label = &args.positionals[0];
+    let table = match args.value("--tld") {
+        None | Some("com") => IdnTable::com(),
         Some("jp") => IdnTable::jp(),
         Some("de") => IdnTable::de(),
         Some("kr") => IdnTable::kr(),
         Some("rf") => IdnTable::rf(),
-        _ => IdnTable::com(),
+        Some(other) => {
+            return Err(format!("invalid value {other:?} for --tld (com|jp|de|kr|rf)"))
+        }
     };
     let db = build_db(DEFAULT_THETA);
     let surface = table.homograph_surface(&db, label);
@@ -527,7 +566,7 @@ fn cmd_surface(args: &[String]) -> ExitCode {
             println!("  '{c}': {} option(s) — {shown}", options.len());
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `serve-feed`: run the fault-tolerant ingest front-end over a feed —
@@ -536,33 +575,47 @@ fn cmd_surface(args: &[String]) -> ExitCode {
 /// `--zone FILE`. Prints the per-TLD detection table plus the
 /// robustness ledger (shed/quarantined/retries/panics/folds and the
 /// accounting identity).
-fn cmd_serve_feed(args: &[String]) -> ExitCode {
+fn cmd_serve_feed(args: &[String]) -> Outcome {
     use shamfinder::core::{
         Backpressure, IngestConfig, IngestService, RetryPolicy, ZoneTextFeed,
     };
     use shamfinder::workload::{FaultSchedule, FaultyZoneFeed, FeedStats};
 
-    let tlds: Vec<String> = flag_value(args, "--tlds")
-        .unwrap_or_else(|| "com,net,org".into())
+    let args = Args::parse(
+        args,
+        &[
+            "--tlds",
+            "--queue",
+            "--batch",
+            "--policy",
+            "--faults",
+            "--seed",
+            "--events",
+            "--zone",
+            "--tld",
+            "--refs-file",
+            "--metrics-json",
+        ],
+        &[],
+    )?;
+    let tlds: Vec<String> = args
+        .value("--tlds")
+        .unwrap_or("com,net,org")
         .split(',')
         .map(|t| t.trim().to_string())
         .filter(|t| !t.is_empty())
         .collect();
-    let queue = numeric_flag(args, "--queue").unwrap_or(1024);
-    let batch = numeric_flag(args, "--batch").unwrap_or(1024);
-    let policy = match flag_value(args, "--policy").as_deref() {
+    let queue = args.number("--queue")?.unwrap_or(1024);
+    let batch = args.number("--batch")?.unwrap_or(1024);
+    let policy = match args.value("--policy") {
         None | Some("block") => Backpressure::Block,
         Some("shed") => Backpressure::Shed,
-        Some(other) => {
-            eprintln!("error: unknown backpressure policy {other:?} (block|shed)");
-            return ExitCode::FAILURE;
-        }
+        Some(other) => return Err(format!("invalid value {other:?} for --policy (block|shed)")),
     };
-    let faults: u32 = numeric_flag(args, "--faults").unwrap_or(0);
-    let seed: u64 = numeric_flag(args, "--seed").unwrap_or(7);
+    let faults: u32 = args.number("--faults")?.unwrap_or(0);
+    let seed: u64 = args.number("--seed")?.unwrap_or(7);
+    let events_scale: usize = args.number("--events")?.unwrap_or(20_000);
 
-    let refs = refs_file(args);
-    let index = DetectionIndex::shared(build_db(DEFAULT_THETA), refs);
     let config = IngestConfig {
         queue_capacity: queue,
         batch_capacity: batch,
@@ -571,22 +624,18 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
         retry: RetryPolicy::default(),
         ..IngestConfig::default()
     };
-    let service = IngestService::new(index, config);
+    let service = IngestService::new(open_index(&args, DEFAULT_THETA), config);
 
-    let report = if let Some(zone_path) = flag_value(args, "--zone") {
-        let origin = flag_value(args, "--tld").unwrap_or_else(|| "com".into());
-        let file = match std::fs::File::open(&zone_path) {
+    let report = if let Some(zone_path) = args.value("--zone") {
+        let origin = args.value("--tld").unwrap_or("com");
+        let file = match std::fs::File::open(zone_path) {
             Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: cannot open {zone_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return failed(format!("cannot open {zone_path}: {e}")),
         };
-        let feed = ZoneTextFeed::new(zone_path.clone(), &origin, file);
+        let feed = ZoneTextFeed::new(zone_path, origin, file);
         eprintln!("[shamfinder] ingesting zone {zone_path} (.{origin}) …");
         service.run(vec![Box::new(feed)])
     } else {
-        let events_scale: usize = numeric_flag(args, "--events").unwrap_or(20_000);
         let workload =
             shamfinder::workload::Workload::generate(shamfinder::workload::WorkloadConfig {
                 benign_ascii: events_scale.saturating_sub(events_scale / 10),
@@ -663,16 +712,7 @@ fn cmd_serve_feed(args: &[String]) -> ExitCode {
     );
     let exec = report.exec();
     let pool = shamfinder::core::pool_stats();
-    println!("-- scheduling --");
-    println!(
-        "  detect batches: {} ({} inline), {} shards, shard len {}..{}, ≤ {} workers",
-        exec.batches,
-        exec.inline_batches,
-        exec.shards,
-        exec.min_shard_len,
-        exec.max_shard_len,
-        exec.max_workers
-    );
+    print_detect_batches(&exec);
     println!(
         "  pool: {} workers ({} busy, {} queued), jobs {}/{} executed/submitted, \
 busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
@@ -685,15 +725,7 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
         pool.parked_nanos as f64 / 1e6,
         pool.occupancy() * 100.0
     );
-    if let Some(path) = flag_value(args, "--metrics-json") {
-        let json = shamfinder::metrics::ingest_metrics_json(&report, &exec, &pool);
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[shamfinder] wrote metrics to {path}");
-    }
-    ExitCode::SUCCESS
+    write_metrics(&args, || shamfinder::metrics::ingest_metrics_json(&report, &exec, &pool))
 }
 
 /// `scan-zone <FILE...>`: the GB-scale batch pipeline — streaming
@@ -705,13 +737,13 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
 /// scheduling ledger (detection batches, line-stage splits, pool);
 /// `--metrics-json` writes the machine-readable document (same
 /// `exec`/`pool`/`per_tld` schema as `serve-feed`, plus `stage`).
-fn cmd_scan_zone(args: &[String]) -> ExitCode {
+fn cmd_scan_zone(args: &[String]) -> Outcome {
     use shamfinder::core::scan::{tld_from_path, ScanConfig, ZoneScanner, DEFAULT_DEDUP_WINDOW};
     use shamfinder::core::SessionRouter;
     use shamfinder::web::Blacklist;
     use std::path::Path;
 
-    let files = positionals(
+    let args = Args::parse(
         args,
         &[
             "--tld",
@@ -722,57 +754,46 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
             "--chunk",
             "--metrics-json",
         ],
-    );
-    if files.is_empty() {
-        return usage();
-    }
-
-    let batch: usize = numeric_flag(args, "--batch").unwrap_or(1024);
-    let window: usize = numeric_flag(args, "--window").unwrap_or(DEFAULT_DEDUP_WINDOW);
-    let chunk: usize = numeric_flag(args, "--chunk").unwrap_or(1 << 20);
+        &["<FILE...>"],
+    )?;
+    let batch: usize = args.number("--batch")?.unwrap_or(1024);
+    let window: usize = args.number("--window")?.unwrap_or(DEFAULT_DEDUP_WINDOW);
+    let chunk: usize = args.number("--chunk")?.unwrap_or(1 << 20);
 
     let mut blacklists: Vec<Blacklist> = Vec::new();
-    for w in args.windows(2) {
-        if w[0] == "--blacklist" {
-            let path = &w[1];
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    let (bl, bad) = Blacklist::from_hosts_file(path, &text);
-                    eprintln!(
-                        "[shamfinder] blacklist {path}: {} entries ({bad} junk lines)",
-                        bl.len()
-                    );
-                    blacklists.push(bl);
-                }
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+    for path in args.values("--blacklist") {
+        match std::fs::read_to_string(path) {
+            Ok(text) => {
+                let (bl, bad) = Blacklist::from_hosts_file(path, &text);
+                eprintln!(
+                    "[shamfinder] blacklist {path}: {} entries ({bad} junk lines)",
+                    bl.len()
+                );
+                blacklists.push(bl);
             }
+            Err(e) => return failed(format!("cannot read {path}: {e}")),
         }
     }
 
-    let refs = refs_file(args);
-    let index = DetectionIndex::shared(build_db(DEFAULT_THETA), refs);
     let config = ScanConfig {
         chunk_bytes: chunk,
         dedup_window: window,
         batch_capacity: batch,
         blacklists,
     };
+    let index = open_index(&args, DEFAULT_THETA);
     let mut scanner = ZoneScanner::new(SessionRouter::new(index), config);
 
-    let tld_override = flag_value(args, "--tld");
-    for file in &files {
+    for file in &args.positionals {
         let path = Path::new(file);
-        let tld = tld_override
-            .clone()
+        let tld = args
+            .value("--tld")
+            .map(String::from)
             .or_else(|| tld_from_path(path))
             .unwrap_or_else(|| "com".into());
         eprintln!("[shamfinder] scanning {file} as .{tld} …");
         if let Err(e) = scanner.scan_file(&tld, path) {
-            eprintln!("error: scanning {file}: {e}");
-            return ExitCode::FAILURE;
+            return failed(format!("scanning {file}: {e}"));
         }
     }
 
@@ -810,22 +831,11 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         totals.quarantined
     );
     if let Err(e) = report.verify_accounting() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+        return failed(e);
     }
 
-    let exec = report.router.exec();
     let pool = shamfinder::core::pool_stats();
-    println!("-- scheduling --");
-    println!(
-        "  detect batches: {} ({} inline), {} shards, shard len {}..{}, ≤ {} workers",
-        exec.batches,
-        exec.inline_batches,
-        exec.shards,
-        exec.min_shard_len,
-        exec.max_shard_len,
-        exec.max_workers
-    );
+    print_detect_batches(&report.router.exec());
     let stage = report.stage;
     println!(
         "  line stage: {} pushes ({} split), {} shards, {} re-run whole, {} lines re-run at seams",
@@ -836,53 +846,48 @@ fn cmd_scan_zone(args: &[String]) -> ExitCode {
         pool.workers,
         pool.occupancy() * 100.0
     );
-
-    if let Some(path) = flag_value(args, "--metrics-json") {
-        let json = shamfinder::metrics::scan_metrics_json(&report, &pool);
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[shamfinder] wrote metrics to {path}");
-    }
-    ExitCode::SUCCESS
+    write_metrics(&args, || shamfinder::metrics::scan_metrics_json(&report, &pool))
 }
 
 /// `gen-zone <FILE>`: write a deterministic synthetic TLD zone file at
 /// a byte or record target — the fixture generator behind the scan-zone
 /// smokes and the GB-scale bench.
-fn cmd_gen_zone(args: &[String]) -> ExitCode {
+fn cmd_gen_zone(args: &[String]) -> Outcome {
     use shamfinder::workload::{write_synthetic_zone, ZoneGenConfig};
 
-    let Some(out_path) = args.first().filter(|a| !a.starts_with("--")) else {
-        return usage();
-    };
+    let args = Args::parse(
+        args,
+        &["--mb", "--records", "--tld", "--seed", "--malformed", "--homographs"],
+        &["<FILE>"],
+    )?;
+    let out_path = &args.positionals[0];
     let mut cfg = ZoneGenConfig {
-        tld: flag_value(args, "--tld").unwrap_or_else(|| "com".into()),
-        seed: numeric_flag(args, "--seed").unwrap_or(11),
+        tld: args.value("--tld").unwrap_or("com").to_string(),
+        seed: args.number("--seed")?.unwrap_or(11),
         ..ZoneGenConfig::default()
     };
-    if let Some(mb) = numeric_flag::<u64>(args, "--mb") {
-        cfg.target_bytes = mb << 20;
-        cfg.target_records = 0;
+    match (args.number::<u64>("--mb")?, args.number("--records")?) {
+        (Some(_), Some(_)) => return Err("--mb and --records cannot be given together".into()),
+        (Some(mb), None) => {
+            cfg.target_bytes = mb << 20;
+            cfg.target_records = 0;
+        }
+        (None, Some(n)) => {
+            cfg.target_records = n;
+            cfg.target_bytes = 0;
+        }
+        (None, None) => {}
     }
-    if let Some(n) = numeric_flag(args, "--records") {
-        cfg.target_records = n;
-        cfg.target_bytes = 0;
-    }
-    if let Some(p) = numeric_flag(args, "--malformed") {
+    if let Some(p) = args.number("--malformed")? {
         cfg.malformed_permille = p;
     }
-    if let Some(p) = numeric_flag(args, "--homographs") {
+    if let Some(p) = args.number("--homographs")? {
         cfg.homograph_permille = p;
     }
 
     let file = match std::fs::File::create(out_path) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: cannot create {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failed(format!("cannot create {out_path}: {e}")),
     };
     let mut writer = std::io::BufWriter::new(file);
     match write_synthetic_zone(&mut writer, &cfg) {
@@ -898,20 +903,16 @@ fn cmd_gen_zone(args: &[String]) -> ExitCode {
                 stats.malformed,
                 cfg.seed
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Err(e) => {
-            eprintln!("error: writing {out_path}: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failed(format!("writing {out_path}: {e}")),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else { return usage() };
-    let rest = &args[1..];
-    match command.as_str() {
+    let Some((command, rest)) = args.split_first() else { return usage() };
+    let outcome = match command.as_str() {
         "build-db" => cmd_build_db(rest),
         "index" => cmd_index(rest),
         "check" => cmd_check(rest),
@@ -922,48 +923,101 @@ fn main() -> ExitCode {
         "revert" => cmd_revert(rest),
         "homoglyphs" => cmd_homoglyphs(rest),
         "surface" => cmd_surface(rest),
-        _ => usage(),
-    }
+        other => Err(format!("unknown command {other:?}")),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{
-        is_zone_file, parse_flag, parse_theta, read_to_first_significant_line, DEFAULT_THETA,
-    };
+    use super::{is_zone_file, parse_theta, read_to_first_significant_line, Args, DEFAULT_THETA};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
     }
 
+    /// `list` parsed against the value `flags`, with one positional
+    /// or more.
+    fn parsed(list: &[&str], flags: &[&str]) -> Result<Args, String> {
+        Args::parse(&args(list), flags, &["<FILE...>"])
+    }
+
     #[test]
     fn parse_flag_rejects_malformed_values_by_name() {
-        let argv = args(&["zone.txt", "--batch", "1k", "--window", "64"]);
-        assert_eq!(parse_flag::<usize>(&argv, "--window"), Ok(Some(64)));
+        let flags = ["--batch", "--window", "--chunk"];
+        let argv = parsed(&["zone.txt", "--batch", "1k", "--window", "64"], &flags).unwrap();
+        assert_eq!(argv.number::<usize>("--window"), Ok(Some(64)));
+        assert_eq!(argv.number::<usize>("--chunk"), Ok(None), "absent flag");
         assert_eq!(
-            parse_flag::<usize>(&argv, "--chunk"),
-            Ok(None),
-            "absent flag"
-        );
-        assert_eq!(
-            parse_flag::<usize>(&argv, "--batch"),
+            argv.number::<usize>("--batch"),
             Err("invalid value \"1k\" for --batch".to_string())
         );
         // Negative and out-of-range values are malformed too.
-        assert!(parse_flag::<u32>(&args(&["--faults", "-1"]), "--faults").is_err());
-        assert!(parse_flag::<u64>(&args(&["--mb", "99999999999999999999"]), "--mb").is_err());
+        let faults = parsed(&["f", "--faults", "-1"], &["--faults"]).unwrap();
+        assert!(faults.number::<u32>("--faults").is_err());
+        let mb = parsed(&["f", "--mb", "99999999999999999999"], &["--mb"]).unwrap();
+        assert!(mb.number::<u64>("--mb").is_err());
     }
 
     #[test]
     fn theta_above_the_row_class_limit_is_refused_by_name() {
-        assert_eq!(parse_theta(&args(&["build-db"])), Ok(DEFAULT_THETA));
-        assert_eq!(parse_theta(&args(&["--theta", "0"])), Ok(0));
-        assert_eq!(parse_theta(&args(&["--theta", "31"])), Ok(31));
+        let theta = |list: &[&str]| {
+            parse_theta(&Args::parse(&args(list), &["--theta"], &[]).unwrap())
+        };
+        assert_eq!(theta(&[]), Ok(DEFAULT_THETA));
+        assert_eq!(theta(&["--theta", "0"]), Ok(0));
+        assert_eq!(theta(&["--theta", "31"]), Ok(31));
         for bad in ["32", "40", "4294967295"] {
-            let err = parse_theta(&args(&["--theta", bad])).unwrap_err();
+            let err = theta(&["--theta", bad]).unwrap_err();
             assert!(err.contains("--theta") && err.contains(bad), "{err}");
         }
-        assert!(parse_theta(&args(&["--theta", "four"])).is_err());
+        assert!(theta(&["--theta", "four"]).is_err());
+    }
+
+    #[test]
+    fn flags_go_before_between_and_after_positionals() {
+        let flags = ["--tld", "--batch"];
+        for list in [
+            &["--tld", "net", "a.zone", "b.zone", "--batch", "8"][..],
+            &["a.zone", "--tld", "net", "b.zone", "--batch", "8"],
+            &["a.zone", "b.zone", "--batch", "8", "--tld", "net"],
+        ] {
+            let argv = parsed(list, &flags).unwrap();
+            assert_eq!(argv.positionals, ["a.zone", "b.zone"], "{list:?}");
+            assert_eq!((argv.value("--tld"), argv.value("--batch")), (Some("net"), Some("8")));
+        }
+    }
+
+    #[test]
+    fn only_the_blacklist_repeats_and_keeps_its_order() {
+        let flags = ["--blacklist", "--tld"];
+        let argv = parsed(&["--blacklist", "b", "z", "--blacklist", "a"], &flags).unwrap();
+        assert_eq!(argv.values("--blacklist").collect::<Vec<_>>(), ["b", "a"]);
+        let twice = parsed(&["z", "--tld", "com", "--tld", "net"], &flags).unwrap_err();
+        assert!(twice.contains("--tld"), "{twice}");
+    }
+
+    #[test]
+    fn a_dash_number_is_a_value_and_a_flag_is_not() {
+        let argv = parsed(&["--faults", "-1", "z"], &["--faults", "--seed"]).unwrap();
+        assert_eq!(argv.value("--faults"), Some("-1"));
+        assert_eq!(argv.positionals, ["z"]);
+        for list in [&["z", "--faults"][..], &["z", "--faults", "--seed", "3"]] {
+            let err = parsed(list, &["--faults", "--seed"]).unwrap_err();
+            assert_eq!(err, "--faults needs a value", "{list:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_wrong_positional_counts_are_named() {
+        let one = |list: &[&str]| Args::parse(&args(list), &["--refs"], &["<domain>"]);
+        assert_eq!(one(&["a", "--refz", "x"]).unwrap_err(), "unknown flag \"--refz\"");
+        assert_eq!(one(&["a", "b"]).unwrap_err(), "unexpected argument \"b\"");
+        assert_eq!(one(&["--refs", "google"]).unwrap_err(), "missing <domain>");
+        assert_eq!(parsed(&[], &[]).unwrap_err(), "missing <FILE...>");
     }
 
     #[test]
