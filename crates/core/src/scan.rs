@@ -142,7 +142,9 @@ impl Default for ScanConfig {
 }
 
 /// Per-TLD accounting for one scan run. Every counter is in *lines*
-/// except `bytes`; `records` are well-formed record lines only.
+/// except `bytes`; `records` are well-formed record lines only. The
+/// fields serialize in declaration order, which is the order of a
+/// `scan-zone --metrics-json` row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TldScanStats {
     /// Bytes consumed from this TLD's files.
@@ -151,16 +153,16 @@ pub struct TldScanStats {
     pub lines: u64,
     /// Well-formed record lines.
     pub records: u64,
-    /// Malformed or non-UTF-8 lines, skipped and counted.
-    pub quarantined: u64,
+    /// Owners handed to the router for detection.
+    pub routed: u64,
     /// Records dropped because the owner repeated the previous line's.
     pub dedup_consecutive: u64,
     /// Records dropped by the bounded out-of-order owner window.
     pub dedup_window: u64,
     /// Records dropped by a blacklist suffix match.
     pub blacklisted: u64,
-    /// Owners handed to the router for detection.
-    pub routed: u64,
+    /// Malformed or non-UTF-8 lines, skipped and counted.
+    pub quarantined: u64,
     /// Wall-clock seconds spent scanning this TLD's files.
     pub elapsed_secs: f64,
 }
@@ -186,6 +188,25 @@ impl TldScanStats {
     /// deduplicated, blacklisted, or quarantined — nothing vanishes.
     pub fn is_accounted(&self) -> bool {
         self.parsed() == self.accounted()
+    }
+
+    /// Records scanned per wall-clock second (0 when no time passed).
+    pub fn records_per_sec(&self) -> f64 {
+        self.per_sec(self.records as f64)
+    }
+
+    /// Megabytes (10⁶ bytes) scanned per wall-clock second (0 when no
+    /// time passed).
+    pub fn mb_per_sec(&self) -> f64 {
+        self.per_sec(self.bytes as f64 / 1e6)
+    }
+
+    fn per_sec(&self, amount: f64) -> f64 {
+        if self.elapsed_secs > 0.0 {
+            amount / self.elapsed_secs
+        } else {
+            0.0
+        }
     }
 
     /// Folds another TLD's (or file's) counters into this one.

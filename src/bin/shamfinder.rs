@@ -10,9 +10,10 @@
 //! shamfinder check <domain> [--refs a,b,c]         check one domain
 //! shamfinder scan <zone-file> [--tld com] [--refs-file FILE]
 //! shamfinder serve-feed [--tlds com,net,org] [--queue N] [--batch N]
-//!                       [--policy block|shed] [--faults PERMILLE] [--seed S]
-//!                       [--events N] [--zone FILE --tld com] [--refs-file FILE]
+//!                       [--policy block|shed] [--refs-file FILE]
 //!                       [--metrics-json FILE]
+//!                       [--faults PERMILLE] [--seed S] [--events N]
+//!                       | --zone FILE [--tld com]
 //! shamfinder scan-zone <FILE...> [--tld TLD] [--refs-file FILE]
 //!                      [--blacklist FILE] [--batch N] [--window N]
 //!                      [--chunk BYTES] [--metrics-json FILE]
@@ -30,9 +31,13 @@
 //! Every command parses its arguments once, with [`Args::parse`]: flags
 //! and positionals come in any order, and an unknown flag, a flag with no
 //! value, a wrong number of positionals or a malformed flag value exits 2
-//! naming it, before any database is built.
+//! naming it, before any database is built. So does a flag the chosen
+//! feed never reads (`serve-feed --zone F --faults 5`), a `check` domain
+//! that does not parse and a `homoglyphs` code point that does not
+//! exist: `check`'s status 1 means only that a homograph was detected.
 
 use shamfinder::core::{DetectionIndex, ExecStats, IdnTable};
+use shamfinder::metrics::TldCounts;
 use shamfinder::prelude::*;
 use shamfinder::simchar::{SimCharDb, DEFAULT_THETA, MAX_THETA};
 use shamfinder::unicode::block_of;
@@ -49,8 +54,8 @@ fn usage() -> ExitCode {
          shamfinder check <domain> [--refs a,b,c]\n  \
          shamfinder scan <zone-file> [--tld com] [--refs-file FILE]\n  \
          shamfinder serve-feed [--tlds com,net,org] [--queue N] [--batch N] \
-[--policy block|shed] [--faults PERMILLE] [--seed S] [--events N] \
-[--zone FILE --tld com] [--refs-file FILE] [--metrics-json FILE]\n  \
+[--policy block|shed] [--refs-file FILE] [--metrics-json FILE] \
+[--faults PERMILLE] [--seed S] [--events N] | --zone FILE [--tld com]\n  \
          shamfinder scan-zone <FILE...> [--tld TLD] [--refs-file FILE] \
 [--blacklist FILE] [--batch N] [--window N] [--chunk BYTES] [--metrics-json FILE]\n  \
          shamfinder gen-zone <FILE> [--mb N | --records N] [--tld com] [--seed S] \
@@ -363,10 +368,8 @@ fn print_index(index: &DetectionIndex) {
 
 fn cmd_check(args: &[String]) -> Outcome {
     let args = Args::parse(args, &["--refs"], &["<domain>"])?;
-    let domain = match DomainName::parse(&args.positionals[0]) {
-        Ok(d) => d,
-        Err(e) => return failed(format!("invalid domain: {e}")),
-    };
+    let input = &args.positionals[0];
+    let domain = DomainName::parse(input).map_err(|e| format!("invalid domain {input:?}: {e}"))?;
     let tld = domain.tld().to_string();
     let fw = Framework::with_shared_index(open_index(&args, DEFAULT_THETA), &tld);
     let report = fw.run(std::slice::from_ref(&domain));
@@ -512,7 +515,7 @@ fn cmd_homoglyphs(args: &[String]) -> Outcome {
     let target: char = if let Some(hex) = input.strip_prefix("U+").or_else(|| input.strip_prefix("u+")) {
         match u32::from_str_radix(hex, 16).ok().and_then(char::from_u32) {
             Some(c) => c,
-            None => return failed(format!("bad code point {input:?}")),
+            None => return Err(format!("bad code point {input:?}")),
         }
     } else {
         match input.chars().next() {
@@ -598,6 +601,16 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
         ],
         &[],
     )?;
+    // The synthetic feed reads the fault and size flags, the zone feed
+    // its `--tld`; a flag the chosen feed never reads is refused.
+    let zone = args.value("--zone");
+    let (unread, feed) = match zone {
+        Some(_) => (&["--faults", "--seed", "--events"][..], "with --zone"),
+        None => (&["--tld"][..], "without --zone"),
+    };
+    if let Some(flag) = unread.iter().find(|flag| args.value(flag).is_some()) {
+        return Err(format!("{flag} is not read {feed}"));
+    }
     let tlds: Vec<String> = args
         .value("--tlds")
         .unwrap_or("com,net,org")
@@ -626,7 +639,7 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
     };
     let service = IngestService::new(open_index(&args, DEFAULT_THETA), config);
 
-    let report = if let Some(zone_path) = args.value("--zone") {
+    let report = if let Some(zone_path) = zone {
         let origin = args.value("--tld").unwrap_or("com");
         let file = match std::fs::File::open(zone_path) {
             Ok(f) => f,
@@ -671,13 +684,8 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
 
     println!("-- per-TLD detections --");
     for lane in &report.router.per_tld {
-        println!(
-            "  .{}: {} domains, {} IDNs, {} homographs",
-            lane.tld,
-            lane.report.total_domains,
-            lane.report.idn_count,
-            lane.report.detections.len()
-        );
+        let TldCounts { domains, idns, detections } = TldCounts::of(&lane.report);
+        println!("  .{}: {domains} domains, {idns} IDNs, {detections} homographs", lane.tld);
     }
     if report.router.unrouted_domains > 0 {
         println!("  (unrouted: {})", report.router.unrouted_domains);
@@ -710,9 +718,8 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
         report.shed,
         report.lost
     );
-    let exec = report.exec();
     let pool = shamfinder::core::pool_stats();
-    print_detect_batches(&exec);
+    print_detect_batches(&report.exec());
     println!(
         "  pool: {} workers ({} busy, {} queued), jobs {}/{} executed/submitted, \
 busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
@@ -725,7 +732,7 @@ busy {:.1} ms, parked {:.1} ms, occupancy {:.0}%",
         pool.parked_nanos as f64 / 1e6,
         pool.occupancy() * 100.0
     );
-    write_metrics(&args, || shamfinder::metrics::ingest_metrics_json(&report, &exec, &pool))
+    write_metrics(&args, || shamfinder::metrics::ingest_metrics_json(&report, &pool))
 }
 
 /// `scan-zone <FILE...>`: the GB-scale batch pipeline — streaming
@@ -800,7 +807,7 @@ fn cmd_scan_zone(args: &[String]) -> Outcome {
     let report = scanner.finish();
     let totals = report.totals();
     println!("-- per-TLD scan --");
-    for (tld, (s, (_, _, detections))) in shamfinder::metrics::scan_per_tld(&report) {
+    for (tld, (counts, s)) in shamfinder::metrics::scan_per_tld(&report) {
         println!(
             "  .{tld}: {:.1} MB, {} lines, {} records → {} routed \
 (dedup {} + {}, blacklisted {}, quarantined {}), {} detections in {:.2}s \
@@ -813,10 +820,10 @@ fn cmd_scan_zone(args: &[String]) -> Outcome {
             s.dedup_window,
             s.blacklisted,
             s.quarantined,
-            detections,
+            counts.detections,
             s.elapsed_secs,
-            if s.elapsed_secs > 0.0 { s.records as f64 / s.elapsed_secs } else { 0.0 },
-            if s.elapsed_secs > 0.0 { s.bytes as f64 / 1e6 / s.elapsed_secs } else { 0.0 },
+            s.records_per_sec(),
+            s.mb_per_sec(),
         );
     }
     for sample in &report.quarantine_samples {

@@ -1,71 +1,93 @@
 //! Machine-readable metrics documents — one schema, two producers.
 //!
 //! `shamfinder serve-feed --metrics-json` and `shamfinder scan-zone
-//! --metrics-json` both write a JSON ledger here. The shared sections
-//! (`per_tld`, `exec`, `pool`) are built by the same helpers, so a
-//! dashboard consuming one consumes the other; the top section differs
-//! by workload (`events` + `feeds` + `robustness` for the streaming
-//! ingest service, `scan` and the line stage's `stage` for the batch
-//! scanner). The schema-pinning
-//! test in this module is the contract: adding or renaming a field is
-//! fine, silently dropping one is not.
+//! --metrics-json` both write a JSON ledger here. Each section is a
+//! report type's derived serialization followed only by the figures
+//! computed from it: `exec` is [`ExecStats`](sham_core::ExecStats),
+//! the scanner's `stage` is [`StageStats`](sham_core::StageStats),
+//! each `feeds` entry is a [`FeedReport`](sham_core::ingest::FeedReport)
+//! (`last_error` included), and a scan's `scan` totals and `per_tld`
+//! rows are [`TldScanStats`] plus their `records_per_sec` and
+//! `mb_per_sec` (the totals also add `files`, `parsed`, `detections`
+//! and `accounted`, after `elapsed_secs`). Every `per_tld` row of both
+//! documents opens with a [`TldCounts`]. Only the top level and the
+//! sections no report type stands behind (`events`, `robustness`, and
+//! `pool`, whose `PoolStats` does not derive `Serialize`) are built by
+//! hand, and `per_tld` is built as an object because the vendored
+//! serde writes every map as `[key, value]` pairs. The schema-pinning
+//! tests in this module are the contract: adding or renaming a field
+//! is fine, silently dropping one is not.
 
-use serde::Value;
+use serde::{Serialize, Value};
 use sham_core::scan::{ScanReport, TldScanStats};
-use sham_core::{ExecStats, IngestReport, PoolStats, StageStats};
+use sham_core::{FrameworkReport, IngestReport, PoolStats};
 use std::collections::BTreeMap;
 
-fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// One TLD's detection counts: the row each `per_tld` entry of both
+/// documents, and each row of both commands' console tables, opens with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct TldCounts {
+    /// Domains the TLD's lane inspected.
+    pub domains: u64,
+    /// IDNs among them.
+    pub idns: u64,
+    /// Homographs detected among them.
+    pub detections: u64,
 }
 
-/// The `exec` section: how the detection batches were partitioned.
-fn exec_value(exec: &ExecStats) -> Value {
-    map(vec![
-        ("batches", Value::U64(exec.batches)),
-        ("inline_batches", Value::U64(exec.inline_batches)),
-        ("shards", Value::U64(exec.shards)),
-        ("min_shard_len", Value::U64(exec.min_shard_len as u64)),
-        ("max_shard_len", Value::U64(exec.max_shard_len as u64)),
-        ("max_workers", Value::U64(exec.max_workers as u64)),
-    ])
+impl TldCounts {
+    /// The counts of one lane's report.
+    pub fn of(report: &FrameworkReport) -> TldCounts {
+        TldCounts {
+            domains: report.total_domains as u64,
+            idns: report.idn_count as u64,
+            detections: report.detections.len() as u64,
+        }
+    }
 }
 
-/// The `stage` section: how the scanner's line stage cut its pushes
-/// for the pool and what it re-ran at the seams.
-fn stage_value(stage: &StageStats) -> Value {
-    map(vec![
-        ("pushes", Value::U64(stage.pushes)),
-        ("split_pushes", Value::U64(stage.split_pushes)),
-        ("shards", Value::U64(stage.shards)),
-        ("shards_rerun", Value::U64(stage.shards_rerun)),
-        ("lines_rerun", Value::U64(stage.lines_rerun)),
-    ])
+/// An object: the fields of each derived part in turn, then the
+/// figures computed from them.
+fn object<'a>(
+    parts: &[&dyn Serialize],
+    figures: impl IntoIterator<Item = (&'a str, Value)>,
+) -> Value {
+    let mut entries = Vec::new();
+    for part in parts {
+        match part.serialize() {
+            Value::Map(fields) => entries.extend(fields),
+            other => unreachable!("a report type serializes to an object, not {other:?}"),
+        }
+    }
+    entries.extend(figures.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Value::Map(entries)
 }
 
 /// The `pool` section: worker-pool telemetry at report time.
 fn pool_value(pool: &PoolStats) -> Value {
-    map(vec![
-        ("workers", Value::U64(pool.workers as u64)),
-        ("busy_workers", Value::U64(pool.busy_workers as u64)),
-        ("queue_depth", Value::U64(pool.queue_depth as u64)),
-        ("jobs_submitted", Value::U64(pool.jobs_submitted)),
-        ("jobs_dequeued", Value::U64(pool.jobs_dequeued)),
-        ("jobs_executed", Value::U64(pool.jobs_executed)),
-        ("jobs_discarded", Value::U64(pool.jobs_discarded)),
-        ("jobs_panicked", Value::U64(pool.jobs_panicked)),
-        ("busy_nanos", Value::U64(pool.busy_nanos)),
-        ("parked_nanos", Value::U64(pool.parked_nanos)),
-        ("occupancy", Value::F64(pool.occupancy())),
-    ])
+    object(
+        &[],
+        [
+            ("workers", Value::U64(pool.workers as u64)),
+            ("busy_workers", Value::U64(pool.busy_workers as u64)),
+            ("queue_depth", Value::U64(pool.queue_depth as u64)),
+            ("jobs_submitted", Value::U64(pool.jobs_submitted)),
+            ("jobs_dequeued", Value::U64(pool.jobs_dequeued)),
+            ("jobs_executed", Value::U64(pool.jobs_executed)),
+            ("jobs_discarded", Value::U64(pool.jobs_discarded)),
+            ("jobs_panicked", Value::U64(pool.jobs_panicked)),
+            ("busy_nanos", Value::U64(pool.busy_nanos)),
+            ("parked_nanos", Value::U64(pool.parked_nanos)),
+            ("occupancy", Value::F64(pool.occupancy())),
+        ],
+    )
 }
 
-/// One TLD's core counters — identical keys in both documents.
-fn tld_core(domains: u64, idns: u64, detections: u64) -> Vec<(&'static str, Value)> {
-    vec![
-        ("domains", Value::U64(domains)),
-        ("idns", Value::U64(idns)),
-        ("detections", Value::U64(detections)),
+/// The throughput figures of a scan row or of the scan's totals.
+fn throughput(stats: &TldScanStats) -> [(&'static str, Value); 2] {
+    [
+        ("records_per_sec", Value::F64(stats.records_per_sec())),
+        ("mb_per_sec", Value::F64(stats.mb_per_sec())),
     ]
 }
 
@@ -73,92 +95,57 @@ fn tld_core(domains: u64, idns: u64, detections: u64) -> Vec<(&'static str, Valu
 /// robustness counters and the scheduling/pool telemetry — everything
 /// the console ledger prints, minus individual detections (counts only,
 /// so the file stays small at zone scale).
-pub fn ingest_metrics_json(
-    report: &IngestReport,
-    exec: &ExecStats,
-    pool: &PoolStats,
-) -> String {
+pub fn ingest_metrics_json(report: &IngestReport, pool: &PoolStats) -> String {
+    let router = &report.router;
     let per_tld = Value::Map(
-        report
-            .router
+        router
             .per_tld
             .iter()
-            .map(|lane| {
-                (
-                    lane.tld.clone(),
-                    map(tld_core(
-                        lane.report.total_domains as u64,
-                        lane.report.idn_count as u64,
-                        lane.report.detections.len() as u64,
-                    )),
-                )
-            })
+            .map(|lane| (lane.tld.clone(), TldCounts::of(&lane.report).serialize()))
             .collect(),
     );
-    let feeds = Value::Seq(
-        report
-            .feeds
-            .iter()
-            .map(|feed| {
-                map(vec![
-                    ("name", Value::Str(feed.name.clone())),
-                    ("registrations", Value::U64(feed.registrations)),
-                    ("churns", Value::U64(feed.churns)),
-                    ("quarantined", Value::U64(feed.quarantined)),
-                    ("retries", Value::U64(feed.retries)),
-                    ("outcome", Value::Str(format!("{:?}", feed.outcome))),
-                ])
-            })
-            .collect(),
+    let events = [
+        ("delivered", Value::U64(report.events_delivered())),
+        ("accounted", Value::U64(report.events_accounted())),
+        ("routed", Value::U64(router.total_domains() as u64)),
+        ("unrouted", Value::U64(router.unrouted_domains as u64)),
+        ("detections", Value::U64(router.detection_count() as u64)),
+        ("reference_diffs", Value::U64(router.reference_diffs as u64)),
+    ];
+    let robustness = [
+        ("shed", Value::U64(report.shed)),
+        ("quarantined", Value::U64(report.quarantined)),
+        ("lost", Value::U64(report.lost)),
+        ("lane_panics", Value::U64(report.lane_panics)),
+        ("lane_folds", Value::U64(report.lane_folds)),
+    ];
+    let doc = object(
+        &[],
+        [
+            ("events", object(&[], events)),
+            ("per_tld", per_tld),
+            ("feeds", report.feeds.serialize()),
+            ("robustness", object(&[], robustness)),
+            ("exec", report.exec().serialize()),
+            ("pool", pool_value(pool)),
+        ],
     );
-    let doc = map(vec![
-        (
-            "events",
-            map(vec![
-                ("delivered", Value::U64(report.events_delivered())),
-                ("accounted", Value::U64(report.events_accounted())),
-                ("routed", Value::U64(report.router.total_domains() as u64)),
-                ("unrouted", Value::U64(report.router.unrouted_domains as u64)),
-                ("detections", Value::U64(report.router.detection_count() as u64)),
-                ("reference_diffs", Value::U64(report.router.reference_diffs as u64)),
-            ]),
-        ),
-        ("per_tld", per_tld),
-        ("feeds", feeds),
-        (
-            "robustness",
-            map(vec![
-                ("shed", Value::U64(report.shed)),
-                ("quarantined", Value::U64(report.quarantined)),
-                ("lost", Value::U64(report.lost)),
-                ("lane_panics", Value::U64(report.lane_panics)),
-                ("lane_folds", Value::U64(report.lane_folds)),
-            ]),
-        ),
-        ("exec", exec_value(exec)),
-        ("pool", pool_value(pool)),
-    ]);
     serde_json::to_string(&doc).unwrap_or_default()
 }
 
 /// The per-TLD rows of a scan, keyed on every TLD that is a scanner
-/// label or a router lane: the scanner's counters and the lane's
-/// `(domains, idns, detections)`, with zeros on the side that lacks
-/// the TLD. The two differ when a file's `$ORIGIN` is not its label
-/// (`zone.txt` holding `.com` owners).
-pub fn scan_per_tld(report: &ScanReport) -> BTreeMap<&str, (TldScanStats, (u64, u64, u64))> {
-    let mut rows: BTreeMap<&str, (TldScanStats, (u64, u64, u64))> = report
+/// label or a router lane: the lane's counts and the scanner's
+/// counters, with zeros on the side that lacks the TLD. The two differ
+/// when a file's `$ORIGIN` is not its label (`zone.txt` holding `.com`
+/// owners).
+pub fn scan_per_tld(report: &ScanReport) -> BTreeMap<&str, (TldCounts, TldScanStats)> {
+    let mut rows: BTreeMap<&str, (TldCounts, TldScanStats)> = report
         .per_tld
         .iter()
-        .map(|(tld, s)| (tld.as_str(), (*s, (0, 0, 0))))
+        .map(|(tld, stats)| (tld.as_str(), (TldCounts::default(), *stats)))
         .collect();
     for lane in &report.router.per_tld {
-        let r = &lane.report;
-        rows.entry(lane.tld.as_str()).or_default().1 = (
-            r.total_domains as u64,
-            r.idn_count as u64,
-            r.detections.len() as u64,
-        );
+        rows.entry(lane.tld.as_str()).or_default().0 = TldCounts::of(&lane.report);
     }
     rows
 }
@@ -169,66 +156,30 @@ pub fn scan_per_tld(report: &ScanReport) -> BTreeMap<&str, (TldScanStats, (u64, 
 /// writes, and the line stage's `stage` section between them.
 pub fn scan_metrics_json(report: &ScanReport, pool: &PoolStats) -> String {
     let totals = report.totals();
-    let throughput = |records: u64, bytes: u64, secs: f64| {
-        let (rps, mbps) = if secs > 0.0 {
-            (records as f64 / secs, bytes as f64 / 1e6 / secs)
-        } else {
-            (0.0, 0.0)
-        };
-        (Value::F64(rps), Value::F64(mbps))
-    };
-
     let per_tld = Value::Map(
         scan_per_tld(report)
             .into_iter()
-            .map(|(tld, (s, (domains, idns, detections)))| {
-                let (rps, mbps) = throughput(s.records, s.bytes, s.elapsed_secs);
-                let mut entries = tld_core(domains, idns, detections);
-                entries.extend(vec![
-                    ("bytes", Value::U64(s.bytes)),
-                    ("lines", Value::U64(s.lines)),
-                    ("records", Value::U64(s.records)),
-                    ("routed", Value::U64(s.routed)),
-                    ("dedup_consecutive", Value::U64(s.dedup_consecutive)),
-                    ("dedup_window", Value::U64(s.dedup_window)),
-                    ("blacklisted", Value::U64(s.blacklisted)),
-                    ("quarantined", Value::U64(s.quarantined)),
-                    ("elapsed_secs", Value::F64(s.elapsed_secs)),
-                    ("records_per_sec", rps),
-                    ("mb_per_sec", mbps),
-                ]);
-                (tld.to_string(), map(entries))
+            .map(|(tld, (counts, stats))| {
+                (tld.to_string(), object(&[&counts, &stats], throughput(&stats)))
             })
             .collect(),
     );
-
-    let (rps, mbps) = throughput(totals.records, totals.bytes, totals.elapsed_secs);
-    let doc = map(vec![
-        (
-            "scan",
-            map(vec![
-                ("files", Value::U64(report.files as u64)),
-                ("bytes", Value::U64(totals.bytes)),
-                ("lines", Value::U64(totals.lines)),
-                ("records", Value::U64(totals.records)),
-                ("parsed", Value::U64(totals.parsed())),
-                ("routed", Value::U64(totals.routed)),
-                ("dedup_consecutive", Value::U64(totals.dedup_consecutive)),
-                ("dedup_window", Value::U64(totals.dedup_window)),
-                ("blacklisted", Value::U64(totals.blacklisted)),
-                ("quarantined", Value::U64(totals.quarantined)),
-                ("detections", Value::U64(report.detection_count() as u64)),
-                ("accounted", Value::Bool(report.verify_accounting().is_ok())),
-                ("elapsed_secs", Value::F64(totals.elapsed_secs)),
-                ("records_per_sec", rps),
-                ("mb_per_sec", mbps),
-            ]),
-        ),
-        ("per_tld", per_tld),
-        ("exec", exec_value(&report.router.exec())),
-        ("stage", stage_value(&report.stage)),
-        ("pool", pool_value(pool)),
-    ]);
+    let figures = [
+        ("files", Value::U64(report.files as u64)),
+        ("parsed", Value::U64(totals.parsed())),
+        ("detections", Value::U64(report.detection_count() as u64)),
+        ("accounted", Value::Bool(report.verify_accounting().is_ok())),
+    ];
+    let doc = object(
+        &[],
+        [
+            ("scan", object(&[&totals], figures.into_iter().chain(throughput(&totals)))),
+            ("per_tld", per_tld),
+            ("exec", report.router.exec().serialize()),
+            ("stage", report.stage.serialize()),
+            ("pool", pool_value(pool)),
+        ],
+    );
     serde_json::to_string(&doc).unwrap_or_default()
 }
 
@@ -237,11 +188,25 @@ mod tests {
     use super::*;
     use sham_core::ingest::{FeedOutcome, FeedReport};
     use sham_core::router::{RouterReport, TldReport};
-    use sham_core::FrameworkReport;
+    use sham_core::{Detection, ExecStats, RefName, StageStats};
 
     fn keys_of(value: &Value) -> Vec<&str> {
         match value {
             Value::Map(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
+
+    /// The values of an object whose every entry is a count, in order.
+    fn counts_of(value: &Value) -> Vec<u64> {
+        match value {
+            Value::Map(entries) => entries
+                .iter()
+                .map(|(k, v)| match v {
+                    Value::U64(n) => *n,
+                    other => panic!("{k} should be a count, got {other:?}"),
+                })
+                .collect(),
             other => panic!("expected an object, got {other:?}"),
         }
     }
@@ -279,25 +244,51 @@ mod tests {
         "occupancy",
     ];
 
-    fn empty_ingest_report() -> IngestReport {
+    /// One `com` lane (7 domains, 3 IDNs, 2 detections) behind 5
+    /// unrouted domains, and one feed whose 23 registrations are the
+    /// 12 routed plus 10 shed and 1 lost: no two counters share a value
+    /// unless the report's arithmetic makes them equal.
+    fn ingest_report() -> IngestReport {
+        let detection = |stem: &str| Detection {
+            idn_unicode: stem.to_string(),
+            idn_ascii: format!("{stem}.com"),
+            reference: RefName::new("google"),
+            substitutions: Vec::new(),
+        };
+        let lane = TldReport {
+            tld: "com".to_string(),
+            report: FrameworkReport {
+                total_domains: 7,
+                idn_count: 3,
+                detections: vec![detection("gооgle"), detection("goog1e")],
+                exec: ExecStats {
+                    batches: 4,
+                    inline_batches: 1,
+                    shards: 9,
+                    min_shard_len: 2,
+                    max_shard_len: 8,
+                    max_workers: 2,
+                },
+            },
+        };
         IngestReport {
-            router: RouterReport::default(),
+            router: RouterReport { per_tld: vec![lane], unrouted_domains: 5, reference_diffs: 6 },
             feeds: vec![FeedReport {
                 name: "f".into(),
-                registrations: 0,
-                churns: 0,
-                quarantined: 0,
-                retries: 0,
+                registrations: 23,
+                churns: 6,
+                quarantined: 4,
+                retries: 2,
                 outcome: FeedOutcome::Completed,
                 last_error: None,
             }],
             lanes: Vec::new(),
             quarantine: Vec::new(),
-            quarantined: 0,
-            shed: 0,
-            lost: 0,
-            lane_panics: 0,
-            lane_folds: 0,
+            quarantined: 4,
+            shed: 10,
+            lost: 1,
+            lane_panics: 3,
+            lane_folds: 8,
         }
     }
 
@@ -315,31 +306,51 @@ mod tests {
 
     #[test]
     fn ingest_schema_is_pinned() {
-        let json = ingest_metrics_json(
-            &empty_ingest_report(),
-            &ExecStats::default(),
-            &PoolStats::default(),
-        );
+        let json = ingest_metrics_json(&ingest_report(), &PoolStats::default());
         let doc: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(
             keys_of(&doc),
             vec!["events", "per_tld", "feeds", "robustness", "exec", "pool"]
         );
+        let events = section(&doc, "events");
         assert_eq!(
-            keys_of(section(&doc, "events")),
+            keys_of(events),
             vec!["delivered", "accounted", "routed", "unrouted", "detections", "reference_diffs"]
         );
+        assert_eq!(counts_of(events), [23, 23, 12, 5, 2, 6]);
+        let robustness = section(&doc, "robustness");
         assert_eq!(
-            keys_of(section(&doc, "robustness")),
+            keys_of(robustness),
             vec!["shed", "quarantined", "lost", "lane_panics", "lane_folds"]
         );
-        assert_eq!(keys_of(section(&doc, "exec")), EXEC_KEYS.to_vec());
+        assert_eq!(counts_of(robustness), [10, 4, 1, 3, 8]);
+        let exec = section(&doc, "exec");
+        assert_eq!(keys_of(exec), EXEC_KEYS.to_vec());
+        assert_eq!(counts_of(exec), [4, 1, 9, 2, 8, 2]);
         assert_eq!(keys_of(section(&doc, "pool")), POOL_KEYS.to_vec());
+        // `per_tld` is an object keyed by TLD, never `[key, value]` pairs.
+        let per_tld = section(&doc, "per_tld");
+        assert_eq!(keys_of(per_tld), vec!["com"]);
+        let com = section(per_tld, "com");
+        assert_eq!(keys_of(com), vec!["domains", "idns", "detections"]);
+        assert_eq!(counts_of(com), [7, 3, 2]);
         match section(&doc, "feeds") {
-            Value::Seq(feeds) => assert_eq!(
-                keys_of(&feeds[0]),
-                vec!["name", "registrations", "churns", "quarantined", "retries", "outcome"]
-            ),
+            Value::Seq(feeds) => {
+                assert_eq!(
+                    keys_of(&feeds[0]),
+                    vec![
+                        "name",
+                        "registrations",
+                        "churns",
+                        "quarantined",
+                        "retries",
+                        "outcome",
+                        "last_error"
+                    ]
+                );
+                assert_eq!(section(&feeds[0], "outcome"), &Value::Str("Completed".into()));
+                assert_eq!(section(&feeds[0], "last_error"), &Value::Null);
+            }
             other => panic!("feeds should be a sequence, got {other:?}"),
         }
     }
@@ -355,19 +366,19 @@ mod tests {
         assert_eq!(
             keys_of(section(&doc, "scan")),
             vec![
-                "files",
                 "bytes",
                 "lines",
                 "records",
-                "parsed",
                 "routed",
                 "dedup_consecutive",
                 "dedup_window",
                 "blacklisted",
                 "quarantined",
+                "elapsed_secs",
+                "files",
+                "parsed",
                 "detections",
                 "accounted",
-                "elapsed_secs",
                 "records_per_sec",
                 "mb_per_sec",
             ]

@@ -33,10 +33,16 @@ fn unusable_arguments_are_usage_errors() {
         (&["gen-zone", file, "--mb", "1", "--records", "5"], "--mb and --records"),
         (&["serve-feed", "--zone"], "--zone needs a value"),
         (&["serve-feed", "--policy", "bogus"], "\"bogus\" for --policy"),
+        (&["serve-feed", "--zone", file, "--faults", "500"], "--faults is not read with --zone"),
+        (&["serve-feed", "--seed", "3", "--zone", file], "--seed is not read with --zone"),
+        (&["serve-feed", "--zone", file, "--events", "5"], "--events is not read with --zone"),
+        (&["serve-feed", "--tld", "com"], "--tld is not read without --zone"),
         (&["scan-zone", file, "--metrics-json"], "--metrics-json needs a value"),
         (&["scan-zone", file, "--batch", "1k"], "error: invalid value \"1k\" for --batch"),
         (&["surface", "paypal", "--tld", "xx"], "\"xx\" for --tld"),
         (&["build-db", "--theta", "32"], "\"32\" for --theta"),
+        (&["check", "bad..domain"], "invalid domain \"bad..domain\": empty label"),
+        (&["homoglyphs", "U+ZZZZ"], "bad code point \"U+ZZZZ\""),
     ] {
         let out = shamfinder(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
