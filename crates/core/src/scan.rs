@@ -10,14 +10,17 @@
 //!  reader thread        line stage
 //!  ┌───────────┐ full   ┌──────────────────────────────────────────────┐
 //!  │ chunked   │ ─────▶ │ cut the chunk's complete lines at line starts│
-//!  │ File reads│ chunks │ (sched::line_shards_for): head + fork shards │
-//!  │ recycled  │ ◀───── │  calling thread: head, line by line ─┐ in    │
-//!  │ buffers   │ free   │  pool: fork shards → owner slots,    │ para- │
-//!  └───────────┘ buffers│    window hash, blacklist verdict ───┘ llel  │
-//!                       │  calling thread, in stream order: per fork,  │
+//!  │ File reads│ chunks │ into ~64 KiB shards 0, 1, …, k-1             │
+//!  │ recycled  │ ◀───── │  calling thread claims 0, 1, … ─┐ in para-   │
+//!  │ buffers   │ free   │    line by line, to the sink    │ llel, until│
+//!  └───────────┘ buffers│  pool claims k-1, k-2, … ───────┘ the two    │
+//!                       │    with forks → owner slots,      sides meet │
+//!                       │    window hash, blacklist verdict            │
+//!                       │  calling thread waits for the pool's shards, │
+//!                       │    then per pool shard, in stream order:     │
 //!                       │    re-run up to its first named owner, take  │
 //!                       │    its verdicts, adopt its parser            │
-//!                       │ each line: scan_line → dedup (consecutive +  │
+//!                       │ each line: scan_bytes → dedup (consecutive + │
 //!                       │   window) → blacklist → SessionRouter lanes  │
 //!                       └──────────────────────────────────────────────┘
 //! ```
@@ -29,22 +32,22 @@
 //!   being read).
 //! * **Parsing on every core** — the directive and comment lines that
 //!   open a push (a zone file's header) run first. The push's other
-//!   complete lines are cut at line starts by one fixed rule
-//!   ([`sched`](crate::sched)): at one thread, or for a small push such
-//!   as a feed's 4 KiB read, they all run line by line on the calling
-//!   thread. Otherwise the calling thread runs a head of twice a pool
-//!   worker's share the same way, with the stage's own parser, while
-//!   the pool parses the rest in shards (≈ 4 per other worker, none
-//!   below [`MIN_LINE_SHARD_BYTES`](crate::sched::MIN_LINE_SHARD_BYTES)),
-//!   each with a speculative [`fork`](ZoneStreamParser::fork) of that
-//!   parser (the push's `$ORIGIN` and `$TTL`, no owner history), into
-//!   buffers reused push to push; the calling thread helps if its head
-//!   is done first. Workers copy each new owner into a reused slot and
-//!   compute its window hash and blacklist verdict, both pure. The
-//!   calling thread then merges the forked shards in stream order: one
-//!   window probe and one router push per new owner. The head's larger
-//!   share pays for that merge, so a worker at half the calling
-//!   thread's speed still finishes before the head does.
+//!   complete lines are cut at line starts into shards of about
+//!   [`MIN_LINE_SHARD_BYTES`], and the two sides of the split claim
+//!   them from opposite ends ([`sched`](crate::sched)). The calling
+//!   thread claims from the front and runs each shard line by line with
+//!   the stage's own parser, straight to the sink. Pool workers claim from the back and parse
+//!   each shard with a speculative [`fork`](ZoneStreamParser::fork) of
+//!   that parser (the push's `$ORIGIN` and `$TTL`, no owner history)
+//!   into buffers reused push to push: they copy each new owner into a
+//!   reused slot and compute its window hash and blacklist verdict, both
+//!   pure. The sides meet wherever the faster one gets to, so a slow
+//!   core just claims fewer shards. There the calling thread waits for
+//!   the shards still in flight and merges the pool's in stream order:
+//!   one window probe and one router push per new owner. Only the pool's
+//!   shards pay that buffering. At one thread, or for a push too small to
+//!   cut into two shards such as a feed's 4 KiB read, every line runs on
+//!   the calling thread.
 //! * **Exact seams** — a fork agrees with the true parser from the end
 //!   of the shard's first well-formed record line that names its owner
 //!   (does not start with a blank). The merge re-runs the shard's lines
@@ -53,11 +56,13 @@
 //!   shard with no such line, or one entered under another `$ORIGIN` or
 //!   `$TTL` than its fork assumed, is re-run whole. So every thread
 //!   count and chunk size gives the same owners in the same order, the
-//!   same quarantined `(line, message)` pairs and the same counters;
-//!   [`StageStats`] records what was split and re-run.
+//!   same quarantined `(line, message)` pairs and the same counters,
+//!   wherever the two sides meet; [`StageStats`] records what was
+//!   split, claimed and re-run and where the split's time went.
 //! * **Allocation-conscious scanning** — lines are split with a
-//!   word-at-a-time newline scan over the chunk bytes and fed to
-//!   [`ZoneStreamParser::scan_line`], which yields *borrowed* owner
+//!   word-at-a-time newline scan over the chunk bytes and fed as bytes
+//!   to [`ZoneStreamParser::scan_bytes`], whose one classifier pass also
+//!   proves an ASCII line UTF-8, and which yields *borrowed* owner
 //!   names; nothing is allocated for skipped, deduplicated or
 //!   blacklisted lines. Each surviving owner is pushed, still
 //!   borrowed, straight into the [`SessionRouter`]: its lane counts it
@@ -81,7 +86,7 @@
 //!   tests close the books on it.
 
 use crate::router::{RouterReport, SessionRouter};
-use crate::sched::{line_shards_for, StageStats};
+use crate::sched::{StageStats, MIN_LINE_SHARD_BYTES};
 use rayon::prelude::*;
 use sham_dns::zone::{ZoneError, ZoneScan, ZoneStreamParser};
 use sham_punycode::DomainName;
@@ -436,19 +441,14 @@ pub(crate) enum StageItem<'a> {
     Quarantined(ZoneError),
 }
 
-/// Quarantines a line `parser` never reads: the parser still counts it,
-/// so later line numbers stay in step with the stream.
-fn unread(parser: &mut ZoneStreamParser, message: String) -> ZoneError {
-    let _ = parser.scan_line("");
+/// Quarantines a line longer than [`MAX_LINE_BYTES`] unread: the parser
+/// still counts it, so later line numbers stay in step with the stream.
+fn long_line(parser: &mut ZoneStreamParser) -> ZoneError {
+    let _ = parser.scan_bytes(b"");
     ZoneError {
         line: parser.lines_seen(),
-        message,
+        message: format!("line longer than {MAX_LINE_BYTES} bytes"),
     }
-}
-
-/// Quarantines a line longer than [`MAX_LINE_BYTES`].
-fn long_line(parser: &mut ZoneStreamParser) -> ZoneError {
-    unread(parser, format!("line longer than {MAX_LINE_BYTES} bytes"))
 }
 
 /// One raw line (without its `\n`) through `parser`: a trailing `\r` is
@@ -462,29 +462,25 @@ fn scan_raw<'p>(parser: &'p mut ZoneStreamParser, raw: &[u8]) -> Result<ZoneScan
         Some((b'\r', head)) => head,
         _ => raw,
     };
-    match std::str::from_utf8(raw) {
-        Ok(text) => parser.scan_line(text),
-        Err(_) => Err(unread(parser, "invalid UTF-8".to_string())),
-    }
+    parser.scan_bytes(raw)
 }
 
-/// Cuts `lines` (complete lines) into a head of about `head` bytes and
-/// `forks` near-equal shards after it: each seam is the first line start
-/// at or after its share, and a seam that would leave an empty shard is
-/// dropped.
-fn cut_at_lines(lines: &[u8], (head, forks): (usize, usize), seams: &mut Vec<usize>) {
-    let rest = lines.len() - head.min(lines.len());
-    for k in 0..forks {
-        let share = (head + rest * k / forks).max(seams.last().map_or(1, |&seam| seam + 1));
+/// Cuts `lines` (complete lines) into `shards` near-equal shards,
+/// pushing onto `bounds` the offset of each line start between two of
+/// them: the first line start at or after its share. A cut that would
+/// leave an empty shard is dropped.
+fn cut_at_lines(lines: &[u8], shards: usize, bounds: &mut Vec<usize>) {
+    for k in 1..shards {
+        let share = (lines.len() * k / shards).max(bounds.last().map_or(1, |&at| at + 1));
         if share >= lines.len() {
             break;
         }
-        let seam =
+        let at =
             share + find_newline(&lines[share - 1..]).expect("complete lines end in a newline");
-        if seam >= lines.len() {
+        if at >= lines.len() {
             break;
         }
-        seams.push(seam);
+        bounds.push(at);
     }
 }
 
@@ -501,8 +497,8 @@ enum ShardItem {
 /// unwinds out of the push, which drops what they guard.
 const UNPOISONED: &str = "a panicking parse unwinds out of the push";
 
-/// A forked shard of a push, parsed on the pool into buffers that are
-/// reused push to push.
+/// A shard the pool claimed from the back of a push, parsed with a fork
+/// of the stage's parser into buffers that are reused push to push.
 struct Shard {
     /// The shard's bytes within the push's complete lines.
     range: Range<usize>,
@@ -679,11 +675,11 @@ impl Serial {
 
 /// The zone-text line stage of [`ZoneScanner`] and
 /// [`ZoneTextFeed`](crate::ZoneTextFeed): splits pushed bytes into
-/// lines, runs each through [`ZoneStreamParser::scan_line`], both
+/// lines, runs each through [`ZoneStreamParser::scan_bytes`], both
 /// dedups and the blacklists, and counts it in [`TldScanStats`]. A push
-/// large enough to split runs its head on the calling thread while the
-/// pool parses forked shards of the rest, merged after it in stream
-/// order (see the module doc).
+/// large enough to split is cut into shards that the calling thread
+/// claims from the front and the pool from the back, and the pool's are
+/// merged in stream order where the two meet (see the module doc).
 pub(crate) struct LineStage {
     serial: Serial,
     blacklists: Vec<Blacklist>,
@@ -693,13 +689,11 @@ pub(crate) struct LineStage {
     /// The tail outgrew [`MAX_LINE_BYTES`]: its bytes are dropped, and
     /// the line is quarantined when it ends.
     carry_long: bool,
-    /// Forked-shard buffers, reused push to push.
-    shards: Vec<Mutex<Shard>>,
-    /// Seams of the current push (reused).
-    seams: Vec<usize>,
-    /// The `$ORIGIN` every fork of the current push starts from
-    /// (reused).
-    fork_origin: String,
+    /// Buffers of the shards the pool claims, reused push to push: the
+    /// pool's first claim of a push fills the first.
+    forks: Vec<Mutex<Shard>>,
+    /// Shard bounds of the current push (reused).
+    bounds: Vec<usize>,
     /// How pushes were split and merged, over the stage's life.
     record: StageStats,
 }
@@ -717,9 +711,8 @@ impl LineStage {
             blacklists,
             carry: Vec::new(),
             carry_long: false,
-            shards: Vec::new(),
-            seams: Vec::new(),
-            fork_origin: String::new(),
+            forks: Vec::new(),
+            bounds: Vec::new(),
             record: StageStats::default(),
         }
     }
@@ -735,24 +728,31 @@ impl LineStage {
 
     /// Consumes the next bytes of the stream: every line they complete
     /// runs through the stage, and a trailing partial line waits for
-    /// the next push. The complete lines are cut for the pool by
-    /// [`line_shards_for`].
+    /// the next push. At more than one thread the complete lines are cut
+    /// into as many shards of at least [`MIN_LINE_SHARD_BYTES`] as fit.
     pub(crate) fn push(&mut self, bytes: &[u8], sink: &mut (impl FnMut(StageItem<'_>) + Send)) {
-        self.push_cut(bytes, sink, |lines, seams| {
-            let cut = line_shards_for(lines.len(), rayon::current_num_threads());
-            cut_at_lines(lines, cut, seams)
-        });
+        let split = rayon::current_num_threads() > 1;
+        let cut = |lines: &[u8], bounds: &mut Vec<usize>| {
+            if split {
+                cut_at_lines(lines, lines.len() / MIN_LINE_SHARD_BYTES, bounds)
+            }
+        };
+        self.push_cut(bytes, sink, cut, None);
     }
 
-    /// [`push`](Self::push) with the seams of the push's complete lines
-    /// chosen by `cut`: offsets of line starts, strictly increasing,
-    /// inside the lines. The lines before the first seam are the head;
-    /// no seams means the calling thread runs every line.
+    /// [`push`](Self::push) with the shards of the push's complete lines
+    /// chosen by `cut`, which appends to a leading 0 the offsets of the
+    /// line starts between shards, strictly increasing, inside the
+    /// lines. One shard runs inline unless `meet` is given. `meet`
+    /// forces where the two sides of the split meet: the calling thread
+    /// claims the first `meet` shards (every one if there are fewer) and
+    /// the pool the rest.
     fn push_cut(
         &mut self,
         mut bytes: &[u8],
         sink: &mut (impl FnMut(StageItem<'_>) + Send),
         cut: impl FnOnce(&[u8], &mut Vec<usize>),
+        meet: Option<usize>,
     ) {
         self.serial.stats.bytes += bytes.len() as u64;
         self.record.pushes += 1;
@@ -782,15 +782,17 @@ impl LineStage {
             lines = &lines[head..];
         }
         if !lines.is_empty() {
-            let mut seams = std::mem::take(&mut self.seams);
-            seams.clear();
-            cut(lines, &mut seams);
-            if seams.is_empty() {
+            let mut bounds = std::mem::take(&mut self.bounds);
+            bounds.clear();
+            bounds.push(0);
+            cut(lines, &mut bounds);
+            bounds.push(lines.len());
+            if bounds.len() == 2 && meet.is_none() {
                 self.serial.inline(lines, &self.blacklists, sink);
             } else {
-                self.sharded(lines, &seams, sink);
+                self.split(lines, &bounds, meet, sink);
             }
-            self.seams = seams;
+            self.bounds = bounds;
         }
         self.carry_more(tail);
     }
@@ -835,22 +837,23 @@ impl LineStage {
         }
     }
 
-    /// Complete lines cut at `seams`. The calling thread runs the head
-    /// (the lines before the first seam) through the serial path while
-    /// the pool parses the shards after it with forks of the parser, and
-    /// helps once the head is done; the shards are then merged in stream
-    /// order with exact seams.
-    fn sharded(
+    /// Complete lines cut into shards at `bounds` (shard `j` is
+    /// `bounds[j]..bounds[j + 1]`), claimed from both ends at once. The
+    /// calling thread runs shards from the front through the serial
+    /// path, straight to the sink, while pool workers parse shards from
+    /// the back with forks of the parser. Where the two sides meet (at
+    /// `meet`, if forced), the calling thread waits for the shards still
+    /// in flight and merges the pool's in stream order with exact seams.
+    fn split(
         &mut self,
         lines: &[u8],
-        seams: &[usize],
+        bounds: &[usize],
+        meet: Option<usize>,
         sink: &mut (impl FnMut(StageItem<'_>) + Send),
     ) {
-        let forks = seams.len();
-        self.record.split_pushes += 1;
-        self.record.shards += forks as u64 + 1;
-        if self.shards.len() < forks {
-            self.shards.resize_with(forks, || {
+        let shards = bounds.len() - 1;
+        if self.forks.len() < shards {
+            self.forks.resize_with(shards, || {
                 Mutex::new(Shard {
                     range: 0..0,
                     parser: ZoneStreamParser::new(""),
@@ -863,55 +866,81 @@ impl LineStage {
             });
         }
         let serial = &mut self.serial;
-        let fork_ttl = serial.parser.default_ttl();
-        self.fork_origin.clear();
-        self.fork_origin.push_str(serial.parser.origin());
-        let shards = &mut self.shards[..forks];
-        for (k, cell) in shards.iter_mut().enumerate() {
-            let end = seams.get(k + 1).copied().unwrap_or(lines.len());
-            let shard = cell.get_mut().expect(UNPOISONED);
-            shard.reset(seams[k]..end, serial.parser.fork());
-        }
-
-        // Task 0 is the head, which needs the serial state and the sink;
-        // the calling thread claims it first, but any thread may run it.
+        // Every fork starts from the state the push's lines begin in.
+        let template = serial.parser.fork();
         let hash = (serial.window.capacity > 0).then_some(serial.window.hash);
         let blacklists = &self.blacklists[..];
-        let head = Mutex::new(Some((&mut *serial, &mut *sink)));
-        let _: Vec<()> = (0..=forks)
+        let forks = &self.forks[..shards];
+        let unclaimed = Mutex::new(0..shards);
+        let claim = |front: bool| {
+            let mut left = unclaimed.lock().expect(UNPOISONED);
+            match meet {
+                Some(meet) if front && left.start >= meet => None,
+                Some(meet) if !front && left.end <= meet => None,
+                _ if front => left.next(),
+                _ => left.next_back(),
+            }
+        };
+
+        // Task 0 is the front, which needs the serial state and the sink;
+        // the calling thread claims it first, but any thread may run it.
+        // The other tasks claim from the back, one per pool worker, and
+        // at least one, so that a forced meet splits at one thread too.
+        // Each reports how long it claimed shards and when it was done.
+        let front = Mutex::new(Some((&mut *serial, &mut *sink)));
+        let tasks = rayon::current_num_threads().max(2);
+        let phases: Vec<(u64, Instant)> = (0..tasks)
             .into_par_iter()
             .map(|task| {
+                let started = Instant::now();
                 if task == 0 {
-                    let taken = head.lock().expect(UNPOISONED).take();
-                    let (serial, sink) = taken.expect("the head runs once");
-                    serial.inline(&lines[..seams[0]], blacklists, sink);
+                    let taken = front.lock().expect(UNPOISONED).take();
+                    let (serial, sink) = taken.expect("the front runs once");
+                    while let Some(j) = claim(true) {
+                        serial.inline(&lines[bounds[j]..bounds[j + 1]], blacklists, sink);
+                    }
                 } else {
-                    let mut shard = shards[task - 1].lock().expect(UNPOISONED);
-                    let range = shard.range.clone();
-                    shard.parse(&lines[range], blacklists, hash);
+                    while let Some(j) = claim(false) {
+                        let range = bounds[j]..bounds[j + 1];
+                        let mut fork = forks[shards - 1 - j].lock().expect(UNPOISONED);
+                        fork.reset(range.clone(), template.fork());
+                        fork.parse(&lines[range], blacklists, hash);
+                    }
                 }
+                (started.elapsed().as_nanos() as u64, Instant::now())
             })
             .collect();
+        let waited = phases[0].1.elapsed().as_nanos() as u64;
+        let met = unclaimed.into_inner().expect(UNPOISONED).start;
 
-        for cell in shards.iter_mut() {
+        let record = &mut self.record;
+        record.split_pushes += 1;
+        record.shards += shards as u64;
+        record.shards_forked += (shards - met) as u64;
+        record.front_ns += phases[0].0;
+        record.fork_ns += phases[1..].iter().map(|&(busy, _)| busy).sum::<u64>();
+        record.wait_ns += waited;
+        let merging = Instant::now();
+        for cell in self.forks[..shards - met].iter_mut().rev() {
             let shard = cell.get_mut().expect(UNPOISONED);
             // A fork's verdicts hold only if the stage's parser enters
             // its shard with the directive state the fork started from.
-            let entered = serial.parser.origin() == self.fork_origin
-                && serial.parser.default_ttl() == fork_ttl;
+            let entered = serial.parser.origin() == template.origin()
+                && serial.parser.default_ttl() == template.default_ttl();
             let line_base = serial.parser.lines_seen();
             let synced = shard.synced.filter(|_| entered);
             let rerun_end = synced.map_or(shard.range.end, |at| shard.range.start + at);
             let before = serial.stats.lines;
             serial.inline(&lines[shard.range.start..rerun_end], blacklists, sink);
-            self.record.lines_rerun += serial.stats.lines - before;
+            record.lines_rerun += serial.stats.lines - before;
             if synced.is_none() {
-                self.record.shards_rerun += 1;
+                record.shards_rerun += 1;
                 continue;
             }
             serial.merge(shard, line_base, sink);
             serial.parser.adopt(&mut shard.parser, line_base);
         }
+        record.merge_ns += merging.elapsed().as_nanos() as u64;
     }
 }
 
@@ -1289,15 +1318,16 @@ mod tests {
         Quarantined(usize, String),
     }
 
-    /// Chooses the seams of a push's complete lines.
+    /// Chooses the shards of a push's complete lines: appends the line
+    /// starts between them.
     type Cut<'a> = &'a dyn Fn(&[u8], &mut Vec<usize>);
 
-    /// One inline shard per push.
+    /// One shard per push.
     fn no_seams(_: &[u8], _: &mut Vec<usize>) {}
 
     /// A seam before every line of a push: 1-line shards.
-    fn every(lines: &[u8], seams: &mut Vec<usize>) {
-        seams.extend(line_starts(lines).map(|(_, at)| at))
+    fn every(lines: &[u8], bounds: &mut Vec<usize>) {
+        bounds.extend(line_starts(lines).map(|(_, at)| at))
     }
 
     /// The line starts after the first in `lines`, with the index of
@@ -1313,9 +1343,18 @@ mod tests {
     }
 
     /// Pushes `bytes` through `stage` in `pieces`-byte pieces (cycled),
-    /// with `cut` choosing each push's seams, and finishes the stream.
-    fn run_cut(stage: &mut LineStage, bytes: &[u8], pieces: &[usize], cut: Cut<'_>) -> Vec<Seen> {
-        let mut seen = Vec::new();
+    /// with `cut` choosing each push's shards and `meet`, if given,
+    /// forcing where the two sides of each split meet, and finishes the
+    /// stream. Returns what the sink saw and the most shards a push was
+    /// cut into.
+    fn run_cut(
+        stage: &mut LineStage,
+        bytes: &[u8],
+        pieces: &[usize],
+        cut: Cut<'_>,
+        meet: Option<usize>,
+    ) -> (Vec<Seen>, usize) {
+        let (mut seen, mut most) = (Vec::new(), 0);
         let mut sink = |item: StageItem<'_>| {
             seen.push(match item {
                 StageItem::Owner(owner) => Seen::Owner(owner.as_ascii().to_string()),
@@ -1328,11 +1367,15 @@ mod tests {
                 break;
             }
             let (piece, tail) = rest.split_at(step.min(rest.len()));
-            stage.push_cut(piece, &mut sink, cut);
+            let counted = |lines: &[u8], bounds: &mut Vec<usize>| {
+                cut(lines, bounds);
+                most = most.max(bounds.len());
+            };
+            stage.push_cut(piece, &mut sink, counted, meet);
             rest = tail;
         }
         stage.finish(&mut sink);
-        seen
+        (seen, most)
     }
 
     /// The mix's lines joined into a stream, with a final newline when
@@ -1346,11 +1389,42 @@ mod tests {
         (lines, bytes)
     }
 
+    /// Runs `bytes` through fresh mix stages in `pieces`, with `cut`
+    /// choosing the shards, at every meet from 0 (the pool claims every
+    /// shard, the first included) to the most shards a push was cut
+    /// into (the calling thread claims them all). Each run must match
+    /// `want`, the single-shard stage's sink items, in order, and
+    /// counters.
+    fn assert_exact_at_every_meet(
+        bytes: &[u8],
+        pieces: &[usize],
+        (capacity, collide): (usize, bool),
+        cut: Cut<'_>,
+        want: &(Vec<Seen>, TldScanStats),
+        what: &str,
+    ) {
+        for meet in 0.. {
+            let mut stage = mix_stage(capacity, collide);
+            let (seen, most) = run_cut(&mut stage, bytes, pieces, cut, Some(meet));
+            assert_eq!(seen, want.0, "{what}, meet {meet}");
+            assert_eq!(stage.serial.stats, want.1, "{what}, meet {meet}");
+            if pieces == [bytes.len()] {
+                // One push: the pool claimed the shards past the meet.
+                let forked = stage.record.shards_forked as usize;
+                assert_eq!(forked, most.saturating_sub(meet), "{what}, meet {meet}");
+            }
+            if meet >= most {
+                break;
+            }
+        }
+    }
+
     /// Runs `lines` through fresh stages with seams forced before line
     /// `at`, before every line, and nowhere, pushed whole and in
-    /// `pieces`, and requires every run to match the single-shard run:
-    /// the same sink items in the same order and the same counters.
-    /// Returns the single-shard stage.
+    /// `pieces`, each at every meet of the two sides, and requires
+    /// every run to match the single-shard run: the same sink items in
+    /// the same order and the same counters. Returns the single-shard
+    /// stage.
     fn assert_seams_are_exact(
         bytes: &[u8],
         pieces: &[usize],
@@ -1359,38 +1433,29 @@ mod tests {
         at: &[usize],
     ) -> (Vec<Seen>, LineStage) {
         let mut want_stage = mix_stage(capacity, collide);
-        let want = run_cut(&mut want_stage, bytes, &[bytes.len()], &no_seams);
+        let (want, _) = run_cut(&mut want_stage, bytes, &[bytes.len()], &no_seams, None);
+        let want = (want, want_stage.serial.stats);
+        let whole = [bytes.len()];
         for &line in at {
-            let before = move |lines: &[u8], seams: &mut Vec<usize>| {
-                seams.extend(
+            let before = move |lines: &[u8], bounds: &mut Vec<usize>| {
+                bounds.extend(
                     line_starts(lines)
                         .filter(|&(k, _)| k == line)
                         .map(|(_, at)| at),
                 )
             };
-            let mut stage = mix_stage(capacity, collide);
-            let seen = run_cut(&mut stage, bytes, &[bytes.len()], &before);
-            assert_eq!(seen, want, "seam before line {line}");
-            assert_eq!(
-                stage.serial.stats, want_stage.serial.stats,
-                "seam before line {line}"
-            );
+            let what = format!("seam before line {line}");
+            assert_exact_at_every_meet(bytes, &whole, (capacity, collide), &before, &want, &what);
         }
-        let whole = [bytes.len()];
         for (pieces, cut) in [
             (pieces, &every as Cut<'_>),
             (&whole, &every),
             (pieces, &no_seams),
         ] {
-            let mut stage = mix_stage(capacity, collide);
-            let seen = run_cut(&mut stage, bytes, pieces, cut);
-            assert_eq!(seen, want, "pieces {pieces:?}");
-            assert_eq!(
-                stage.serial.stats, want_stage.serial.stats,
-                "pieces {pieces:?}"
-            );
+            let what = format!("pieces {pieces:?}");
+            assert_exact_at_every_meet(bytes, pieces, (capacity, collide), cut, &want, &what);
         }
-        (want, want_stage)
+        (want.0, want_stage)
     }
 
     /// Seams just before the lines a fork cannot read on its own, with
@@ -1486,28 +1551,30 @@ mod tests {
             }
         }
         // The opening directive runs inline. Of the three shards after
-        // it, the `$ORIGIN net.` one names no owner and the last was
-        // forked under `com`, so both run whole (1 + 2 lines).
+        // it, a forked `$ORIGIN net.` one names no owner and a forked
+        // last one was forked under `com`, so both run whole (1 + 2
+        // lines).
         let zone = b"$ORIGIN com.\nalpha IN A 192.0.2.1\n$ORIGIN net.\n\
                      alpha IN A 192.0.2.1\nbeta IN A 192.0.2.2\n";
-        let mut stage = mix_stage(64, false);
-        let seams = |lines: &[u8], seams: &mut Vec<usize>| {
-            seams.extend(
+        let seams = |lines: &[u8], bounds: &mut Vec<usize>| {
+            bounds.extend(
                 line_starts(lines)
                     .filter(|&(k, _)| k != 3)
                     .map(|(_, at)| at),
             )
         };
-        let seen = run_cut(&mut stage, zone, &[zone.len()], &seams);
-        assert_eq!(seen[1], Seen::Owner("alpha.net".into()));
-        let record = stage.record;
-        let split = (
-            record.split_pushes,
-            record.shards,
-            record.shards_rerun,
-            record.lines_rerun,
-        );
-        assert_eq!(split, (1, 3, 2, 3), "{record:?}");
+        // (shards forked, re-run whole, lines re-run) at each meet: the
+        // pool's first shard, when it has one, re-runs its one line.
+        let expected = [(3, 2, 4), (2, 2, 3), (1, 1, 2), (0, 0, 0)];
+        for (meet, want) in expected.into_iter().enumerate() {
+            let mut stage = mix_stage(64, false);
+            let (seen, _) = run_cut(&mut stage, zone, &[zone.len()], &seams, Some(meet));
+            assert_eq!(seen[1], Seen::Owner("alpha.net".into()));
+            let record = stage.record;
+            assert_eq!((record.split_pushes, record.shards), (1, 3), "{record:?}");
+            let split = (record.shards_forked, record.shards_rerun, record.lines_rerun);
+            assert_eq!(split, want, "meet {meet}: {record:?}");
+        }
     }
 
     /// A line over [`MAX_LINE_BYTES`] is one quarantined line, and one
@@ -1646,8 +1713,9 @@ mod tests {
 
         /// Exact seams: with shard boundaries forced before each line in
         /// turn, before random lines and before every line (1-line
-        /// shards), the stage emits what the single-shard stage emits,
-        /// in the same order, and counts the same.
+        /// shards), at every meet of the two sides and where they meet
+        /// on their own, the stage emits what the single-shard stage
+        /// emits, in the same order, and counts the same.
         #[test]
         fn forced_seams_match_the_single_shard_stage(
             picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..80),
@@ -1659,15 +1727,19 @@ mod tests {
             let capacity = [0, 1, 2, 3, 64][window];
             let (lines, bytes) = mix_bytes(&picks);
             let every: Vec<usize> = (1..lines.len()).collect();
-            let (want, _) = assert_seams_are_exact(&bytes, &splits, capacity, collide == 1, &every);
-            let random = |lines: &[u8], seams: &mut Vec<usize>| {
+            let mode = (capacity, collide == 1);
+            let (want, want_stage) = assert_seams_are_exact(&bytes, &splits, mode.0, mode.1, &every);
+            let want = (want, want_stage.serial.stats);
+            let random = |lines: &[u8], bounds: &mut Vec<usize>| {
                 let picked =
                     |k: usize| (seed ^ k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1;
-                seams.extend(line_starts(lines).filter(|&(k, _)| picked(k)).map(|(_, at)| at))
+                bounds.extend(line_starts(lines).filter(|&(k, _)| picked(k)).map(|(_, at)| at))
             };
             for pieces in [&splits[..], &[bytes.len()]] {
-                let mut stage = mix_stage(capacity, collide == 1);
-                prop_assert_eq!(&run_cut(&mut stage, &bytes, pieces, &random), &want);
+                let mut stage = mix_stage(mode.0, mode.1);
+                let (seen, _) = run_cut(&mut stage, &bytes, pieces, &random, None);
+                prop_assert_eq!(&(seen, stage.serial.stats), &want);
+                assert_exact_at_every_meet(&bytes, pieces, mode, &random, &want, "random seams");
             }
         }
     }

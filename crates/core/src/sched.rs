@@ -12,25 +12,29 @@
 //!   lanes, the scanner's pre-stage, the ingest drainer) happen at the
 //!   configured batch capacity.
 //! * **Zone lines** — the scanner's line stage cuts each pushed span of
-//!   complete lines at line starts by `line_shards_for`. The calling
-//!   thread runs a head of twice a pool worker's share while the pool
-//!   parses the rest in ≈ 4 shards per other worker, none below
-//!   [`MIN_LINE_SHARD_BYTES`]; at 1 thread, or when the rest would not
-//!   fill one such shard (a `ZoneTextFeed` read is 4 KiB), the head is
-//!   everything. The calling thread merges the shards after its head, so
-//!   the larger head lets a worker running at half its speed still
-//!   finish first: a chunk then takes as long as the calling thread's
-//!   part of it, whatever the pool's pace.
+//!   complete lines at line starts into shards of about
+//!   [`MIN_LINE_SHARD_BYTES`], and the two sides of the split claim them
+//!   from opposite ends: the calling thread from the front, running each
+//!   line straight through the serial path, and the pool workers from the
+//!   back, each with a fork of the parser into a reused buffer. They
+//!   meet wherever the faster side gets to, so a core slowed for a while
+//!   just claims fewer shards, and a chunk waits on it for at most the
+//!   shard it holds; the calling thread then merges the pool's tail. At
+//!   1 thread, or for a push too small to cut into two shards (a
+//!   `ZoneTextFeed` read is 4 KiB), every line runs on the calling
+//!   thread.
 //!
 //! A fixed rule is enough because each scan has one pool caller:
 //! `scan-zone`, `serve-feed`'s drainer and the benchmark workloads all
 //! parse and detect from a single thread, and each parallel call waits
 //! for its own pool jobs before returning. The calling thread runs a
 //! chunk's line shards and then the detection batches their owners
-//! fill, in turn; only the detection batches the head's owners fill run
-//! while the pool parses, and their jobs wait for a free worker (the
-//! calling thread meanwhile runs their shards itself). So the pool is
-//! idle at every other partitioning decision.
+//! fill, in turn. Only the detection batches that the front's router
+//! pushes flush run while the pool parses, and they never wait behind
+//! the pool's parse claims: the calling thread runs such a batch's
+//! shards itself, and the copy of its job queued for the busy pool is
+//! discarded once a worker dequeues it. So the pool is idle at every
+//! other partitioning decision.
 //!
 //! # Determinism
 //!
@@ -113,47 +117,49 @@ impl ExecStats {
     }
 }
 
-/// Minimum bytes per forked line shard, each of which costs a parser
-/// fork, a seam re-run and a pool hand-off.
+/// Minimum bytes per line shard: a push's complete lines are cut into
+/// as many shards of at least this size as fit. Each shard the pool
+/// claims costs a parser fork, a seam re-run and a merge, and each claim
+/// a lock.
 pub const MIN_LINE_SHARD_BYTES: usize = 64 << 10;
 
 /// What the scanner's line stage did with its pushes: how their lines
-/// were cut for the pool and how much the calling thread re-ran at the
-/// seams, not what they parsed to. Purely observational, like
-/// [`ExecStats`].
+/// were cut and claimed, how much the calling thread re-ran at the
+/// seams and where the time of a split went, not what they parsed to.
+/// Purely observational, like [`ExecStats`]. Each time is taken with
+/// one `Instant` pair per phase (per worker for `fork_ns`) and split
+/// push, never per line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageStats {
     /// Byte spans pushed into the stage (one per read chunk).
     pub pushes: u64,
-    /// Pushes whose complete lines were cut into shards for the pool.
+    /// Pushes whose complete lines were cut into shards and claimed from
+    /// both ends.
     pub split_pushes: u64,
-    /// Shards those split pushes were cut into, heads included.
+    /// Shards those split pushes were cut into, whichever side claimed
+    /// them.
     pub shards: u64,
-    /// Shards re-run whole on the calling thread: no line in them named
-    /// an owner and parsed, or `$ORIGIN`/`$TTL` changed before them in
-    /// the same push.
+    /// Shards the pool claimed from the back, parsed with forks of the
+    /// parser and merged by the calling thread.
+    pub shards_forked: u64,
+    /// Forked shards re-run whole on the calling thread: no line in them
+    /// named an owner and parsed, or `$ORIGIN`/`$TTL` changed before
+    /// them in the same push.
     pub shards_rerun: u64,
-    /// Lines the calling thread re-ran: each shard's lines up to its
-    /// first named owner, plus every line of a shard re-run whole.
+    /// Lines the calling thread re-ran: each forked shard's lines up to
+    /// its first named owner, plus every line of a shard re-run whole.
     pub lines_rerun: u64,
-}
-
-/// How a push of `bytes` bytes of complete lines is cut at `threads`
-/// configured workers, as `(head, forks)`: the calling thread runs the
-/// first `head` bytes itself, while the pool parses the rest in `forks`
-/// shards. The head is two shares of `threads + 1`, twice what each
-/// other worker gets, and the rest is cut ≈ 4 per other worker, none
-/// below [`MIN_LINE_SHARD_BYTES`]. At 1 thread, or when the rest would
-/// not fill one such shard, the head is everything.
-pub(crate) fn line_shards_for(bytes: usize, threads: usize) -> (usize, usize) {
-    if threads <= 1 {
-        return (bytes, 0);
-    }
-    let head = 2 * bytes / (threads + 1);
-    match (bytes - head) / MIN_LINE_SHARD_BYTES {
-        0 => (bytes, 0),
-        forks => (head, forks.min((threads - 1) * 4)),
-    }
+    /// Nanoseconds the calling thread spent on the shards it claimed
+    /// from the front.
+    pub front_ns: u64,
+    /// Nanoseconds the pool spent on the shards it claimed from the
+    /// back, summed over the workers.
+    pub fork_ns: u64,
+    /// Nanoseconds the calling thread waited, once the two sides met,
+    /// for shards still in flight.
+    pub wait_ns: u64,
+    /// Nanoseconds the calling thread spent merging the forked shards.
+    pub merge_ns: u64,
 }
 
 /// Shard length for a `len`-IDN batch at `threads` configured workers:
@@ -196,24 +202,6 @@ mod tests {
         // Merging an empty accumulator must not clobber the minimum.
         b.merge(&ExecStats::default());
         assert_eq!(b.min_shard_len, 32);
-    }
-
-    #[test]
-    fn line_shards_follow_the_fixed_rule() {
-        // 1 thread: the calling thread runs the whole push.
-        assert_eq!(line_shards_for(1 << 20, 1), (1 << 20, 0));
-        // A feed's 4 KiB read, or any push whose pool part would not
-        // fill one minimum shard: at 2 threads, under three of them.
-        assert_eq!(line_shards_for(4 << 10, 2), (4 << 10, 0));
-        let min = MIN_LINE_SHARD_BYTES;
-        assert_eq!(line_shards_for(3 * min - 3, 2), (3 * min - 3, 0));
-        assert_eq!(line_shards_for(3 * min, 2), (2 * min, 1));
-        assert_eq!(line_shards_for(5 * min, 4), (2 * min, 3));
-        // A 1 MiB chunk: a head of two shares in threads + 1, ~4 forks
-        // per other worker, none below the minimum.
-        assert_eq!(line_shards_for(1 << 20, 2), (699_050, 4));
-        assert_eq!(line_shards_for(1 << 20, 4), (419_430, 9));
-        assert_eq!(line_shards_for(1 << 20, 8), (233_016, 12));
     }
 
     #[test]

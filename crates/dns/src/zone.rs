@@ -13,7 +13,10 @@
 //! or `\` (only then is a comment stripped), and where its blank bytes
 //! are. An ASCII line's tokens are then walked on that blank mask with
 //! `trailing_zeros`; only a non-ASCII line is split with
-//! `split_whitespace`. The owner and any NS/CNAME/MX target resolve into
+//! `split_whitespace`. Given raw bytes
+//! ([`ZoneStreamParser::scan_bytes`]), the same pass proves an ASCII line
+//! UTF-8, so only a line with a byte of 0x80 or above is checked with
+//! `from_utf8`. The owner and any NS/CNAME/MX target resolve into
 //! reused names ([`DomainName::resolve_into`]), an all-ASCII name with
 //! one check and one write, so a line of ASCII names allocates nothing.
 //!
@@ -97,6 +100,10 @@ fn resolve_into(
     resolved.map_err(|e| err(line, format!("bad name {token:?}: {e}")))
 }
 
+/// What the line machine made of one line: `None` for a directive,
+/// comment or blank line, else `Some((owner_changed, ttl, data))`.
+type Scanned = Result<Option<(bool, u32, Option<RecordData>)>, ZoneError>;
+
 struct LineParser {
     origin: String,
     default_ttl: u32,
@@ -158,15 +165,23 @@ impl LineParser {
     /// ttl, data))` for records; the resolved owner is left in
     /// `self.last_owner`. Owners and targets resolve into reused names,
     /// so with `want_data` unset a line of ASCII names allocates nothing.
-    fn scan_line(
+    fn scan_line(&mut self, raw: &str, no: usize, want_data: bool) -> Scanned {
+        self.scan_classified(raw, &classify(raw.as_bytes()), no, want_data)
+    }
+
+    /// [`scan_line`](Self::scan_line) on a line that `class` describes.
+    /// Inlined into each entry, so that neither pays a call for sharing
+    /// the body with the other.
+    #[inline(always)]
+    fn scan_classified(
         &mut self,
         raw: &str,
+        class: &LineClass,
         no: usize,
         want_data: bool,
-    ) -> Result<Option<(bool, u32, Option<RecordData>)>, ZoneError> {
-        let class = classify(raw.as_bytes());
+    ) -> Scanned {
         let (line, mut tokens) = if class.plain {
-            (raw, Tokens::classified(raw, &class))
+            (raw, Tokens::classified(raw, class))
         } else {
             let line = strip_comment(raw);
             (line, Tokens::of(line))
@@ -595,7 +610,38 @@ impl ZoneStreamParser {
     /// label takes the Punycode path.
     pub fn scan_line(&mut self, raw: &str) -> Result<ZoneScan<'_>, ZoneError> {
         self.line_no += 1;
-        match self.inner.scan_line(raw, self.line_no, false) {
+        let scanned = self.inner.scan_line(raw, self.line_no, false);
+        self.scanned(scanned)
+    }
+
+    /// [`scan_line`](Self::scan_line) on a raw line's bytes: the same
+    /// verdicts, messages and line numbers as `std::str::from_utf8`
+    /// followed by `scan_line`, where a line that is not UTF-8 is counted
+    /// but never read. Its error is `invalid UTF-8`, and the owner state
+    /// and the failure mark stay as they were. The line's one classifier
+    /// pass proves an ASCII line UTF-8, so only a line holding a byte of
+    /// 0x80 or above runs `from_utf8`.
+    pub fn scan_bytes(&mut self, raw: &[u8]) -> Result<ZoneScan<'_>, ZoneError> {
+        self.line_no += 1;
+        let class = classify(raw);
+        let text = if class.ascii {
+            // SAFETY: no byte of `raw` is 0x80 or above, so it is ASCII,
+            // and ASCII is UTF-8.
+            unsafe { std::str::from_utf8_unchecked(raw) }
+        } else {
+            match std::str::from_utf8(raw) {
+                Ok(text) => text,
+                Err(_) => return Err(err(self.line_no, "invalid UTF-8")),
+            }
+        };
+        let scanned = self.inner.scan_classified(text, &class, self.line_no, false);
+        self.scanned(scanned)
+    }
+
+    /// A scanned line's verdict, with the failure mark kept.
+    #[inline(always)]
+    fn scanned(&mut self, scanned: Scanned) -> Result<ZoneScan<'_>, ZoneError> {
+        match scanned {
             Err(error) => {
                 self.failed_since_record = true;
                 Err(error)
@@ -956,20 +1002,28 @@ note IN TXT \"hello; world\"
         /// `"` and `\`, and the tokens are `split_whitespace`'s, over
         /// every ASCII blank, a control byte that is not blank, U+00A0
         /// and U+0085, on lines long enough to span one, two and three
-        /// 64-byte mask words.
+        /// 64-byte mask words. Lines of arbitrary bytes (ASCII controls,
+        /// 0x80–0xFF, truncated UTF-8, a trailing `\r`) scan through the
+        /// byte entry as through `from_utf8` and `scan_line`, and leave
+        /// the parser in the same state for the lines after them.
         #[test]
         fn fast_line_scans_match_the_plain_ones(
-            picks in proptest::collection::vec(0usize..12, 0..160),
+            picks in proptest::collection::vec(0usize..13, 0..160),
             seed in proptest::prelude::any::<u64>(),
         ) {
-            // The top two bits of `seed` let a line hold non-ASCII
-            // characters and special bytes, so that long lines without
-            // them come up too.
-            let (unicode, special) = (seed >> 63 == 1, seed >> 62 & 1 == 1);
-            let line: String = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &pick)| match pick {
+            // The top bits of `seed` let a line hold non-ASCII
+            // characters, special bytes and arbitrary bytes, so that long
+            // lines without them come up too; two more make it a TXT
+            // record and end it in `\r`.
+            let bit = |at: u32| seed >> at & 1 == 1;
+            let (unicode, special, raw, record, cr) = (bit(63), bit(62), bit(61), bit(60), bit(59));
+            let mut line = Vec::new();
+            if record {
+                line.extend_from_slice(b"alpha IN TXT ");
+            }
+            for (i, &pick) in picks.iter().enumerate() {
+                let bits = (seed >> (i % 56)) as u8;
+                let c = match pick {
                     0 => ' ',
                     1 => '\t',
                     2 => '\u{0B}',
@@ -979,16 +1033,65 @@ note IN TXT \"hello; world\"
                     6 if unicode => '\u{A0}',
                     7 if unicode => '\u{85}',
                     8 if special => [';', '"', '\\'][(seed >> (i % 60)) as usize % 3],
-                    _ => char::from(b'a' + ((seed >> (i % 56)) % 26) as u8),
-                })
-                .collect();
-            let class = classify(line.as_bytes());
+                    9 if raw => {
+                        line.push(0x80 | bits);
+                        continue;
+                    }
+                    10 if raw => {
+                        // A multi-byte sequence cut short.
+                        let cuts: [&[u8]; 3] = [b"\xC3", b"\xE2\x82", b"\xF0\x9F\x98"];
+                        line.extend_from_slice(cuts[bits as usize % 3]);
+                        continue;
+                    }
+                    11 if raw => char::from([bits % 0x20, 0x7F][(bits >> 5) as usize % 2]),
+                    _ => char::from(b'a' + bits % 26),
+                };
+                line.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+            }
+            if cr {
+                line.push(b'\r');
+            }
+
+            let class = classify(&line);
             prop_assert_eq!(class.ascii, line.is_ascii());
-            let has_special = line.contains([';', '"', '\\']);
+            let has_special = line.iter().any(|b| b";\"\\".contains(b));
             prop_assert_eq!(class.plain, !has_special);
-            let tokens: Vec<&str> = Tokens::of(&line).collect();
-            let expected: Vec<&str> = line.split_whitespace().collect();
-            prop_assert_eq!(tokens, expected);
+            if let Ok(text) = std::str::from_utf8(&line) {
+                let tokens: Vec<&str> = Tokens::of(text).collect();
+                let expected: Vec<&str> = text.split_whitespace().collect();
+                prop_assert_eq!(tokens, expected);
+            }
+
+            // A verdict as the two entries are compared: a record's owner
+            // and its `new_owner` flag, nothing, or an error's line and
+            // message.
+            type Seen = Result<Option<(String, bool)>, (usize, String)>;
+            fn seen(scanned: Result<ZoneScan<'_>, ZoneError>) -> Seen {
+                match scanned {
+                    Ok(ZoneScan::Record { owner, new_owner }) => {
+                        Ok(Some((owner.as_ascii().to_string(), new_owner)))
+                    }
+                    Ok(ZoneScan::Skip) => Ok(None),
+                    Err(e) => Err((e.line, e.message)),
+                }
+            }
+            let mut by_bytes = ZoneStreamParser::new("com");
+            let mut by_str = ZoneStreamParser::new("com");
+            let setup = "alpha IN A 192.0.2.1";
+            prop_assert_eq!(seen(by_bytes.scan_line(setup)), seen(by_str.scan_line(setup)));
+            let want = match std::str::from_utf8(&line) {
+                Ok(text) => seen(by_str.scan_line(text)),
+                // A line that is not UTF-8 is counted, never read.
+                Err(_) => {
+                    let _ = by_str.scan_line("");
+                    Err((by_str.lines_seen(), "invalid UTF-8".to_string()))
+                }
+            };
+            prop_assert_eq!(seen(by_bytes.scan_bytes(&line)), want);
+            // The next lines see the same owner and failure mark.
+            for next in ["\tIN NS ns.alpha.com.", "alpha IN A 192.0.2.2", "beta IN A 192.0.2.3"] {
+                prop_assert_eq!(seen(by_bytes.scan_line(next)), seen(by_str.scan_line(next)));
+            }
         }
     }
 

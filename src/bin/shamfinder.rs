@@ -14,6 +14,9 @@
 //!                       [--metrics-json FILE]
 //!                       [--faults PERMILLE] [--seed S] [--events N]
 //!                       | --zone FILE [--tld com]
+//!                                                  ingest a seeded synthetic feed
+//!                                                  of N registrations (20,000 by
+//!                                                  default), or a zone file
 //! shamfinder scan-zone <FILE...> [--tld TLD] [--refs-file FILE]
 //!                      [--blacklist FILE] [--batch N] [--window N]
 //!                      [--chunk BYTES] [--metrics-json FILE]
@@ -55,7 +58,7 @@ fn usage() -> ExitCode {
          shamfinder scan <zone-file> [--tld com] [--refs-file FILE]\n  \
          shamfinder serve-feed [--tlds com,net,org] [--queue N] [--batch N] \
 [--policy block|shed] [--refs-file FILE] [--metrics-json FILE] \
-[--faults PERMILLE] [--seed S] [--events N] | --zone FILE [--tld com]\n  \
+[--faults PERMILLE] [--seed S] [--events REGISTRATIONS] | --zone FILE [--tld com]\n  \
          shamfinder scan-zone <FILE...> [--tld TLD] [--refs-file FILE] \
 [--blacklist FILE] [--batch N] [--window N] [--chunk BYTES] [--metrics-json FILE]\n  \
          shamfinder gen-zone <FILE> [--mb N | --records N] [--tld com] [--seed S] \
@@ -573,14 +576,14 @@ fn cmd_surface(args: &[String]) -> Outcome {
 }
 
 /// `serve-feed`: run the fault-tolerant ingest front-end over a feed —
-/// by default a synthetic multi-TLD registration stream (optionally
-/// with a seeded fault schedule), or a master-file zone text with
+/// by default a synthetic multi-TLD stream of `--events` registrations
+/// (optionally with a seeded fault schedule), or a master-file zone text with
 /// `--zone FILE`. Prints the per-TLD detection table plus the
 /// robustness ledger (shed/quarantined/retries/panics/folds and the
 /// accounting identity).
 fn cmd_serve_feed(args: &[String]) -> Outcome {
     use shamfinder::core::{
-        Backpressure, IngestConfig, IngestService, RetryPolicy, ZoneTextFeed,
+        Backpressure, IngestConfig, IngestEvent, IngestService, RetryPolicy, ZoneTextFeed,
     };
     use shamfinder::workload::{FaultSchedule, FaultyZoneFeed, FeedStats};
 
@@ -627,7 +630,7 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
     };
     let faults: u32 = args.number("--faults")?.unwrap_or(0);
     let seed: u64 = args.number("--seed")?.unwrap_or(7);
-    let events_scale: usize = args.number("--events")?.unwrap_or(20_000);
+    let registrations: usize = args.number("--events")?.unwrap_or(20_000);
 
     let config = IngestConfig {
         queue_capacity: queue,
@@ -651,8 +654,8 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
     } else {
         let workload =
             shamfinder::workload::Workload::generate(shamfinder::workload::WorkloadConfig {
-                benign_ascii: events_scale.saturating_sub(events_scale / 10),
-                benign_idns: events_scale / 10,
+                benign_ascii: registrations.saturating_sub(registrations / 10),
+                benign_idns: registrations / 10,
                 reference_size: 2_000,
                 homograph_permille: 100,
                 seed,
@@ -665,7 +668,18 @@ fn cmd_serve_feed(args: &[String]) -> Outcome {
             },
             tlds: tlds.clone(),
         };
-        let events = shamfinder::workload::multi_tld_event_stream(&workload, &feed_shape);
+        // The references and planted homographs come on top of the
+        // benign corpus, so the stream is cut after its N-th
+        // registration; the churns before the cut stay.
+        let mut events = shamfinder::workload::multi_tld_event_stream(&workload, &feed_shape);
+        let mut left = registrations;
+        events.retain(|event| match event {
+            IngestEvent::Registered(_) if left > 0 => {
+                left -= 1;
+                true
+            }
+            _ => left > 0,
+        });
         let schedule = if faults > 0 {
             FaultSchedule::seeded(seed, events.len() as u64, faults)
         } else {
@@ -844,9 +858,20 @@ fn cmd_scan_zone(args: &[String]) -> Outcome {
     let pool = shamfinder::core::pool_stats();
     print_detect_batches(&report.router.exec());
     let stage = report.stage;
+    let ms = |ns: u64| ns as f64 / 1e6;
     println!(
-        "  line stage: {} pushes ({} split), {} shards, {} re-run whole, {} lines re-run at seams",
-        stage.pushes, stage.split_pushes, stage.shards, stage.shards_rerun, stage.lines_rerun
+        "  line stage: {} pushes ({} split), {} shards ({} forked), {} re-run whole, \
+{} lines re-run at seams; front {:.1} ms, forks {:.1} ms, wait {:.1} ms, merge {:.1} ms",
+        stage.pushes,
+        stage.split_pushes,
+        stage.shards,
+        stage.shards_forked,
+        stage.shards_rerun,
+        stage.lines_rerun,
+        ms(stage.front_ns),
+        ms(stage.fork_ns),
+        ms(stage.wait_ns),
+        ms(stage.merge_ns)
     );
     println!(
         "  pool: {} workers, occupancy {:.0}%",

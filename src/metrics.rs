@@ -392,8 +392,13 @@ mod tests {
                 "pushes",
                 "split_pushes",
                 "shards",
+                "shards_forked",
                 "shards_rerun",
-                "lines_rerun"
+                "lines_rerun",
+                "front_ns",
+                "fork_ns",
+                "wait_ns",
+                "merge_ns"
             ]
         );
         // A scan per-TLD entry embeds the serve-feed core triple first.

@@ -1,8 +1,10 @@
 //! The `shamfinder` binary parses every command's arguments one way:
 //! flags go anywhere, and an argument a command cannot use is a usage
 //! error, named on stderr with nothing on stdout, before any database
-//! is built.
+//! is built. A flag means what it says: `serve-feed --events N`
+//! delivers N registrations.
 
+use serde::Value;
 use std::process::{Command, Output};
 
 fn shamfinder(args: &[&str]) -> Output {
@@ -52,4 +54,25 @@ fn unusable_arguments_are_usage_errors() {
         assert!(!stderr.contains("building SimChar"), "{args:?} built SimChar");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
     }
+}
+
+#[test]
+fn serve_feed_delivers_exactly_the_events_asked_for() {
+    let name = format!("shamfinder-cli-events-{}.json", std::process::id());
+    let doc = std::env::temp_dir().join(name);
+    let doc_path = doc.to_str().expect("a UTF-8 temp dir");
+    let args = ["serve-feed", "--events", "2000", "--seed", "7", "--metrics-json", doc_path];
+    let out = shamfinder(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("feed synthetic: 2000 registrations"), "{stdout}");
+    let json = std::fs::read_to_string(&doc).expect("the metrics document");
+    let _ = std::fs::remove_file(&doc);
+    let field = |value: &Value, name: &str| match value {
+        Value::Map(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone()),
+        _ => None,
+    };
+    let doc: Value = serde_json::from_str(&json).expect("a JSON document");
+    let delivered = field(&doc, "events").and_then(|events| field(&events, "delivered"));
+    assert_eq!(delivered, Some(Value::U64(2000)), "{json}");
 }

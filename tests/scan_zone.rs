@@ -450,13 +450,13 @@ fn scan_is_thread_count_invariant_and_detects_plants() {
 }
 
 /// Chunks that split: a two-TLD input of over 2 MiB at the default
-/// 1 MiB chunk is parsed in line shards on the pool at 2 and 4 threads
-/// and inline at 1, and every thread count gives the replay's report,
-/// accounting and quarantine samples. The `com` file is two generated
-/// zones back to back, so it repeats its `$ORIGIN`/`$TTL` header
-/// mid-file, and that header and the first malformed lines fall in
-/// forked shards of the second chunk (past its head at 2 threads, the
-/// larger one).
+/// 1 MiB chunk is cut into line shards, claimed by the calling thread
+/// and the pool from both ends, at 2 and 4 threads and parsed inline at
+/// 1, and every thread count gives the replay's report, accounting and
+/// quarantine samples. The `com` file is two generated zones back to
+/// back, so it repeats its `$ORIGIN`/`$TTL` header mid-file, and that
+/// header and the first malformed lines fall in the second chunk's
+/// shards, on whichever side claims them.
 #[test]
 fn split_chunks_match_the_replay_at_1_2_and_4_threads() {
     let _serial = thread_override_lock();
@@ -486,9 +486,10 @@ fn split_chunks_match_the_replay_at_1_2_and_4_threads() {
             assert_eq!(stage.split_pushes, 0, "{stage:?}");
         } else {
             // The three chunks of com and the one of net split, and
-            // each fork re-runs about one line at its seam.
+            // each forked shard re-runs about one line at its seam.
             assert_eq!(stage.split_pushes, 4, "{stage:?}");
             assert_eq!(stage.shards_rerun, 0, "{stage:?}");
+            assert!(stage.shards_forked <= stage.shards, "{stage:?}");
             assert!(stage.lines_rerun <= 2 * stage.shards, "{stage:?}");
         }
     }
